@@ -13,6 +13,7 @@ import sys
 from .errors import (
     AcyclicityError,
     ContainmentError,
+    DocumentError,
     H0IsoError,
     InhomogeneousInputError,
     LiftIdentityError,
@@ -92,7 +93,11 @@ def _cmd_build(args):
 
 def _cmd_verify(args):
     doc = _load_json(args.output)
-    ok, rows = run_verify(doc, dmax=args.dmax)
+    try:
+        ok, rows = run_verify(doc, dmax=args.dmax)
+    except DocumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     sys.stdout.write(report_text(rows))
     return EXIT_OK if ok else EXIT_CERTIFICATE
 

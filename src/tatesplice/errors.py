@@ -113,3 +113,7 @@ class WindowTooSmallError(TateSpliceError):
 
 class LiftError(TateSpliceError):
     """Degreewise lifting of a comparison map failed (window too short)."""
+
+
+class DocumentError(TateSpliceError):
+    """A persisted output document lacks a section that verification reads."""

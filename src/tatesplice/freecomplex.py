@@ -49,12 +49,6 @@ class BaseRing:
             return poly
         return self.modulus.normal_form(poly)
 
-    def contains(self, poly):
-        """Membership of poly in the defining ideal (always False over S)."""
-        if self.modulus is None:
-            return poly.is_zero()
-        return self.modulus.is_member(poly)
-
     def degree_basis(self, d):
         """Monomial basis of the degree-d piece, descending grevlex."""
         if d < 0:
@@ -387,9 +381,13 @@ def block_matrix(col_modules, row_modules, blocks):
 
 
 class ChainComplex:
-    """Window of a complex of graded free modules; d_i maps term_i to term_{i-1}."""
+    """Window of a complex of graded free modules; d_i maps term_i to term_{i-1}.
 
-    __slots__ = ("ring", "lo", "hi", "terms", "diffs")
+    Immutable after construction: `dual`, `shift`, `twist` and `subwindow`
+    return new complexes, so the rank store below never goes stale.
+    """
+
+    __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks")
 
     def __init__(self, ring, terms, diffs, validate=True):
         if not terms:
@@ -402,6 +400,7 @@ class ChainComplex:
             if i not in self.terms:
                 self.terms[i] = GradedFreeModule(ring, ())
         self.diffs = dict(diffs)
+        self._ranks = {}  # (i, d) -> rank of d_i in internal degree d
         if validate:
             self._validate()
 
@@ -429,6 +428,14 @@ class ChainComplex:
         if d is None:
             return PolyMatrix.zero(self.term(i), self.term(i - 1))
         return d
+
+    def rank(self, i, d):
+        """Rank of d_i in internal degree d; its graded piece is built at most
+        once per complex, and only the rank is kept."""
+        r = self._ranks.get((i, d))
+        if r is None:
+            r = self._ranks[(i, d)] = graded_piece(self.diff(i), d).rank()
+        return r
 
     @property
     def window(self):
@@ -501,13 +508,13 @@ def _homology_dim(complex_, i, d, lo_zero=False, hi_zero=False):
         raise WindowEdgeError(f"position {i} outside window {complex_.window}")
     dim_here = complex_.term(i).degree_dim(d)
     if i > complex_.lo:
-        rank_out = graded_piece(complex_.diff(i), d).rank()
+        rank_out = complex_.rank(i, d)
     elif lo_zero:
         rank_out = 0
     else:
         raise WindowEdgeError(f"no differential out of position {i}")
     if i < complex_.hi:
-        rank_in = graded_piece(complex_.diff(i + 1), d).rank()
+        rank_in = complex_.rank(i + 1, d)
     elif hi_zero:
         rank_in = 0
     else:
@@ -524,25 +531,20 @@ def homology_dims(complex_, i, degrees):
     return [_homology_dim(complex_, i, d) for d in degrees]
 
 
-def fanout(fn, items, workers=None):
-    """Apply a pure function over items, optionally on a thread pool;
-    results are returned in input order regardless of completion order.
-
-    Complexes and bases are immutable after construction (caches only ever
-    fill in identical values), so per-degree rank sweeps are safe to run
-    concurrently. Worker count defaults to the TATESPLICE_WORKERS
-    environment variable, or 1 (serial)."""
-    import os
-
-    if workers is None:
-        workers = int(os.environ.get("TATESPLICE_WORKERS", "1"))
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def induced_rank(phi_i, D, i, d):
+    """Rank in internal degree d of the map into H_i(D) induced by phi_i:
+    rank [phi_i(d) | D.d_{i+1}(d)] - rank D.d_{i+1}(d). A missing d_{i+1}
+    counts as the zero map; the boundary piece is built once and its rank
+    goes into D's rank store."""
+    image = graded_piece(phi_i, d)
+    if i >= D.hi:
+        return image.rank()
+    boundary = graded_piece(D.diff(i + 1), d)
+    rank_in = D._ranks.get((i + 1, d))
+    if rank_in is None:
+        rank_in = D._ranks[(i + 1, d)] = boundary.rank()
+    stacked = FieldMatrix(np.hstack([image.array, boundary.array]), image.p)
+    return stacked.rank() - rank_in
 
 
 class ChainMapReport:
@@ -632,35 +634,6 @@ def mapping_cone(phi, C, D):
             del diffs[i]
     cone = ChainComplex(ring, terms, diffs, validate=True)
     return cone, layout
-
-
-def solve_factorization(through, rhs):
-    """Find X with through o X == rhs by exact degreewise linear algebra.
-
-    through: A -> B and rhs: C -> B; the solution X: C -> A is produced
-    column by column (one graded solve per generator of C). Returns None
-    when some column is inconsistent.
-    """
-    if through.target != rhs.target:
-        raise ValueError("targets must agree")
-    ring = through.source.ring
-    columns = []
-    for c in range(rhs.source.rank):
-        gen_degree = -rhs.source.twists[c]
-        src_layout = DegreeLayout(through.source, gen_degree)
-        rhs_elem = [rhs.entries[r][c] for r in range(rhs.target.rank)]
-        tgt_layout = DegreeLayout(rhs.target, gen_degree)
-        b = tgt_layout.coordinates(rhs_elem)
-        A = graded_piece(through, gen_degree)
-        x = A.solve(b)
-        if x is None:
-            return None
-        columns.append(src_layout.element(x))
-    entries = [
-        [columns[c][r] for c in range(rhs.source.rank)]
-        for r in range(through.source.rank)
-    ]
-    return PolyMatrix(rhs.source, through.source, entries)
 
 
 # --- serialization --------------------------------------------------------

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from .arith import PrimeField, VariableContext, monomial_divides, parse_polynomial
 from .errors import (
     ContainmentError,
+    DocumentError,
     NotInIdealError,
     NotRegularError,
-    WindowEdgeError,
 )
-from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
+from .freecomplex import BaseRing, _homology_dim, complex_from_doc, complex_to_doc
 from .groebner import buchberger, is_regular_sequence
 from .koszul import LiftMatrix
 from .shamash import es_resolution, is_minimal
@@ -31,6 +31,7 @@ from .tate import (
     normalize_matrix_factorization,
     tate_splice,
     TateResolution,
+    _content_degree_range,
 )
 
 FORMAT = "tatesplice/1"
@@ -194,10 +195,14 @@ def dump_output(doc):
 
 def run_verify(doc, dmax=None):
     """Recompute d^2 = 0, interior acyclicity, and minimality from a persisted
-    document; returns (ok, rows) with one (check, passed, detail) per row."""
+    document; returns (ok, rows) with one (check, passed, detail) per row.
+    Raises DocumentError when a section the checks read is missing."""
     rows = []
     if doc.get("format") != FORMAT:
         return False, [("format", False, f"unknown format {doc.get('format')!r}")]
+    missing = [key for key in ("tate", "meta", "betti") if key not in doc]
+    if missing:
+        raise DocumentError(f"document is missing {', '.join(missing)}")
     complex_ = complex_from_doc(doc["tate"], validate=False)
     if dmax is None:
         dmax = doc["meta"]["dmax"]
@@ -211,28 +216,22 @@ def run_verify(doc, dmax=None):
             break
     rows.append(("d_squared_zero", d2_ok, d2_detail))
 
-    from .freecomplex import _homology_dim
-    from .tate import _content_degree_range
-
     acyclic_ok, detail = True, "interior homology vanishes"
     if complex_.hi - complex_.lo < 2:
         acyclic_ok = False
         detail = "WindowEdge: window too narrow to certify interior homology"
     else:
         degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        try:
-            for i in range(complex_.lo + 1, complex_.hi):
-                for d in degrees:
-                    dim = _homology_dim(complex_, i, d)
-                    if dim:
-                        acyclic_ok = False
-                        detail = f"H_{i} nonzero in degree {d} (dim {dim})"
-                        raise StopIteration
-        except StopIteration:
-            pass
-        except WindowEdgeError as exc:
+        nonzero = (
+            (i, d, dim)
+            for i in range(complex_.lo + 1, complex_.hi)
+            for d in degrees
+            if (dim := _homology_dim(complex_, i, d))
+        )
+        failure = next(nonzero, None)
+        if failure is not None:
             acyclic_ok = False
-            detail = f"WindowEdge: {exc}"
+            detail = "H_{} nonzero in degree {} (dim {})".format(*failure)
     rows.append(("acyclicity", acyclic_ok, detail))
 
     minimal_ok = is_minimal(complex_)

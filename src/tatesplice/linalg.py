@@ -9,6 +9,33 @@ from __future__ import annotations
 import numpy as np
 
 
+def _eliminate(a, n, p):
+    """Reduce `a` in place to reduced row echelon form, pivoting only on its
+    first n columns, lowest pivot column first; returns the pivot columns."""
+    m = a.shape[0]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], :] = a[[i, r], :]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, :] = a[r, :] * inv % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            a[rows, :] = (a[rows, :] - np.outer(col[rows], a[r, :])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 class FieldMatrix:
     """Dense matrix over F_p with elimination-based rank, solve, and nullspace."""
 
@@ -23,10 +50,6 @@ class FieldMatrix:
         self._rref = None
 
     @classmethod
-    def zeros(cls, rows, cols, p):
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
     def from_triplets(cls, rows, cols, triplets, p):
         a = np.zeros((rows, cols), dtype=np.int64)
         for r, c, v in triplets:
@@ -37,37 +60,11 @@ class FieldMatrix:
     def shape(self):
         return self.array.shape
 
-    def copy(self):
-        return FieldMatrix(self.array.copy(), self.p)
-
     def _compute_rref(self):
         """Row-reduce; cache (reduced array, pivot column list)."""
-        if self._rref is not None:
-            return self._rref
-        a = self.array.copy()
-        p = self.p
-        m, n = a.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i], :] = a[[i, r], :]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r, :] = a[r, :] * inv % p
-            col = a[:, c].copy()
-            col[r] = 0
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                a[rows, :] = (a[rows, :] - np.outer(col[rows], a[r, :])) % p
-            pivots.append(c)
-            r += 1
-        self._rref = (a, pivots)
+        if self._rref is None:
+            a = self.array.copy()
+            self._rref = (a, _eliminate(a, a.shape[1], self.p))
         return self._rref
 
     def rank(self):
@@ -100,55 +97,12 @@ class FieldMatrix:
         B = np.asarray(B, dtype=np.int64) % p
         if B.shape[0] != m:
             raise ValueError("right-hand side has wrong length")
-        aug = np.hstack([self.array.copy(), B.copy()])
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(aug[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                aug[[r, i], :] = aug[[i, r], :]
-            inv = pow(int(aug[r, c]), -1, p)
-            aug[r, :] = aug[r, :] * inv % p
-            col = aug[:, c].copy()
-            col[r] = 0
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                aug[rows, :] = (aug[rows, :] - np.outer(col[rows], aug[r, :])) % p
-            pivots.append(c)
-            r += 1
+        aug = np.hstack([self.array, B])
+        pivots = _eliminate(aug, n, p)
         # inconsistent iff a zero row of A meets a nonzero row of B
-        if np.any(aug[r:, n:] % p):
+        if np.any(aug[len(pivots):, n:]):
             return None
         X = np.zeros((n, B.shape[1]), dtype=np.int64)
         for row, c in enumerate(pivots):
             X[c, :] = aug[row, n:]
         return X
-
-    def __matmul__(self, other):
-        if isinstance(other, FieldMatrix):
-            if self.p != other.p:
-                raise ValueError("field mismatch")
-            prod = matmul_mod(self.array, other.array, self.p)
-            return FieldMatrix(prod, self.p)
-        return matmul_mod(self.array, np.asarray(other, dtype=np.int64), self.p)
-
-
-def matmul_mod(a, b, p):
-    """Exact a @ b mod p, chunked so int64 accumulation cannot overflow."""
-    a = a % p
-    b = b % p
-    inner = a.shape[1]
-    # each product is < p^2; cap the number of summands per chunk accordingly
-    max_terms = max(1, (2**62) // (p * p))
-    if inner <= max_terms:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for start in range(0, inner, max_terms):
-        stop = min(inner, start + max_terms)
-        out = (out + a[:, start:stop] @ b[start:stop, :]) % p
-    return out

@@ -23,8 +23,6 @@ from .freecomplex import (
     GradedFreeModule,
     PolyMatrix,
     _homology_dim,
-    fanout,
-    graded_piece,
 )
 from .groebner import is_regular_sequence
 from .koszul import LiftMatrix, merge_sign
@@ -89,9 +87,6 @@ class ShamashResolution:
         return [
             idx for idx, (alpha, _) in enumerate(self.labels.get(i, ())) if sum(alpha) == 0
         ]
-
-    def label_index(self, i, label):
-        return self.labels[i].index(label)
 
 
 def _label_twist(label, f_degrees, g_degrees):
@@ -208,12 +203,12 @@ def verify_resolution(resolution, dmax, ring_M=None):
                     failures.append(
                         f"d^2 != 0 at position {i}, entry ({r},{col}) = {e}"
                     )
-    jobs = [(i, d) for i in range(1, C.hi) for d in range(0, dmax + 1)]
-    dims = fanout(lambda job: _homology_dim(C, job[0], job[1], lo_zero=True), jobs)
-    vanishing = dict(zip(jobs, dims))
-    for (i, d), dim in vanishing.items():
-        if dim:
-            failures.append(f"H_{i} nonzero in degree {d}: dim {dim}")
+    vanishing = {}
+    for i in range(1, C.hi):
+        for d in range(0, dmax + 1):
+            vanishing[(i, d)] = dim = _homology_dim(C, i, d, lo_zero=True)
+            if dim:
+                failures.append(f"H_{i} nonzero in degree {d}: dim {dim}")
     if ring_M is None:
         from .freecomplex import BaseRing
         from .groebner import buchberger
@@ -223,7 +218,8 @@ def verify_resolution(resolution, dmax, ring_M=None):
         )
     h0_table = {}
     for d in range(0, dmax + 1):
-        dim0 = C.term(0).degree_dim(d) - graded_piece(C.diff(1), d).rank()
+        # the d_1 ranks are store hits from the vanishing sweep
+        dim0 = _homology_dim(C, 0, d, lo_zero=True, hi_zero=True)
         dim_m = ring_M.dim_degree(d)
         h0_table[d] = (dim0, dim_m)
         if dim0 != dim_m:

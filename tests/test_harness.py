@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from tatesplice import cli as cli_module
+from tatesplice import freecomplex
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import ContainmentError
 from tatesplice.freecomplex import BaseRing
@@ -129,6 +131,35 @@ def test_run_verify_truncated_window_reports_windowedge(build_t):
     assert "WindowEdge" in acy[2]
 
 
+def _record_pieces(monkeypatch):
+    """Wrap graded_piece; returns the list of content keys it is asked for."""
+    keys = []
+    build = freecomplex.graded_piece
+
+    def recording(matrix, d):
+        keys.append((matrix.source.twists, matrix.target.twists, matrix.entries, d))
+        return build(matrix, d)
+
+    monkeypatch.setattr(freecomplex, "graded_piece", recording)
+    return keys
+
+
+def test_run_verify_builds_each_piece_once(build_c, monkeypatch):
+    doc = json.loads(dump_output(build_c))
+    keys = _record_pieces(monkeypatch)
+    ok, _ = run_verify(doc)
+    assert ok
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
+def test_run_build_piece_count(inst_c, build_c, monkeypatch):
+    keys = _record_pieces(monkeypatch)
+    doc = run_build(inst_c.instance)
+    assert doc == build_c
+    assert len(keys) <= 278
+
+
 def test_betti_text_alignment(build_t):
     text = betti_text(build_t["betti"])
     assert "total" in text
@@ -242,3 +273,26 @@ def test_cli_certificate_exit_code(tmp_path, build_t):
     r = cli("verify", str(opath))
     assert r.returncode == 3
     assert "FAIL" in r.stdout
+
+
+def _verify_exit_code(tmp_path, doc):
+    opath = tmp_path / "bad.out.json"
+    opath.write_text(json.dumps(doc))
+    return cli_module.main(["verify", str(opath)])
+
+
+def test_cli_verify_document_without_tate(tmp_path, capsys):
+    doc = {"format": "tatesplice/1", "meta": {"dmax": 4}}
+    assert _verify_exit_code(tmp_path, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tate" in err
+
+
+def test_cli_verify_document_without_meta(tmp_path, capsys, build_t):
+    doc = json.loads(dump_output(build_t))
+    del doc["meta"]
+    assert _verify_exit_code(tmp_path, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "meta" in err
