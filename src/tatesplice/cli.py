@@ -21,6 +21,7 @@ from .errors import (
     NotInIdealError,
     NotRegularError,
     PolynomialSyntaxError,
+    SelfCheckError,
     WindowTooSmallError,
 )
 from .harness import (
@@ -50,6 +51,7 @@ _CERTIFICATE_ERRORS = (
     AcyclicityError,
     H0IsoError,
     NotChainMapError,
+    SelfCheckError,
     WindowTooSmallError,
 )
 

@@ -116,4 +116,9 @@ class LiftError(TateSpliceError):
 
 
 class DocumentError(TateSpliceError):
-    """A persisted output document lacks a section that verification reads."""
+    """A persisted output document lacks, or malforms, a section that
+    verification reads."""
+
+
+class SelfCheckError(TateSpliceError):
+    """An internal consistency check failed, so the result cannot be trusted."""

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import Polynomial
+from .arith import Polynomial, monomial_mul
 from .errors import (
     DegreeMismatchError,
     NotAComplexError,
@@ -484,20 +484,36 @@ def make_complex(ring, terms, diffs):
 
 
 def graded_piece(matrix, d):
-    """Exact F_p matrix of the degree-d component of a PolyMatrix."""
+    """Exact sparse F_p matrix of the degree-d component of a PolyMatrix.
+
+    Column (k, mono) holds the coordinates of mono times column k of the
+    matrix: each entry term's exponent is added to mono, and over a quotient
+    the product's cached monomial normal form is read off termwise, so no
+    polynomial is built per product."""
     ring = matrix.source.ring
     src = DegreeLayout(matrix.source, d)
     tgt = DegreeLayout(matrix.target, d)
-    triplets = []
-    for c, (k, mono) in enumerate(src.labels):
-        for r_gen in range(matrix.target.rank):
-            e = matrix.entries[r_gen][k]
-            if e.is_zero():
-                continue
-            prod = ring.reduce(e.term_mul(mono))
-            for pm, coeff in prod.terms.items():
-                triplets.append((tgt.index[(r_gen, pm)], c, coeff))
-    return FieldMatrix.from_triplets(tgt.dim, src.dim, triplets, ring.field.p)
+    index = tgt.index
+    nf = ring.modulus._nf_monomial if ring.modulus is not None else None
+    # the nonzero entries of each column of the matrix, with their rows
+    columns = [
+        [(r, row[k].terms.items()) for r, row in enumerate(matrix.entries) if row[k].terms]
+        for k in range(matrix.source.rank)
+    ]
+
+    # a generator, so that no list of all triplets is held at once
+    def triplets():
+        for c, (k, mono) in enumerate(src.labels):
+            for r_gen, terms in columns[k]:
+                for expo, coeff in terms:
+                    prod = monomial_mul(expo, mono)
+                    if nf is None:
+                        yield index[(r_gen, prod)], c, coeff
+                    else:
+                        for pm, v in nf(prod).terms.items():
+                            yield index[(r_gen, pm)], c, coeff * v
+
+    return FieldMatrix.from_triplets(tgt.dim, src.dim, triplets(), ring.field.p)
 
 
 def _homology_dim(complex_, i, d, lo_zero=False, hi_zero=False):
@@ -543,7 +559,9 @@ def induced_rank(phi_i, D, i, d):
     rank_in = D._ranks.get((i + 1, d))
     if rank_in is None:
         rank_in = D._ranks[(i + 1, d)] = boundary.rank()
-    stacked = FieldMatrix(np.hstack([image.array, boundary.array]), image.p)
+    stacked = FieldMatrix.from_columns(
+        image.shape[0], image.columns + boundary.columns, image.p
+    )
     return stacked.rank() - rank_in
 
 

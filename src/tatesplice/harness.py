@@ -18,6 +18,7 @@ from .errors import (
     DocumentError,
     NotInIdealError,
     NotRegularError,
+    TateSpliceError,
 )
 from .freecomplex import BaseRing, _homology_dim, complex_from_doc, complex_to_doc
 from .groebner import buchberger, is_regular_sequence
@@ -196,16 +197,23 @@ def dump_output(doc):
 def run_verify(doc, dmax=None):
     """Recompute d^2 = 0, interior acyclicity, and minimality from a persisted
     document; returns (ok, rows) with one (check, passed, detail) per row.
-    Raises DocumentError when a section the checks read is missing."""
+    Raises DocumentError when a section the checks read is missing or
+    malformed."""
     rows = []
     if doc.get("format") != FORMAT:
         return False, [("format", False, f"unknown format {doc.get('format')!r}")]
     missing = [key for key in ("tate", "meta", "betti") if key not in doc]
     if missing:
         raise DocumentError(f"document is missing {', '.join(missing)}")
-    complex_ = complex_from_doc(doc["tate"], validate=False)
-    if dmax is None:
-        dmax = doc["meta"]["dmax"]
+    try:
+        complex_ = complex_from_doc(doc["tate"], validate=False)
+        if dmax is None:
+            dmax = doc["meta"]["dmax"]
+        betti = doc["betti"]
+        if type(dmax) is not int or not isinstance(betti, dict):
+            raise TypeError("meta.dmax must be an integer and betti an object")
+    except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
+        raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
     d2_ok, d2_detail = True, "all products vanish"
     for i in range(complex_.lo + 2, complex_.hi + 1):
@@ -248,7 +256,7 @@ def run_verify(doc, dmax=None):
         counts = {}
         for t in complex_.term(i).twists:
             counts[str(t)] = counts.get(str(t), 0) + 1
-        if doc["betti"].get(str(i), {}) != counts:
+        if betti.get(str(i), {}) != counts:
             betti_ok = False
             break
     rows.append(

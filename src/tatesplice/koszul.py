@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .arith import Polynomial
-from .errors import LiftIdentityError
+from .errors import LiftIdentityError, SelfCheckError
 from .freecomplex import ChainComplex, GradedFreeModule, PolyMatrix
 from .groebner import lift_through
 
@@ -51,7 +51,8 @@ def complement_sign(subset, n):
     """e_subset ^ e_complement = sign * e_{1..n}."""
     comp = tuple(i for i in range(1, n + 1) if i not in subset)
     sign, merged = merge_sign(subset, comp)
-    assert merged == tuple(range(1, n + 1))
+    if merged != tuple(range(1, n + 1)):
+        raise SelfCheckError(f"{subset} is not a set of distinct indices in 1..{n}")
     return sign, comp
 
 

@@ -1,87 +1,187 @@
-"""Exact linear algebra over F_p on int64 numpy arrays.
+"""Exact linear algebra over F_p on sparse columns: sparse exact mod-p
+elimination behind rank, solve, solve_matrix and nullspace.
 
-This is the rank/solve engine behind graded_piece and every certificate.
+A matrix is a list of columns, each a dict {row: nonzero value mod p}. One
+loop (`_echelon`) takes the columns in order and reduces each against the
+pivots found so far, keyed by their leading row (smallest row index). A
+column that reduces to zero depends on the columns before it; one that does
+not becomes a pivot. Reducing a column touches only pivots that share a row
+with it, so fill-in stays inside the column's connected block of the
+row/column incidence graph: a matrix that splits into independent blocks is
+eliminated block by block without being split explicitly. When only the rank
+is wanted, the columns are taken sparsest first, which leaves the rank alone
+and keeps fill-in down on the denser pieces.
+
+Why the answers are those of the reduced row echelon form (RREF), whatever
+the elimination order inside the loop: the RREF of a matrix is unique, so
+each of these is determined by the matrix alone.
+  * A column is a pivot column of the RREF iff it is independent of the
+    columns before it, which is the test the loop makes; the rank is the
+    number of pivots.
+  * The nullspace basis has one vector per free column f with v[f] = 1 and
+    0 on the other free columns; a vector of the kernel with those free
+    coordinates is unique, and the loop's record of how column f reduced to
+    zero is one.
+  * The solution of A x = b that is 0 on every free column is unique; the
+    record of how b reduces to zero against the pivots is one.
+
 The brute-force oracle in `harness` deliberately does not use this module.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 import numpy as np
 
 
-def _eliminate(a, n, p):
-    """Reduce `a` in place to reduced row echelon form, pivoting only on its
-    first n columns, lowest pivot column first; returns the pivot columns."""
-    m = a.shape[0]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+def _axpy(v, c, w, p):
+    """v -= c * w in place on sparse vectors; returns the keys v gained."""
+    gained = []
+    for key, a in w.items():
+        old = v.get(key)
+        x = ((0 if old is None else old) - c * a) % p
+        if x:
+            if old is None:
+                gained.append(key)
+            v[key] = x
+        elif old is not None:
+            del v[key]
+    return gained
+
+
+def _reduce_column(v, pivots, p, comb):
+    """Reduce the sparse column v in place against `pivots` until its
+    leading row is not a pivot row. Returns that row, or None when v reduced
+    to zero.
+
+    Each pivot is (column with 1 at its leading row, combination); with
+    `comb` given, the same steps are applied to it, so that v == v0 + A comb
+    holds throughout when it held at the start.
+    """
+    heap = list(v)
+    heapify(heap)
+    while heap:
+        r = heappop(heap)
+        c = v.get(r)
+        if c is None:
+            continue  # cancelled, or a repeated heap entry
+        pivot = pivots.get(r)
+        if pivot is None:
+            return r
+        col, pcomb = pivot
+        # a pivot column has no row before its leading row, so the rows v
+        # gains all come after r
+        for row in _axpy(v, c, col, p):
+            heappush(heap, row)
+        if comb is not None:
+            _axpy(comb, c, pcomb, p)
+    return None
+
+
+def _echelon(columns, p, track):
+    """The one elimination loop. Returns (pivots, kernel): pivots maps the
+    leading row of each reduced pivot column to (column, combination), and
+    kernel lists, per dependent column in order, the combination of columns
+    that sums to zero. Combinations are kept only with `track`; without it
+    only the number of pivots means anything."""
+    if not track:
+        columns = sorted(columns, key=len)
+    pivots = {}
+    kernel = []
+    for j, column in enumerate(columns):
+        v = dict(column)
+        comb = {j: 1} if track else None
+        lead = _reduce_column(v, pivots, p, comb)
+        if lead is None:
+            if track:
+                kernel.append(comb)
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, :] = a[r, :] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            a[rows, :] = (a[rows, :] - np.outer(col[rows], a[r, :])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+        inv = pow(v[lead], -1, p)
+        if inv != 1:
+            v = {r: x * inv % p for r, x in v.items()}
+            if track:
+                comb = {k: x * inv % p for k, x in comb.items()}
+        pivots[lead] = (v, comb)
+    return pivots, kernel
+
+
+def _sparse(vec, p):
+    """{index: value mod p} of the nonzero entries of a dense vector."""
+    vec = np.asarray(vec, dtype=np.int64) % p
+    nz = np.flatnonzero(vec)
+    return dict(zip(nz.tolist(), vec[nz].tolist()))
 
 
 class FieldMatrix:
-    """Dense matrix over F_p with elimination-based rank, solve, and nullspace."""
+    """Sparse matrix over F_p with elimination-based rank, solve, and
+    nullspace. The dense `array` is built only when asked for."""
 
-    __slots__ = ("p", "array", "_rref")
+    __slots__ = ("p", "shape", "columns", "_array", "_reduced")
 
     def __init__(self, array, p):
         a = np.array(array, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
-        self.array = a % p
+        a %= p
+        self._setup(a.shape[0], [_sparse(col, p) for col in a.T], p)
+        self._array = a
+
+    def _setup(self, rows, columns, p):
         self.p = p
-        self._rref = None
+        self.shape = (rows, len(columns))
+        self.columns = columns
+        self._array = None
+        self._reduced = None  # (pivots, kernel, tracked)
+
+    @classmethod
+    def from_columns(cls, rows, columns, p):
+        """Matrix from sparse columns {row: nonzero value mod p}."""
+        m = cls.__new__(cls)
+        m._setup(rows, list(columns), p)
+        return m
 
     @classmethod
     def from_triplets(cls, rows, cols, triplets, p):
-        a = np.zeros((rows, cols), dtype=np.int64)
+        """Matrix from (row, col, value) triplets; repeated positions add up."""
+        columns = [{} for _ in range(cols)]
         for r, c, v in triplets:
-            a[r, c] = (a[r, c] + v) % p
-        return cls(a, p)
+            col = columns[c]
+            x = (col.get(r, 0) + v) % p
+            if x:
+                col[r] = x
+            else:
+                col.pop(r, None)
+        return cls.from_columns(rows, columns, p)
 
     @property
-    def shape(self):
-        return self.array.shape
+    def array(self):
+        """Dense int64 copy, built on first use and kept."""
+        if self._array is None:
+            a = np.zeros(self.shape, dtype=np.int64)
+            for j, col in enumerate(self.columns):
+                for r, v in col.items():
+                    a[r, j] = v
+            self._array = a
+        return self._array
 
-    def _compute_rref(self):
-        """Row-reduce; cache (reduced array, pivot column list)."""
-        if self._rref is None:
-            a = self.array.copy()
-            self._rref = (a, _eliminate(a, a.shape[1], self.p))
-        return self._rref
+    def _eliminated(self, track):
+        e = self._reduced
+        if e is None or (track and not e[2]):
+            e = self._reduced = (*_echelon(self.columns, self.p, track), track)
+        return e
 
     def rank(self):
-        return len(self._compute_rref()[1])
+        return len(self._eliminated(False)[0])
 
     def nullspace(self):
-        """Deterministic basis of the right kernel, one vector per free column."""
-        a, pivots = self._compute_rref()
-        n = self.shape[1]
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
+        """Deterministic basis of the right kernel, one vector per free column
+        in increasing order: 1 at that column, 0 at every other free column."""
         basis = []
-        for f in free:
-            v = np.zeros(n, dtype=np.int64)
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = (-int(a[r, f])) % self.p
+        for comb in self._eliminated(True)[1]:
+            v = np.zeros(self.shape[1], dtype=np.int64)
+            for k, x in comb.items():
+                v[k] = x
             basis.append(v)
         return basis
 
@@ -94,15 +194,17 @@ class FieldMatrix:
         """Solve A X = B columnwise; None if any column is inconsistent."""
         p = self.p
         m, n = self.shape
-        B = np.asarray(B, dtype=np.int64) % p
+        B = np.asarray(B, dtype=np.int64)
         if B.shape[0] != m:
             raise ValueError("right-hand side has wrong length")
-        aug = np.hstack([self.array, B])
-        pivots = _eliminate(aug, n, p)
-        # inconsistent iff a zero row of A meets a nonzero row of B
-        if np.any(aug[len(pivots):, n:]):
-            return None
+        pivots = self._eliminated(True)[0]
         X = np.zeros((n, B.shape[1]), dtype=np.int64)
-        for row, c in enumerate(pivots):
-            X[c, :] = aug[row, n:]
+        for j in range(B.shape[1]):
+            comb = {}
+            # b reduces to zero iff b = -A comb: pivot columns only, so the
+            # free variables are 0
+            if _reduce_column(_sparse(B[:, j], p), pivots, p, comb) is not None:
+                return None
+            for k, x in comb.items():
+                X[k, j] = -x % p
         return X

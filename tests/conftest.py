@@ -65,6 +65,19 @@ def inst_52():
 
 
 @pytest.fixture(scope="session")
+def inst_52w():
+    """Rung 52 widened to window [-2, 3], dmax 6: graded pieces up to
+    9429 x 4530, very sparse."""
+    return Bundle(
+        ["x1", "x2", "x3", "x4", "x5"],
+        ["x1^2", "x2^2", "x3^2", "x4^2", "x5^2"],
+        ["x1^3", "x2^3"],
+        (-2, 3),
+        6,
+    )
+
+
+@pytest.fixture(scope="session")
 def inst_41():
     return Bundle(
         ["x1", "x2", "x3", "x4"],
@@ -93,6 +106,11 @@ def build_h(inst_h):
 @pytest.fixture(scope="session")
 def build_52(inst_52):
     return run_build(inst_52.instance)
+
+
+@pytest.fixture(scope="session")
+def build_52w(inst_52w):
+    return run_build(inst_52w.instance)
 
 
 @pytest.fixture(scope="session")

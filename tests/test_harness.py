@@ -1,11 +1,13 @@
 """Instance files, pipelines, the dense oracle, reports, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tatesplice
 from tatesplice import cli as cli_module
 from tatesplice import freecomplex
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
@@ -160,6 +162,35 @@ def test_run_build_piece_count(inst_c, build_c, monkeypatch):
     assert len(keys) <= 278
 
 
+def test_rung_52w_certified_and_acyclic(build_52w):
+    """The memory-wall rung: every certificate passes, the document
+    verifies, and the dense oracle agrees that homology vanishes at interior
+    (i, d) whose graded pieces are small enough for it."""
+    assert all(cert["passed"] for cert in build_52w["certificates"].values())
+    ok, rows = run_verify(build_52w)
+    assert ok, rows
+    C = freecomplex.complex_from_doc(build_52w["tate"], validate=False)
+    assert C.window == (-2, 3)
+    # pieces of d_i and d_{i+1} at these points have at most 3150 cells
+    for i, d in ((-1, -2), (0, 0), (1, 2), (2, 4)):
+        assert C.term(i).degree_dim(d) > 0
+        assert oracle_homology(C, i, d) == 0
+
+
+def test_import_leaves_scipy_out():
+    """Importing the package must not pull in scipy: it would add start-up
+    time and resident memory to every run."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tatesplice.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, tatesplice; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_betti_text_alignment(build_t):
     text = betti_text(build_t["betti"])
     assert "total" in text
@@ -296,3 +327,26 @@ def test_cli_verify_document_without_meta(tmp_path, capsys, build_t):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "meta" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": "tatesplice/1", "tate": {}, "meta": {"dmax": 4}, "betti": {}},
+        {"format": "tatesplice/1", "tate": [1, 2], "meta": {"dmax": 4}, "betti": {}},
+    ],
+    ids=["tate_without_ring", "tate_not_an_object"],
+)
+def test_cli_verify_malformed_tate(tmp_path, capsys, doc):
+    assert _verify_exit_code(tmp_path, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed document") and err.count("\n") == 1
+
+
+def test_cli_verify_meta_without_dmax(tmp_path, capsys, build_t):
+    doc = json.loads(dump_output(build_t))
+    del doc["meta"]["dmax"]
+    assert _verify_exit_code(tmp_path, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed document") and err.count("\n") == 1
+    assert "dmax" in err

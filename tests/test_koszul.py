@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tatesplice.arith import Polynomial, PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import LiftIdentityError
+from tatesplice.errors import LiftIdentityError, SelfCheckError
 from tatesplice.freecomplex import BaseRing, PolyMatrix, _homology_dim
 from tatesplice.koszul import (
     ExteriorBasis,
@@ -48,6 +48,13 @@ def test_merge_sign():
     assert merge_sign((2,), (1, 3)) == (-1, (1, 2, 3))
     assert merge_sign((1, 2), (1,)) == (0, None)
     assert complement_sign((2,), 3) == (-1, (1, 3))
+
+
+@pytest.mark.parametrize("subset", [(1, 4), (2, 2), (0,)])
+def test_complement_sign_rejects_inconsistent_subset(subset):
+    """The merge check is a raised error, so it holds under python -O."""
+    with pytest.raises(SelfCheckError):
+        complement_sign(subset, 3)
 
 
 def test_koszul_two_variables():
