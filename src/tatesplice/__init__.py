@@ -7,8 +7,6 @@ from .arith import (
     PrimeField,
     VariableContext,
     parse_polynomial,
-    poly_arith,
-    total_degree,
 )
 from .freecomplex import (
     BaseRing,
@@ -18,17 +16,13 @@ from .freecomplex import (
     graded_piece,
     homology_dims,
     is_chain_map,
-    make_complex,
     mapping_cone,
 )
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    ideal_member,
     is_regular_sequence,
     lift_through,
-    normal_form,
-    quotient_degree_basis,
 )
 from .koszul import (
     AlphaElement,
@@ -83,24 +77,19 @@ __all__ = [
     "general_splice",
     "graded_piece",
     "homology_dims",
-    "ideal_member",
     "is_chain_map",
     "is_regular_sequence",
     "koszul_complex",
     "koszul_homotopy",
     "lift_through",
-    "make_complex",
     "mapping_cone",
     "mcm_generator_count",
     "mcm_presentation",
     "minimize",
-    "normal_form",
     "oracle_homology",
     "orthogonality_check",
     "parse_polynomial",
     "phi_prime",
-    "poly_arith",
-    "quotient_degree_basis",
     "run_build",
     "run_verify",
     "sigma_c_chain_map",
@@ -108,7 +97,6 @@ __all__ = [
     "solve_homotopy",
     "tate_splice",
     "tor_identity_check",
-    "total_degree",
     "verify_resolution",
     "wedge_map",
 ]

@@ -6,6 +6,7 @@ in graded reverse lexicographic order everywhere.
 
 from __future__ import annotations
 
+from operator import add, le, sub
 
 from .errors import (
     ContextMismatchError,
@@ -15,6 +16,8 @@ from .errors import (
 )
 
 MAX_VARIABLES = 16
+
+_UNSET = object()  # leading monomial not computed yet
 
 
 def _is_prime(n):
@@ -105,26 +108,26 @@ def grevlex_key(expo):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
     """Whether a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Polynomial:
     """Sparse polynomial over F_p: a map from exponent tuples to nonzero scalars."""
 
-    __slots__ = ("ring", "field", "terms", "_hash")
+    __slots__ = ("ring", "field", "terms", "_hash", "_lead")
 
     def __init__(self, ring, field, terms):
         self.ring = ring
@@ -139,6 +142,7 @@ class Polynomial:
                 clean[expo] = c
         self.terms = clean
         self._hash = None
+        self._lead = _UNSET
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -243,9 +247,10 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading_monomial(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=grevlex_key)
+        # cached: nothing mutates .terms after construction
+        if self._lead is _UNSET:
+            self._lead = max(self.terms, key=grevlex_key) if self.terms else None
+        return self._lead
 
     def leading_coefficient(self):
         lm = self.leading_monomial()
@@ -296,21 +301,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over F_{self.field.p}>"
-
-
-def poly_arith(a, b, op):
-    """Binary arithmetic dispatch: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def total_degree(a):
-    return a.total_degree()
 
 
 # --- parser -------------------------------------------------------------

@@ -478,11 +478,6 @@ class ChainComplex:
         return f"ChainComplex[{self.lo},{self.hi}]({ranks})"
 
 
-def make_complex(ring, terms, diffs):
-    """Validated construction: shapes, twists, and d^2 = 0 over the base ring."""
-    return ChainComplex(ring, terms, diffs, validate=True)
-
-
 def graded_piece(matrix, d):
     """Exact sparse F_p matrix of the degree-d component of a PolyMatrix.
 

@@ -8,6 +8,7 @@ membership certificates can be re-expressed in the input sequence.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .arith import (
@@ -18,7 +19,7 @@ from .arith import (
     monomial_lcm,
     monomial_mul,
 )
-from .errors import InhomogeneousInputError, NotInIdealError
+from .errors import InhomogeneousInputError, NotInIdealError, SelfCheckError
 
 _MAX_LEAD_GENERATORS = 24
 
@@ -36,25 +37,58 @@ def divide_tracking(f, divisors):
     and no remainder term divisible by any divisor lead monomial. Deterministic:
     the leading term of the running polynomial is always processed next, against
     the first divisor whose lead monomial divides it.
+
+    The running polynomial is one mutable term dict, and a heap of negated
+    grevlex keys yields its leading term (cf. Monagan-Pearce, CASC 2007). A
+    heap entry whose term has since cancelled is skipped when popped. With
+    monic divisors each step only adds terms below the one it removes, so no
+    monomial is processed twice.
     """
-    ring, field = f.ring, f.field
-    quotients = [Polynomial.zero(ring, field) for _ in divisors]
-    remainder = {}
+    p = f.field.p
     leads = [d.leading_monomial() for d in divisors]
-    work = f
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
+    tails = [
+        [(e, c) for e, c in d.terms.items() if e != lead]
+        for d, lead in zip(divisors, leads)
+    ]
+    work = dict(f.terms)
+    heap = [_heap_key(e) for e in work]
+    heapify(heap)
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         for k, dlm in enumerate(leads):
             if monomial_divides(dlm, lm):
                 q = monomial_div(lm, dlm)
-                quotients[k] = quotients[k] + Polynomial.monomial(ring, field, q, lc)
-                work = work - divisors[k].term_mul(q, lc)
+                quotients[k][q] = lc
+                for e, c in tails[k]:
+                    m = monomial_mul(e, q)
+                    v = work.get(m)
+                    if v is None:
+                        work[m] = -lc * c % p
+                        heappush(heap, _heap_key(m))
+                    else:
+                        v = (v - lc * c) % p
+                        if v:
+                            work[m] = v
+                        else:
+                            del work[m]
                 break
         else:
             remainder[lm] = lc
-            work = work - Polynomial.monomial(ring, field, lm, lc)
-    return quotients, Polynomial(ring, field, remainder)
+    ring, field = f.ring, f.field
+    return (
+        [Polynomial(ring, field, q) for q in quotients],
+        Polynomial(ring, field, remainder),
+    )
+
+
+def _heap_key(expo):
+    """(negated grevlex key, expo): the heap minimum is the grevlex maximum."""
+    return (-sum(expo), expo[::-1]), expo
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +113,18 @@ def hilbert_dim_from_leads(leads, nvars, d):
     leads = tuple(leads)
     if len(leads) > _MAX_LEAD_GENERATORS:
         raise ValueError("too many lead-term generators for inclusion-exclusion")
-    total = 0
+    return sum(
+        n * comb(d - k + nvars - 1, nvars - 1)
+        for k, n in _hilbert_numerator(leads, nvars).items()
+        if k <= d
+    )
+
+
+@lru_cache(maxsize=None)
+def _hilbert_numerator(leads, nvars):
+    """{k: n_k}, the signed count of lead-monomial subsets whose lcm has
+    degree k: the Hilbert series of S / (leads) is sum n_k t^k / (1 - t)^nvars."""
+    counts = {}
     for mask in range(1 << len(leads)):
         lcm = (0,) * nvars
         sign = 1
@@ -91,10 +136,9 @@ def hilbert_dim_from_leads(leads, nvars, d):
                 sign = -sign
             m >>= 1
             i += 1
-        e = d - sum(lcm)
-        if e >= 0:
-            total += sign * comb(e + nvars - 1, nvars - 1)
-    return total
+        k = sum(lcm)
+        counts[k] = counts.get(k, 0) + sign
+    return {k: n for k, n in counts.items() if n}
 
 
 def lead_ideal_dimension(leads, nvars):
@@ -150,23 +194,23 @@ class GroebnerBasis:
         leads = self.lead_monomials()
         for g, rep in zip(self.generators, self.representations):
             if g.leading_coefficient() != 1:
-                raise AssertionError("basis element not monic")
+                raise SelfCheckError("basis element not monic")
             acc = Polynomial.zero(self.ring, self.field)
             for q, orig in zip(rep, self.originals):
                 acc = acc + q * orig
             if acc != g:
-                raise AssertionError("representation identity fails")
+                raise SelfCheckError("representation identity fails")
         for i, gi in enumerate(self.generators):
             for e, _ in gi.terms.items():
                 if e != gi.leading_monomial() and any(
                     monomial_divides(l, e) for l in leads
                 ):
-                    raise AssertionError("basis not fully inter-reduced")
+                    raise SelfCheckError("basis not fully inter-reduced")
             for j in range(i + 1, len(self.generators)):
                 s = _spoly(gi, self.generators[j])
                 _, rem = divide_tracking(s, self.generators)
                 if not rem.is_zero():
-                    raise AssertionError("S-pair does not reduce to zero")
+                    raise SelfCheckError("S-pair does not reduce to zero")
 
     def lead_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
@@ -208,7 +252,7 @@ class GroebnerBasis:
         ]
         expected = hilbert_dim_from_leads(leads, self.ring.nvars, d)
         if len(monos) != expected:
-            raise AssertionError(
+            raise SelfCheckError(
                 f"quotient basis in degree {d} has {len(monos)} monomials, "
                 f"Hilbert count expects {expected}"
             )
@@ -261,7 +305,7 @@ def buchberger(gens):
         ]
 
     basis = []  # (monic poly, representation over gens)
-    pairs = []
+    pairs = []  # heap of (lcm total degree, (i, j)); keys are unique
 
     def add_element(poly, rep):
         inv = field.inv(poly.leading_coefficient())
@@ -269,8 +313,10 @@ def buchberger(gens):
         rep = [r.scale(inv) for r in rep]
         k = len(basis)
         basis.append((poly, rep))
+        lead = poly.leading_monomial()
         for i in range(k):
-            pairs.append((i, k))
+            lcm = monomial_lcm(basis[i][0].leading_monomial(), lead)
+            heappush(pairs, (sum(lcm), (i, k)))
 
     for i, g in enumerate(gens):
         if g.is_zero():
@@ -278,14 +324,7 @@ def buchberger(gens):
         add_element(g, unit_vector(i))
 
     while pairs:
-        pairs.sort(
-            key=lambda ij: (
-                sum(monomial_lcm(basis[ij[0]][0].leading_monomial(),
-                                 basis[ij[1]][0].leading_monomial())),
-                ij,
-            )
-        )
-        i, j = pairs.pop(0)
+        _, (i, j) = heappop(pairs)
         fi, fj = basis[i][0], basis[j][0]
         li, lj = fi.leading_monomial(), fj.leading_monomial()
         if monomial_lcm(li, lj) == monomial_mul(li, lj):
@@ -334,14 +373,6 @@ def buchberger(gens):
     )
 
 
-def normal_form(poly, gb):
-    return gb.normal_form(poly)
-
-
-def ideal_member(poly, gb):
-    return gb.is_member(poly)
-
-
 def lift_through(g, f, gb=None):
     """Coefficients (q_1, ..., q_n) with g == sum(q_i * f_i), deterministic.
 
@@ -366,29 +397,30 @@ def lift_through(g, f, gb=None):
     for c, fi in zip(coeffs, f):
         acc = acc + c * fi
     if acc != g:
-        raise AssertionError("lift identity failed after re-expansion")
+        raise SelfCheckError("lift identity failed after re-expansion")
     for c, fi in zip(coeffs, f):
         if not c.is_zero():
             if not c.is_homogeneous() or c.total_degree() != g.total_degree() - fi.total_degree():
-                raise AssertionError("lift coefficient has wrong degree")
+                raise SelfCheckError("lift coefficient has wrong degree")
     return coeffs
 
 
-def quotient_degree_basis(gb, d):
-    return gb.quotient_degree_basis(d)
-
-
 def is_regular_sequence(f):
-    """Codimension test: for homogeneous f in a polynomial ring, regularity
-    is equivalent to dim S/(f) == nvars - len(f), read off the lead-term ideal."""
+    """Whether the homogeneous sequence f is regular; the empty one is."""
     f = list(f)
-    if not f:
-        return True
+    return not f or _regular_basis(f) is not None
+
+
+def _regular_basis(f):
+    """The Gröbner basis of (f) when the nonempty sequence f is regular, else
+    None. Codimension test: for homogeneous f in a polynomial ring,
+    regularity is equivalent to dim S/(f) == nvars - len(f), read off the
+    lead-term ideal. The cheap checks run before Buchberger."""
     _require_homogeneous(f)
     nvars = f[0].ring.nvars
     if any(g.is_zero() or g.total_degree() == 0 for g in f):
-        return False
+        return None
     if len(f) > nvars:
-        return False
+        return None
     gb = buchberger(f)
-    return gb.dimension() == nvars - len(f)
+    return gb if gb.dimension() == nvars - len(f) else None

@@ -21,7 +21,7 @@ from .errors import (
     TateSpliceError,
 )
 from .freecomplex import BaseRing, _homology_dim, complex_from_doc, complex_to_doc
-from .groebner import buchberger, is_regular_sequence
+from .groebner import _regular_basis
 from .koszul import LiftMatrix
 from .shamash import es_resolution, is_minimal
 from .tate import (
@@ -104,13 +104,13 @@ class InstanceData:
         self.ctx = VariableContext(instance.variables)
         self.f = [parse_polynomial(s, self.ctx, self.field) for s in instance.f]
         self.g = [parse_polynomial(s, self.ctx, self.field) for s in instance.g]
-        if not is_regular_sequence(self.f):
-            raise NotRegularError("f is not a regular sequence")
-        if not is_regular_sequence(self.g):
-            raise NotRegularError("g is not a regular sequence")
+        # one Buchberger run per sequence certifies regularity and gives the
+        # basis; f is checked before g
+        self.gb_J = _checked_basis(self.f, "f")
+        self.gb_I = _checked_basis(self.g, "g")
+        if self.gb_J is None or self.gb_I is None:
+            raise ValueError("empty generating set")
         self.ring_S = BaseRing(self.ctx, self.field)
-        self.gb_J = buchberger(self.f)
-        self.gb_I = buchberger(self.g)
         self.ring_R = BaseRing(self.ctx, self.field, self.gb_I)
         self.ring_M = BaseRing(self.ctx, self.field, self.gb_J)
         if instance.A is not None:
@@ -124,6 +124,17 @@ class InstanceData:
                 self.lift = LiftMatrix.from_lift(self.f, self.g, self.gb_J)
             except NotInIdealError as exc:
                 raise ContainmentError(f"NotInIdeal: {exc}") from exc
+
+
+def _checked_basis(seq, name):
+    """Gröbner basis of (seq) for a regular sequence, None for an empty one;
+    raises NotRegularError otherwise."""
+    if not seq:
+        return None
+    gb = _regular_basis(seq)
+    if gb is None:
+        raise NotRegularError(f"{name} is not a regular sequence")
+    return gb
 
 
 def run_build(instance):

@@ -343,5 +343,5 @@ def koszul_self_duality(g_list, ring):
     rhs = E.diff(1).transpose().twisted(-total).compose(beta_top)
     sign = -1 if c % 2 == 0 else 1
     if lhs != rhs.scale(sign):
-        raise AssertionError("Koszul self-duality check failed")
+        raise SelfCheckError("Koszul self-duality check failed")
     return sign

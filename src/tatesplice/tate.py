@@ -18,6 +18,7 @@ from .errors import (
     AcyclicityError,
     H0IsoError,
     LiftError,
+    SelfCheckError,
     WindowTooSmallError,
 )
 from .freecomplex import (
@@ -482,7 +483,7 @@ def minimize(complex_, splice=0, labels=None, check=True):
         for (i, d), expected in samples.items():
             got = _homology_dim(out, i, d)
             if got != expected:
-                raise AssertionError(
+                raise SelfCheckError(
                     f"minimization changed H_{i} in degree {d}: {expected} -> {got}"
                 )
     if labels is not None:

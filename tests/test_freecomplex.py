@@ -21,7 +21,6 @@ from tatesplice.freecomplex import (
     graded_piece,
     homology_dims,
     is_chain_map,
-    make_complex,
     mapping_cone,
 )
 from tatesplice.groebner import buchberger
@@ -56,7 +55,7 @@ def test_make_complex_rejects_x_squared_over_S():
     src2 = GradedFreeModule(S2, (-2,))
     d2 = PolyMatrix(src2, src1, [[pxy("x")]])
     with pytest.raises(NotAComplexError) as e:
-        make_complex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2})
+        ChainComplex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert e.value.position == 2
     assert "x^2" in str(e.value)
 
@@ -66,7 +65,7 @@ def test_make_complex_accepts_x_squared_over_quotient():
     src1, mid, d1 = one_by_one(R, pxy("x"), -1, 0)
     src2 = GradedFreeModule(R, (-2,))
     d2 = PolyMatrix(src2, src1, [[pxy("x")]])
-    C = make_complex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2})
+    C = ChainComplex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert C.window == (0, 2)
 
 
@@ -128,7 +127,7 @@ def test_shift_identities():
     assert shifted.window == (3, 5)
     assert shifted.diff(4).entries == K.diff(1).scale(-1).entries
     # shifted complexes still satisfy d^2 = 0
-    make_complex(S2, shifted.terms, shifted.diffs)
+    ChainComplex(S2, shifted.terms, shifted.diffs, validate=True)
 
 
 def test_mapping_cone_zero_map_is_direct_sum():

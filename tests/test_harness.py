@@ -9,11 +9,12 @@ import pytest
 
 import tatesplice
 from tatesplice import cli as cli_module
-from tatesplice import freecomplex
+from tatesplice import freecomplex, groebner
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import ContainmentError
+from tatesplice.errors import ContainmentError, NotRegularError
 from tatesplice.freecomplex import BaseRing
 from tatesplice.harness import (
+    InstanceData,
     ProblemInstance,
     betti_text,
     dump_output,
@@ -71,6 +72,52 @@ def test_run_build_validation_error():
     )
     with pytest.raises(ContainmentError, match="NotInIdeal"):
         run_build(inst)
+
+
+def _count_buchberger(monkeypatch):
+    """Input sequences of the Gröbner bases built; every Buchberger run ends
+    in one, whichever module it was called from."""
+    calls = []
+    real = groebner.GroebnerBasis.__init__
+
+    def counting(self, ring, field, generators, representations, originals, degrees):
+        calls.append([str(g) for g in originals])
+        real(self, ring, field, generators, representations, originals, degrees)
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "__init__", counting)
+    return calls
+
+
+def test_instance_data_runs_buchberger_once_per_sequence(inst_c, monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    InstanceData(inst_c.instance)
+    assert calls == [inst_c.instance.f, inst_c.instance.g]
+
+
+@pytest.mark.parametrize(
+    "f, g, message, bases",
+    [
+        # Buchberger runs, and the dimension count fails
+        (["x", "x*y"], ["x^2"], "f is not a regular sequence", 1),
+        (["x", "y"], ["x^2", "x*y"], "g is not a regular sequence", 2),
+        (["x", "x*y"], ["x^2", "x*y"], "f is not a regular sequence", 1),
+        # the cheap checks fail before any Buchberger run on that sequence
+        (["0", "y"], ["y^2"], "f is not a regular sequence", 0),
+        (["x", "y", "x + y"], ["x^2"], "f is not a regular sequence", 0),
+        (["x", "y"], ["3"], "g is not a regular sequence", 1),
+        (["x", "y"], ["x^2", "y^2", "x*y"], "g is not a regular sequence", 1),
+    ],
+)
+def test_instance_data_rejects_non_regular(f, g, message, bases, monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    inst = ProblemInstance(
+        field_char=32003, variables=["x", "y"], f=f, g=g,
+        window=(-2, 3), max_internal_degree=6,
+    )
+    with pytest.raises(NotRegularError) as exc:
+        InstanceData(inst)
+    assert str(exc.value) == message
+    assert len(calls) == bases
 
 
 def test_run_build_deterministic_bytes(inst_t):
