@@ -49,7 +49,6 @@ from .tate import (
     mcm_presentation,
     minimize,
     orthogonality_check,
-    phi_prime,
     tate_splice,
 )
 from .harness import ProblemInstance, oracle_homology, run_build, run_verify
@@ -89,7 +88,6 @@ __all__ = [
     "oracle_homology",
     "orthogonality_check",
     "parse_polynomial",
-    "phi_prime",
     "run_build",
     "run_verify",
     "sigma_c_chain_map",

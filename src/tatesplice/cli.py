@@ -28,6 +28,8 @@ from .harness import (
     ProblemInstance,
     betti_text,
     dump_output,
+    mcm_text,
+    render_section,
     report_text,
     run_build,
     run_verify,
@@ -104,23 +106,23 @@ def _cmd_verify(args):
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 
-def _cmd_betti(args):
-    doc = _load_json(args.output)
-    sys.stdout.write(betti_text(doc["betti"]))
+def _print_section(path, key, render):
+    doc = _load_json(path)
+    try:
+        text = render_section(doc, key, render)
+    except DocumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    sys.stdout.write(text)
     return EXIT_OK
+
+
+def _cmd_betti(args):
+    return _print_section(args.output, "betti", betti_text)
 
 
 def _cmd_mcm(args):
-    doc = _load_json(args.output)
-    mcm = doc["mcm"]
-    print(f"generators: {mcm['generator_count']}")
-    print(f"twists:     {mcm['twists']}")
-    print(f"minimal:    {mcm['minimal']}")
-    print(f"formula:    {mcm['formula_count']}")
-    print("presentation matrix:")
-    for row in mcm["matrix"]:
-        print("  [" + ", ".join(row) + "]")
-    return EXIT_OK
+    return _print_section(args.output, "mcm", mcm_text)
 
 
 def _cmd_count_formula(args):

@@ -19,8 +19,9 @@ from .errors import (
     NotInIdealError,
     NotRegularError,
     TateSpliceError,
+    WindowTooSmallError,
 )
-from .freecomplex import BaseRing, _homology_dim, complex_from_doc, complex_to_doc
+from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
 from .groebner import _regular_basis
 from .koszul import LiftMatrix
 from .shamash import es_resolution, is_minimal
@@ -33,6 +34,7 @@ from .tate import (
     tate_splice,
     TateResolution,
     _content_degree_range,
+    _first_homology,
 )
 
 FORMAT = "tatesplice/1"
@@ -71,6 +73,22 @@ class ProblemInstance:
         missing = _REQUIRED_FIELDS - keys
         if missing:
             raise ValueError(f"missing instance fields: {sorted(missing)}")
+        window = doc["window"]
+        if not (
+            isinstance(window, (list, tuple))
+            and len(window) == 2
+            and all(type(v) is int for v in window)
+        ):
+            raise ValueError(f"window must be two integers [lo, hi], got {window!r}")
+        if window[1] - window[0] < 2:
+            raise ValueError(
+                f"window {list(window)} has no interior position: need hi - lo >= 2"
+            )
+        if type(doc["max_internal_degree"]) is not int:
+            raise ValueError(
+                "max_internal_degree must be an integer, got "
+                f"{doc['max_internal_degree']!r}"
+            )
         return cls(
             field_char=doc["field_char"],
             variables=list(doc["variables"]),
@@ -176,8 +194,6 @@ def run_build(instance):
     final.certificates["minimal_after_reduction"] = {"passed": is_minimal(minimized)}
     if normalized:
         final.certificates["two_periodic"] = {"passed": is_two_periodic(minimized)}
-    pres = mcm_presentation(final)
-
     doc = {
         "format": FORMAT,
         "instance": instance.to_doc(),
@@ -190,15 +206,23 @@ def run_build(instance):
         },
         "provenance": {str(i): v for i, v in final.provenance.items()},
         "certificates": final.certificates,
-        "mcm": {
-            "generator_count": pres.generator_count,
-            "twists": list(pres.twists),
-            "matrix": [[str(e) for e in row] for row in pres.matrix.entries],
-            "minimal": pres.minimal,
-            "formula_count": mcm_generator_count(len(data.f), len(data.g)),
-        },
+        "mcm": _mcm_section(final, len(data.f), len(data.g)),
     }
     return doc
+
+
+def _mcm_section(tate, n, c):
+    """The `mcm` section of an output document: the 1 -> 0 differential of
+    `tate` and its source, and the closed-form count for n = len(f),
+    c = len(g)."""
+    pres = mcm_presentation(tate)
+    return {
+        "generator_count": pres.generator_count,
+        "twists": list(pres.twists),
+        "matrix": [[str(e) for e in row] for row in pres.matrix.entries],
+        "minimal": pres.minimal,
+        "formula_count": mcm_generator_count(n, c),
+    }
 
 
 def dump_output(doc):
@@ -206,10 +230,12 @@ def dump_output(doc):
 
 
 def run_verify(doc, dmax=None):
-    """Recompute d^2 = 0, interior acyclicity, and minimality from a persisted
-    document; returns (ok, rows) with one (check, passed, detail) per row.
-    Raises DocumentError when a section the checks read is missing or
-    malformed."""
+    """Recompute d^2 = 0, interior acyclicity, minimality and the Betti table
+    from the `tate` complex of a persisted document, and check that the rest
+    of the document agrees with it (the `document` row): the `mcm` section,
+    the windows, and certificates that recompute or must have passed.
+    Returns (ok, rows) with one (check, passed, detail) per row. Raises
+    DocumentError when `tate`, `meta` or `betti` is missing or malformed."""
     rows = []
     if doc.get("format") != FORMAT:
         return False, [("format", False, f"unknown format {doc.get('format')!r}")]
@@ -241,13 +267,7 @@ def run_verify(doc, dmax=None):
         detail = "WindowEdge: window too narrow to certify interior homology"
     else:
         degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        nonzero = (
-            (i, d, dim)
-            for i in range(complex_.lo + 1, complex_.hi)
-            for d in degrees
-            if (dim := _homology_dim(complex_, i, d))
-        )
-        failure = next(nonzero, None)
+        failure = _first_homology(complex_, degrees)
         if failure is not None:
             acyclic_ok = False
             detail = "H_{} nonzero in degree {} (dim {})".format(*failure)
@@ -277,7 +297,53 @@ def run_verify(doc, dmax=None):
             "matches recomputation" if betti_ok else f"mismatch at position {i}",
         )
     )
+
+    mismatch = _document_mismatch(doc, complex_, minimal_ok)
+    rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
     return all(passed for _, passed, _ in rows), rows
+
+
+_ABSENT = object()
+
+
+def _claim(doc, *path):
+    """doc[path[0]][path[1]]...; _ABSENT when a key is missing or a section
+    on the way is not an object."""
+    for key in path:
+        if not isinstance(doc, dict) or key not in doc:
+            return _ABSENT
+        doc = doc[key]
+    return doc
+
+
+def _document_mismatch(doc, complex_, minimal):
+    """The first claim of `doc` that its `tate` complex contradicts, or
+    None. `minimal` is whether the complex has no unit entry."""
+    f, g = _claim(doc, "instance", "f"), _claim(doc, "instance", "g")
+    if not (isinstance(f, list) and isinstance(g, list)):
+        return "instance.f and instance.g must be lists"
+    try:
+        mcm = _mcm_section(TateResolution(complex_, 0, None, {}, {}), len(f), len(g))
+    except (ValueError, WindowTooSmallError) as exc:
+        return f"mcm cannot be recomputed: {exc}"
+    window = [complex_.lo, complex_.hi]
+    expected = {("mcm", key): value for key, value in mcm.items()}
+    expected[("meta", "window")] = window
+    expected[("instance", "window")] = window
+    expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
+    expected[("certificates", "minimal_after_reduction")] = {"passed": minimal}
+    recomputed = ["chain_map", "acyclicity", "h0_iso", "minimal_after_reduction"]
+    if _claim(doc, "certificates", "two_periodic") is not _ABSENT:
+        expected[("certificates", "two_periodic")] = {
+            "passed": is_two_periodic(complex_)
+        }
+        recomputed.append("two_periodic")
+    for name in recomputed:
+        expected[("certificates", name, "passed")] = True
+    for path, value in expected.items():
+        if _claim(doc, *path) != value:
+            return f"{'.'.join(path)} disagrees with the tate complex"
+    return None
 
 
 def report_text(rows):
@@ -286,6 +352,31 @@ def report_text(rows):
     for name, passed, detail in rows:
         status = "PASS" if passed else "FAIL"
         lines.append(f"{name.ljust(width)}  {status}  {detail}")
+    return "\n".join(lines) + "\n"
+
+
+def render_section(doc, key, render):
+    """render(doc[key]) for an output document; raises DocumentError when
+    the section is missing or `render` cannot read it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DocumentError(f"document is missing {key}")
+    try:
+        return render(doc[key])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DocumentError(f"malformed {key}: {type(exc).__name__}: {exc}") from exc
+
+
+def mcm_text(mcm):
+    """Generator count, twists, minimality, closed-form count and the
+    presentation matrix of an `mcm` section."""
+    lines = [
+        f"generators: {mcm['generator_count']}",
+        f"twists:     {mcm['twists']}",
+        f"minimal:    {mcm['minimal']}",
+        f"formula:    {mcm['formula_count']}",
+        "presentation matrix:",
+    ]
+    lines += ["  [" + ", ".join(row) + "]" for row in mcm["matrix"]]
     return "\n".join(lines) + "\n"
 
 

@@ -153,6 +153,7 @@ def test_run_verify_roundtrip(build_t):
         "acyclicity",
         "minimality",
         "betti_table",
+        "document",
     ]
     text = report_text(rows)
     assert "PASS" in text and "FAIL" not in text
@@ -397,3 +398,87 @@ def test_cli_verify_meta_without_dmax(tmp_path, capsys, build_t):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed document") and err.count("\n") == 1
     assert "dmax" in err
+
+
+def _build_exit_code(tmp_path, doc):
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps(doc))
+    return cli_module.main(["build", str(ipath)])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", "ab"),
+        ("window", [0, 1]),
+        ("window", [-2, 3.0]),
+        ("window", [True, 3]),
+        ("max_internal_degree", 10.5),
+        ("max_internal_degree", "x"),
+    ],
+    ids=[
+        "window_string",
+        "window_without_interior",
+        "window_float",
+        "window_bool",
+        "dmax_float",
+        "dmax_string",
+    ],
+)
+def test_cli_build_rejects_malformed_window_and_dmax(tmp_path, capsys, inst_t, field, value):
+    doc = {**inst_t.instance.to_doc(), field: value}
+    assert _build_exit_code(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert field in err
+
+
+@pytest.mark.parametrize("verb, section", [("betti", "betti"), ("mcm", "mcm")])
+def test_cli_section_verbs_on_document_without_section(tmp_path, capsys, build_t, verb, section):
+    doc = json.loads(dump_output(build_t))
+    del doc[section]
+    opath = tmp_path / "t.out.json"
+    opath.write_text(json.dumps(doc))
+    assert cli_module.main([verb, str(opath)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert section in captured.err
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "build, path, value",
+    [
+        ("build_c", ("mcm", "matrix", 0, 0), "y^2"),
+        ("build_c", ("mcm", "generator_count"), 99),
+        ("build_c", ("mcm", "twists"), [0, 1]),
+        ("build_c", ("mcm", "minimal"), False),
+        ("build_c", ("mcm", "formula_count"), 3),
+        ("build_c", ("meta", "window"), [-3, 6]),
+        ("build_c", ("instance", "window"), [-4, 7]),
+        ("build_c", ("instance", "g"), ["x^3"]),
+        ("build_c", ("certificates", "acyclicity", "window"), [-4, 6]),
+        ("build_c", ("certificates", "chain_map", "passed"), False),
+        ("build_c", ("certificates", "acyclicity", "passed"), False),
+        ("build_c", ("certificates", "h0_iso", "passed"), False),
+        ("build_c", ("certificates", "minimal_after_reduction", "passed"), False),
+        ("build_h", ("certificates", "two_periodic", "passed"), False),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, path, value):
+    doc = json.loads(dump_output(request.getfixturevalue(build)))
+    assert _verify_exit_code(tmp_path, doc) == 0
+    _set(doc, path, value)
+    assert _verify_exit_code(tmp_path, doc) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["document", "FAIL"]
+    ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tatesplice import tate as tate_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import H0IsoError, LiftError, WindowTooSmallError
 from tatesplice.freecomplex import (
@@ -11,7 +12,6 @@ from tatesplice.freecomplex import (
     PolyMatrix,
 )
 from tatesplice.harness import run_build
-from tatesplice.homotopy import _base_change
 from tatesplice.koszul import (
     ExteriorVector,
     LiftMatrix,
@@ -33,9 +33,11 @@ from tatesplice.tate import (
     minimize,
     normalize_matrix_factorization,
     orthogonality_check,
-    phi_prime,
     poly_exact_divide,
     tate_splice,
+    _content_degree_range,
+    _h0_iso_table,
+    _phi_prime_block,
 )
 
 F = PrimeField(32003)
@@ -66,22 +68,20 @@ def splice_c(inst_c):
 
 
 def test_phi_prime_socle_component(inst_t):
-    K = koszul_complex(inst_t.f, inst_t.ring_S)
-    RK = _base_change(K, inst_t.ring_R)
     alpha = alpha_element(inst_t.lift)
-    phi, target = phi_prime(RK, alpha, [1, 1])
-    assert phi[0].entries == ((pxy("x*y"),),)
+    assert _phi_prime_block(alpha, 0, [1, 1], inst_t.ring_R) == [[pxy("x*y")]]
 
 
 def test_phi_prime_hypersurface_matrix_factorization(inst_h):
     K = koszul_complex(inst_h.f, inst_h.ring_S)
-    RK = _base_change(K, inst_h.ring_R)
     alpha = alpha_element(inst_h.lift)
-    phi, target = phi_prime(RK, alpha, [1, 1])
+    phi0 = _phi_prime_block(alpha, 0, [1, 1], inst_h.ring_R)
+    phi1 = _phi_prime_block(alpha, 1, [1, 1], inst_h.ring_R)
     # two components, 2x1 and 1x2
-    assert phi[0].target.rank == 2 and phi[1].target.rank == 1
-    prod = lift_matrix_to_S(phi[1], inst_h.ring_S).compose(K.diff(2))
-    assert prod.entries == ((pxy("x^2 + y^2"),),)
+    assert (len(phi0), len(phi0[0])) == (2, 1) and (len(phi1), len(phi1[0])) == (1, 2)
+    d2 = K.diff(2).entries
+    prod = phi1[0][0] * d2[0][0] + phi1[0][1] * d2[1][0]
+    assert prod == pxy("x^2 + y^2")
 
 
 def test_zero_comparison_map_rejected_by_h0(inst_t):
@@ -92,6 +92,62 @@ def test_zero_comparison_map_rejected_by_h0(inst_t):
     }
     with pytest.raises(H0IsoError):
         tate_splice(res, window=(-2, 3), dmax=6, phi=zero_phi, target=target)
+
+
+def test_zero_comparison_map_rejected_by_computed_h0_table(inst_t):
+    # window [-1, 2] leaves position -1 on the edge, so the sweep does not
+    # cover the H_0 isomorphism and the table is computed
+    res = es_resolution(inst_t.f, inst_t.g, inst_t.ring_R, 6, A=inst_t.lift, check=False)
+    phi, target = expand_phi(res)
+    zero_phi = {
+        i: PolyMatrix.zero(res.complex.term(i), target.term(i)) for i in phi
+    }
+    with pytest.raises(H0IsoError):
+        tate_splice(res, window=(-1, 2), dmax=6, phi=zero_phi, target=target)
+
+
+def _resolution(inst):
+    lo, hi = inst.instance.window
+    m = len(inst.f) - len(inst.g)
+    length = max(hi, m - 1 - lo) + 1
+    return es_resolution(inst.f, inst.g, inst.ring_R, length, A=inst.lift, check=False)
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52w"])
+def test_derived_h0_table_equals_computed_table(rung, request):
+    """Where the sweep covers positions -1 and 0, the H_0 rows read off it
+    equal the table computed from H_0 of both halves and the induced map."""
+    inst = request.getfixturevalue(f"inst_{rung}")
+    dmax = inst.instance.max_internal_degree
+    tate = tate_splice(_resolution(inst), window=inst.instance.window, dmax=dmax)
+    res = _resolution(inst)
+    phi, target = expand_phi(res)
+    degrees = sorted(
+        set(
+            _content_degree_range(res.complex, 0, 0, dmax)
+            + _content_degree_range(target, 0, 0, dmax)
+        )
+    )
+    table = _h0_iso_table(res.complex, target, phi, degrees)
+    assert table and any(h for h, _, _ in table.values())
+    assert tate.certificates["h0_iso"]["table"] == {
+        str(d): list(row) for d, row in table.items()
+    }
+
+
+def test_h0_table_computed_only_where_the_sweep_misses_it(inst_c, inst_52, monkeypatch):
+    calls = []
+    real = tate_module._h0_iso_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tate_module, "_h0_iso_table", counting)
+    run_build(inst_c.instance)  # window [-4, 6]: derived from the sweep
+    assert calls == []
+    run_build(inst_52.instance)  # window [-1, 2]: computed
+    assert len(calls) == 1
 
 
 def test_tate_splice_instance_t(splice_t):
@@ -184,6 +240,13 @@ def test_minimize_fixpoint(splice_t):
     ]
     for i in range(-3, 6):
         assert once.diff(i).entries == twice.diff(i).entries
+
+
+def test_minimize_returns_input_without_units(splice_t):
+    _, tate = splice_t
+    assert minimize(tate.complex) is tate.complex
+    out, labels = minimize(tate.complex, labels=tate.provenance)
+    assert out is tate.complex and labels is tate.provenance
 
 
 def test_minimize_splits_trivial_pair():
