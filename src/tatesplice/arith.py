@@ -53,7 +53,7 @@ class PrimeField:
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         if p >= 2**31:
-            raise ValueError("modulus too large for exact int64 linear algebra")
+            raise ValueError(f"modulus {p} is too large: p must be below 2^31")
         self.p = p
 
     def normalize(self, n):

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from math import comb
 
-import numpy as np
-
 from .arith import Polynomial, monomial_mul
 from .errors import (
     DegreeMismatchError,
@@ -171,9 +169,10 @@ class DegreeLayout:
         return len(self.labels)
 
     def coordinates(self, polys):
-        """Coordinate vector of an element given as one polynomial per generator."""
+        """Sparse coordinates {index: value} of an element given as one
+        polynomial per generator."""
         ring = self.module.ring
-        vec = np.zeros(self.dim, dtype=np.int64)
+        vec = {}
         for k, poly in enumerate(polys):
             poly = ring.reduce(poly)
             for mono, coeff in poly.terms.items():
@@ -189,11 +188,9 @@ class DegreeLayout:
         """Inverse of coordinates: a list of polynomials, one per generator."""
         ring = self.module.ring
         polys = [dict() for _ in range(self.module.rank)]
-        for idx, value in enumerate(vec):
-            v = int(value) % ring.field.p
-            if v:
-                k, mono = self.labels[idx]
-                polys[k][mono] = v
+        for idx in sorted(vec):
+            k, mono = self.labels[idx]
+            polys[k][mono] = vec[idx]
         return [Polynomial(ring.ctx, ring.field, t) for t in polys]
 
 
@@ -554,9 +551,7 @@ def induced_rank(phi_i, D, i, d):
     rank_in = D._ranks.get((i + 1, d))
     if rank_in is None:
         rank_in = D._ranks[(i + 1, d)] = boundary.rank()
-    stacked = FieldMatrix.from_columns(
-        image.shape[0], image.columns + boundary.columns, image.p
-    )
+    stacked = FieldMatrix(image.shape[0], image.columns + boundary.columns, image.p)
     return stacked.rank() - rank_in
 
 

@@ -51,6 +51,10 @@ _INSTANCE_FIELDS = {
 _REQUIRED_FIELDS = _INSTANCE_FIELDS - {"A"}
 
 
+def _is_string_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class ProblemInstance:
     """One build request: base field, variables, the two regular sequences,
@@ -66,6 +70,10 @@ class ProblemInstance:
 
     @classmethod
     def from_doc(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"instance document must be a JSON object, got {type(doc).__name__}"
+            )
         keys = set(doc)
         unknown = keys - _INSTANCE_FIELDS
         if unknown:
@@ -73,6 +81,17 @@ class ProblemInstance:
         missing = _REQUIRED_FIELDS - keys
         if missing:
             raise ValueError(f"missing instance fields: {sorted(missing)}")
+        p = doc["field_char"]
+        if type(p) is not int:
+            raise ValueError(f"field_char must be an integer, got {p!r}")
+        for name in ("variables", "f", "g"):
+            if not _is_string_list(doc[name]):
+                raise ValueError(f"{name} must be a list of strings, got {doc[name]!r}")
+        A = doc.get("A")
+        if A is not None and not (
+            isinstance(A, list) and all(_is_string_list(row) for row in A)
+        ):
+            raise ValueError(f"A must be a list of lists of strings, got {A!r}")
         window = doc["window"]
         if not (
             isinstance(window, (list, tuple))
@@ -84,19 +103,20 @@ class ProblemInstance:
             raise ValueError(
                 f"window {list(window)} has no interior position: need hi - lo >= 2"
             )
-        if type(doc["max_internal_degree"]) is not int:
-            raise ValueError(
-                "max_internal_degree must be an integer, got "
-                f"{doc['max_internal_degree']!r}"
-            )
+        dmax = doc["max_internal_degree"]
+        if type(dmax) is not int:
+            raise ValueError(f"max_internal_degree must be an integer, got {dmax!r}")
+        if dmax < 0:
+            # S/(f) is generated in degree 0, so a smaller bound never sees H_0
+            raise ValueError(f"max_internal_degree must be at least 0, got {dmax}")
         return cls(
-            field_char=doc["field_char"],
+            field_char=p,
             variables=list(doc["variables"]),
             f=list(doc["f"]),
             g=list(doc["g"]),
-            A=doc.get("A"),
-            window=tuple(doc["window"]),
-            max_internal_degree=doc["max_internal_degree"],
+            A=A,
+            window=tuple(window),
+            max_internal_degree=dmax,
         )
 
     def to_doc(self):

@@ -1,16 +1,18 @@
 """Exact linear algebra over F_p on sparse columns: sparse exact mod-p
 elimination behind rank, solve, solve_matrix and nullspace.
 
-A matrix is a list of columns, each a dict {row: nonzero value mod p}. One
-loop (`_echelon`) takes the columns in order and reduces each against the
-pivots found so far, keyed by their leading row (smallest row index). A
-column that reduces to zero depends on the columns before it; one that does
-not becomes a pivot. Reducing a column touches only pivots that share a row
-with it, so fill-in stays inside the column's connected block of the
-row/column incidence graph: a matrix that splits into independent blocks is
-eliminated block by block without being split explicitly. When only the rank
-is wanted, the columns are taken sparsest first, which leaves the rank alone
-and keeps fill-in down on the denser pieces.
+A matrix is a list of columns, each a dict {row: nonzero value mod p}, and
+every vector that solve, solve_matrix and nullspace take or return is a dict
+{index: nonzero value mod p} of the same kind. One loop (`_echelon`) takes
+the columns in order and reduces each against the pivots found so far, keyed
+by their leading row (smallest row index). A column that reduces to zero
+depends on the columns before it; one that does not becomes a pivot.
+Reducing a column touches only pivots that share a row with it, so fill-in
+stays inside the column's connected block of the row/column incidence graph:
+a matrix that splits into independent blocks is eliminated block by block
+without being split explicitly. When only the rank is wanted, the columns
+are taken sparsest first, which leaves the rank alone and keeps fill-in down
+on the denser pieces.
 
 Why the answers are those of the reduced row echelon form (RREF), whatever
 the elimination order inside the loop: the RREF of a matrix is unique, so
@@ -31,8 +33,6 @@ The brute-force oracle in `harness` deliberately does not use this module.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-
-import numpy as np
 
 
 def _axpy(v, c, w, p):
@@ -106,40 +106,19 @@ def _echelon(columns, p, track):
     return pivots, kernel
 
 
-def _sparse(vec, p):
-    """{index: value mod p} of the nonzero entries of a dense vector."""
-    vec = np.asarray(vec, dtype=np.int64) % p
-    nz = np.flatnonzero(vec)
-    return dict(zip(nz.tolist(), vec[nz].tolist()))
-
-
 class FieldMatrix:
     """Sparse matrix over F_p with elimination-based rank, solve, and
-    nullspace. The dense `array` is built only when asked for."""
+    nullspace. Vectors in and out are sparse dicts {index: value mod p}."""
 
-    __slots__ = ("p", "shape", "columns", "_array", "_reduced")
+    __slots__ = ("p", "shape", "columns", "_reduced")
 
-    def __init__(self, array, p):
-        a = np.array(array, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        a %= p
-        self._setup(a.shape[0], [_sparse(col, p) for col in a.T], p)
-        self._array = a
-
-    def _setup(self, rows, columns, p):
+    def __init__(self, rows, columns, p):
+        """Matrix with `rows` rows from sparse columns {row: nonzero value
+        mod p}."""
         self.p = p
-        self.shape = (rows, len(columns))
-        self.columns = columns
-        self._array = None
+        self.columns = list(columns)
+        self.shape = (rows, len(self.columns))
         self._reduced = None  # (pivots, kernel, tracked)
-
-    @classmethod
-    def from_columns(cls, rows, columns, p):
-        """Matrix from sparse columns {row: nonzero value mod p}."""
-        m = cls.__new__(cls)
-        m._setup(rows, list(columns), p)
-        return m
 
     @classmethod
     def from_triplets(cls, rows, cols, triplets, p):
@@ -152,18 +131,7 @@ class FieldMatrix:
                 col[r] = x
             else:
                 col.pop(r, None)
-        return cls.from_columns(rows, columns, p)
-
-    @property
-    def array(self):
-        """Dense int64 copy, built on first use and kept."""
-        if self._array is None:
-            a = np.zeros(self.shape, dtype=np.int64)
-            for j, col in enumerate(self.columns):
-                for r, v in col.items():
-                    a[r, j] = v
-            self._array = a
-        return self._array
+        return cls(rows, columns, p)
 
     def _eliminated(self, track):
         e = self._reduced
@@ -177,34 +145,28 @@ class FieldMatrix:
     def nullspace(self):
         """Deterministic basis of the right kernel, one vector per free column
         in increasing order: 1 at that column, 0 at every other free column."""
-        basis = []
-        for comb in self._eliminated(True)[1]:
-            v = np.zeros(self.shape[1], dtype=np.int64)
-            for k, x in comb.items():
-                v[k] = x
-            basis.append(v)
-        return basis
+        return [dict(comb) for comb in self._eliminated(True)[1]]
 
     def solve(self, b):
         """One solution of A x = b with free variables set to 0, or None."""
-        sols = self.solve_matrix(np.asarray(b, dtype=np.int64).reshape(-1, 1))
-        return None if sols is None else sols[:, 0]
+        sols = self.solve_matrix([b])
+        return None if sols is None else sols[0]
 
-    def solve_matrix(self, B):
-        """Solve A X = B columnwise; None if any column is inconsistent."""
+    def solve_matrix(self, columns):
+        """Solve A x = b for each right-hand side b; None if any of them is
+        inconsistent."""
         p = self.p
-        m, n = self.shape
-        B = np.asarray(B, dtype=np.int64)
-        if B.shape[0] != m:
-            raise ValueError("right-hand side has wrong length")
+        m = self.shape[0]
         pivots = self._eliminated(True)[0]
-        X = np.zeros((n, B.shape[1]), dtype=np.int64)
-        for j in range(B.shape[1]):
+        solutions = []
+        for b in columns:
+            if any(not 0 <= r < m for r in b):
+                raise ValueError("right-hand side has an index outside the rows")
+            v = {r: x % p for r, x in b.items() if x % p}
             comb = {}
             # b reduces to zero iff b = -A comb: pivot columns only, so the
             # free variables are 0
-            if _reduce_column(_sparse(B[:, j], p), pivots, p, comb) is not None:
+            if _reduce_column(v, pivots, p, comb) is not None:
                 return None
-            for k, x in comb.items():
-                X[k, j] = -x % p
-        return X
+            solutions.append({k: -x % p for k, x in comb.items()})
+        return solutions

@@ -7,8 +7,6 @@ small minimal resolutions for homotopy tests.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .freecomplex import (
     ChainComplex,
     DegreeLayout,
@@ -40,22 +38,15 @@ def graded_kernel_generators(matrix, dmax):
         null = graded_piece(matrix, d).nullspace()
         if not null:
             continue
-        span_cols = []
+        base = []
         for gdeg, elem in gens:
             for mono in ring.degree_basis(d - gdeg):
-                span_cols.append(
-                    layout.coordinates([e.term_mul(mono) for e in elem])
-                )
-        if span_cols:
-            base = np.array(span_cols, dtype=np.int64).T
-        else:
-            base = np.zeros((layout.dim, 0), dtype=np.int64)
-        base_rank = FieldMatrix(base, p).rank()
+                base.append(layout.coordinates([e.term_mul(mono) for e in elem]))
+        base_rank = FieldMatrix(layout.dim, base, p).rank()
         for v in null:
-            test = FieldMatrix(np.hstack([base, v.reshape(-1, 1)]), p)
-            if test.rank() > base_rank:
+            if FieldMatrix(layout.dim, base + [v], p).rank() > base_rank:
                 gens.append((d, layout.element(v)))
-                base = test.array
+                base.append(v)
                 base_rank += 1
     return gens
 

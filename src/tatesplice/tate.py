@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import comb
 
-import numpy as np
-
 from .arith import Polynomial, monomial_div, monomial_divides
 from .errors import (
     AcyclicityError,
@@ -394,7 +392,7 @@ def _bottom_class_map(F, T):
     if T.lo < 0:
         cycles = graded_piece(T.diff(0), u0).nullspace()
     else:
-        cycles = [np.eye(layout.dim, dtype=np.int64)[:, k] for k in range(layout.dim)]
+        cycles = [{k: 1} for k in range(layout.dim)]
     # a missing d_1 gives a piece with no columns: no boundaries
     boundaries = graded_piece(T.diff(1), u0)
     for z in cycles:
@@ -612,26 +610,28 @@ def normalize_matrix_factorization(complex_, g, ring_S):
         right = lift_matrix_to_S(mats[i + 1], ring_S)
         prod = left.compose(right)
         size = prod.target.rank
-        U = np.zeros((size, size), dtype=np.int64)
+        U = [{} for _ in range(size)]  # sparse columns
         for r in range(size):
             for c in range(size):
                 q = poly_exact_divide(prod.entries[r][c], g)
-                if not q.is_zero() and not q.is_constant():
+                if q.is_zero():
+                    continue
+                if not q.is_constant():
                     raise ValueError(
                         "product of consecutive differentials is not g * constant"
                     )
-                U[r][c] = q.constant_value()
-        V = FieldMatrix(U, p).solve_matrix(np.eye(size, dtype=np.int64))
+                U[c][r] = q.constant_value()
+        V = FieldMatrix(size, U, p).solve_matrix([{k: 1} for k in range(size)])
         if V is None:
             raise ValueError("unit factor of the matrix factorization is singular")
         src = mats[i + 1].source
 
-        def const_endo(arr):
+        def const_endo(columns):
             return PolyMatrix(
                 src,
                 src,
                 [
-                    [Polynomial.constant(ring.ctx, ring.field, int(arr[r][c]))
+                    [Polynomial.constant(ring.ctx, ring.field, columns[c].get(r, 0))
                      for c in range(size)]
                     for r in range(size)
                 ],

@@ -225,12 +225,14 @@ def test_rung_52w_certified_and_acyclic(build_52w):
         assert oracle_homology(C, i, d) == 0
 
 
-def test_import_leaves_scipy_out():
-    """Importing the package must not pull in scipy: it would add start-up
-    time and resident memory to every run."""
+@pytest.mark.parametrize("module", ("scipy", "numpy"))
+def test_import_leaves_scipy_out(module):
+    """Importing the package must not pull in `module`: the package uses
+    only the standard library, and the module would add start-up time and
+    resident memory to every run."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tatesplice.__file__)))
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, tatesplice; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, tatesplice; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
@@ -415,6 +417,17 @@ def _build_exit_code(tmp_path, doc):
         ("window", [True, 3]),
         ("max_internal_degree", 10.5),
         ("max_internal_degree", "x"),
+        ("max_internal_degree", -3),
+        ("max_internal_degree", -1),
+        ("variables", "xy"),
+        ("variables", ["x", 1]),
+        ("f", "x"),
+        ("g", None),
+        ("A", [["x", "y"], "x"]),
+        ("A", [["x", 0]]),
+        ("field_char", True),
+        ("field_char", "32003"),
+        (None, 5),
     ],
     ids=[
         "window_string",
@@ -423,14 +436,33 @@ def _build_exit_code(tmp_path, doc):
         "window_bool",
         "dmax_float",
         "dmax_string",
+        "dmax_minus_3",
+        "dmax_minus_1",
+        "variables_string",
+        "variables_with_int",
+        "f_string",
+        "g_null",
+        "A_row_string",
+        "A_entry_int",
+        "field_char_bool",
+        "field_char_string",
+        "document_number",
     ],
 )
 def test_cli_build_rejects_malformed_window_and_dmax(tmp_path, capsys, inst_t, field, value):
-    doc = {**inst_t.instance.to_doc(), field: value}
+    # field None: the whole document is `value`
+    doc = value if field is None else {**inst_t.instance.to_doc(), field: value}
     assert _build_exit_code(tmp_path, doc) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
-    assert field in err
+    assert (field or "object") in err
+
+
+def test_cli_build_accepts_dmax_zero(tmp_path, capsys, inst_t):
+    # the smallest bound that sees H_0 of S/(f), which sits in degree 0
+    doc = {**inst_t.instance.to_doc(), "max_internal_degree": 0}
+    assert _build_exit_code(tmp_path, doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("verb, section", [("betti", "betti"), ("mcm", "mcm")])
