@@ -85,6 +85,9 @@ class VariableContext:
             raise ValueError(f"at most {MAX_VARIABLES} variables supported")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        for name in names:
+            if not name.isidentifier():
+                raise ValueError(f"variables must be identifiers, got {name!r}")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
 

@@ -38,10 +38,6 @@ class BaseRing:
         self.field = field
         self.modulus = modulus  # GroebnerBasis of I, or None for S itself
 
-    @property
-    def is_quotient(self):
-        return self.modulus is not None
-
     def reduce(self, poly):
         if self.modulus is None:
             return poly
@@ -272,9 +268,6 @@ class PolyMatrix:
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def entry(self, r, c):
-        return self.entries[r][c]
-
     def compose(self, other):
         """self o other (apply other first)."""
         if other.target != self.source:
@@ -409,13 +402,10 @@ class ChainComplex:
                 raise DegreeMismatchError(
                     f"differential at {i} does not match its terms"
                 )
-        for i in range(self.lo + 2, self.hi + 1):
-            prod = self.diff(i - 1).compose(self.diff(i))
-            if not prod.is_zero():
-                for r, row in enumerate(prod.entries):
-                    for c, e in enumerate(row):
-                        if not e.is_zero():
-                            raise NotAComplexError(i, r, c, str(e))
+        witness = d_squared_witness(self)
+        if witness is not None:
+            i, r, c, e = witness
+            raise NotAComplexError(i, r, c, str(e))
 
     def term(self, i):
         return self.terms.get(i, GradedFreeModule(self.ring, ()))
@@ -465,14 +455,23 @@ class ChainComplex:
         diffs = {i: self.diffs[i] for i in self.diffs if lo < i <= hi}
         return ChainComplex(self.ring, terms, diffs, validate=False)
 
-    def ranks(self):
-        return {i: self.term(i).rank for i in range(self.lo, self.hi + 1)}
-
     def __repr__(self):
         ranks = " <- ".join(
             str(self.term(i).rank) for i in range(self.lo, self.hi + 1)
         )
         return f"ChainComplex[{self.lo},{self.hi}]({ranks})"
+
+
+def d_squared_witness(complex_):
+    """The first (i, r, c, entry) with entry (r, c) of d_{i-1} d_i nonzero,
+    positions ascending; None when every product vanishes."""
+    for i in range(complex_.lo + 2, complex_.hi + 1):
+        prod = complex_.diff(i - 1).compose(complex_.diff(i))
+        for r, row in enumerate(prod.entries):
+            for c, e in enumerate(row):
+                if not e.is_zero():
+                    return i, r, c, e
+    return None
 
 
 def graded_piece(matrix, d):
@@ -640,7 +639,8 @@ def mapping_cone(phi, C, D):
         )
         if diffs[i].source.rank == 0 and diffs[i].target.rank == 0:
             del diffs[i]
-    cone = ChainComplex(ring, terms, diffs, validate=True)
+    # a cone of a chain map between complexes is a complex
+    cone = ChainComplex(ring, terms, diffs, validate=False)
     return cone, layout
 
 

@@ -18,14 +18,16 @@ from .errors import (
     DocumentError,
     NotInIdealError,
     NotRegularError,
+    SelfCheckError,
     TateSpliceError,
     WindowTooSmallError,
 )
 from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
 from .groebner import _regular_basis
 from .koszul import LiftMatrix
-from .shamash import es_resolution, is_minimal
+from .shamash import es_resolution
 from .tate import (
+    certify,
     is_two_periodic,
     mcm_generator_count,
     mcm_presentation,
@@ -33,8 +35,7 @@ from .tate import (
     normalize_matrix_factorization,
     tate_splice,
     TateResolution,
-    _content_degree_range,
-    _first_homology,
+    _acyclicity_certificate,
 )
 
 FORMAT = "tatesplice/1"
@@ -103,6 +104,9 @@ class ProblemInstance:
             raise ValueError(
                 f"window {list(window)} has no interior position: need hi - lo >= 2"
             )
+        if not window[0] <= 0 < window[1]:
+            # the MCM presentation is the differential from position 1 to 0
+            raise ValueError(f"window {list(window)} must contain positions 0 and 1")
         dmax = doc["max_internal_degree"]
         if type(dmax) is not int:
             raise ValueError(f"max_internal_degree must be an integer, got {dmax!r}")
@@ -211,7 +215,12 @@ def run_build(instance):
         minimized, tate.splice, provenance, tate.certificates, tate.meta
     )
     final.meta["mf_normalized"] = normalized
-    final.certificates["minimal_after_reduction"] = {"passed": is_minimal(minimized)}
+    rows, degrees = certify(minimized, instance.max_internal_degree)
+    for name, passed, detail in rows[:2]:
+        if not passed:
+            raise SelfCheckError(f"{name}: {detail}")
+    final.certificates["acyclicity"] = _acyclicity_certificate(minimized.window, degrees)
+    final.certificates["minimal_after_reduction"] = {"passed": rows[2][1]}
     if normalized:
         final.certificates["two_periodic"] = {"passed": is_two_periodic(minimized)}
     doc = {
@@ -256,7 +265,6 @@ def run_verify(doc, dmax=None):
     the windows, and certificates that recompute or must have passed.
     Returns (ok, rows) with one (check, passed, detail) per row. Raises
     DocumentError when `tate`, `meta` or `betti` is missing or malformed."""
-    rows = []
     if doc.get("format") != FORMAT:
         return False, [("format", False, f"unknown format {doc.get('format')!r}")]
     missing = [key for key in ("tate", "meta", "betti") if key not in doc]
@@ -272,35 +280,8 @@ def run_verify(doc, dmax=None):
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    d2_ok, d2_detail = True, "all products vanish"
-    for i in range(complex_.lo + 2, complex_.hi + 1):
-        prod = complex_.diff(i - 1).compose(complex_.diff(i))
-        if not prod.is_zero():
-            d2_ok = False
-            d2_detail = f"d^2 != 0 at position {i}"
-            break
-    rows.append(("d_squared_zero", d2_ok, d2_detail))
-
-    acyclic_ok, detail = True, "interior homology vanishes"
-    if complex_.hi - complex_.lo < 2:
-        acyclic_ok = False
-        detail = "WindowEdge: window too narrow to certify interior homology"
-    else:
-        degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        failure = _first_homology(complex_, degrees)
-        if failure is not None:
-            acyclic_ok = False
-            detail = "H_{} nonzero in degree {} (dim {})".format(*failure)
-    rows.append(("acyclicity", acyclic_ok, detail))
-
-    minimal_ok = is_minimal(complex_)
-    rows.append(
-        (
-            "minimality",
-            minimal_ok,
-            "no unit entries" if minimal_ok else "unit entry present",
-        )
-    )
+    rows, _ = certify(complex_, dmax)
+    minimal_ok = rows[2][1]
 
     betti_ok = True
     for i in range(complex_.lo, complex_.hi + 1):

@@ -195,16 +195,6 @@ class SigmaCertificate:
             h0 == hc == rk for (h0, hc, rk) in self.iso_table.values()
         )
 
-    def to_doc(self):
-        return {
-            "chain_map": self.chain_map_ok,
-            "h0_hc_iso": {
-                str(d): {"dim_h0": h0, "dim_hc": hc, "induced_rank": rk}
-                for d, (h0, hc, rk) in sorted(self.iso_table.items())
-            },
-            "passed": self.passed,
-        }
-
 
 def sigma_c_chain_map(system, ring_R, dmax):
     """sigma_c = tau_1 o ... o tau_c reduced mod I, with its certificate.

@@ -16,7 +16,6 @@ from .errors import (
     AcyclicityError,
     H0IsoError,
     LiftError,
-    SelfCheckError,
     WindowTooSmallError,
 )
 from .freecomplex import (
@@ -25,6 +24,7 @@ from .freecomplex import (
     GradedFreeModule,
     PolyMatrix,
     _homology_dim,
+    d_squared_witness,
     graded_piece,
     induced_rank,
     mapping_cone,
@@ -185,6 +185,43 @@ def _first_homology(complex_, degrees):
     return None
 
 
+def _acyclicity_certificate(window, degrees):
+    """The acyclicity certificate of a passing sweep over `degrees` of a
+    complex on `window`."""
+    lo, hi = window
+    return {
+        "passed": True,
+        "window": [lo + 1, hi - 1],
+        "degrees": [degrees[0], degrees[-1]] if degrees else [],
+    }
+
+
+def certify(complex_, dmax):
+    """The rows (name, passed, detail) d_squared_zero, acyclicity and
+    minimality of complex_, and the internal degrees the acyclicity sweep
+    covers: from the lowest generator degree up to dmax, at every interior
+    position. A window with no interior position fails acyclicity."""
+    witness = d_squared_witness(complex_)
+    d2_detail = "all products vanish"
+    if witness is not None:
+        d2_detail = f"d^2 != 0 at position {witness[0]}"
+    degrees = []
+    if complex_.hi - complex_.lo < 2:
+        failure = "WindowEdge: window too narrow to certify interior homology"
+    else:
+        degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
+        failure = _first_homology(complex_, degrees)
+        if failure is not None:
+            failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
+    minimal = is_minimal(complex_)
+    rows = [
+        ("d_squared_zero", witness is None, d2_detail),
+        ("acyclicity", failure is None, failure or "interior homology vanishes"),
+        ("minimality", minimal, "no unit entries" if minimal else "unit entry present"),
+    ]
+    return rows, degrees
+
+
 def _splice(C, D, phi, window, dmax):
     """Shared cone + certificate machinery for both splice entry points.
 
@@ -228,11 +265,7 @@ def _splice(C, D, phi, window, dmax):
 
     certificates = {
         "chain_map": {"passed": True},
-        "acyclicity": {
-            "passed": True,
-            "window": [lo + 1, hi - 1],
-            "degrees": [degrees[0], degrees[-1]] if degrees else [],
-        },
+        "acyclicity": _acyclicity_certificate(window, degrees),
         "h0_iso": {
             "passed": True,
             "table": {str(d): list(v) for d, v in sorted(iso.items())},
@@ -389,10 +422,8 @@ def _bottom_class_map(F, T):
     generator of H_0(T); deterministic first choice."""
     u0 = -F.term(0).twists[0]
     layout = DegreeLayout(T.term(0), u0)
-    if T.lo < 0:
-        cycles = graded_piece(T.diff(0), u0).nullspace()
-    else:
-        cycles = [{k: 1} for k in range(layout.dim)]
+    # a missing d_0 is a zero map into an empty module: every vector a cycle
+    cycles = graded_piece(T.diff(0), u0).nullspace()
     # a missing d_1 gives a piece with no columns: no boundaries
     boundaries = graded_piece(T.diff(1), u0)
     for z in cycles:
@@ -406,16 +437,17 @@ def _bottom_class_map(F, T):
     raise LiftError("no nonzero class available for phi_0")
 
 
-def minimize(complex_, splice=0, labels=None, check=True):
+def minimize(complex_, splice=0, labels=None):
     """Split off unit entries until none remain.
 
     A unit pivot at (r, k) of d_i removes generator k of term_i and
     generator r of term_{i-1}; d_i receives the rank-one Gaussian
-    correction, d_{i+1} loses row k, d_{i-1} loses column r. Pivots are
-    scanned from the splice outward, leftmost column first, and the output
-    is certified to have no degree-0 entries. With `check`, homology
-    dimensions at sampled degrees are compared before and after. A complex
-    with no unit entry is returned as it is, with the same labels.
+    correction, d_{i+1} loses row k, d_{i-1} loses column r. Each
+    cancellation is a homotopy equivalence (Gaussian elimination: Bar-Natan,
+    Fast Khovanov homology computations, 2007, Lemma 4.2), so homology is
+    unchanged. Pivots are scanned from the splice outward, leftmost column
+    first, until no degree-0 entry is left. A complex with no unit entry is
+    returned as it is, with the same labels.
     """
     ring = complex_.ring
     lo, hi = complex_.lo, complex_.hi
@@ -441,7 +473,6 @@ def minimize(complex_, splice=0, labels=None, check=True):
     found = find_unit()
     if found is None:
         return complex_ if labels is None else (complex_, labels)
-    samples = _homology_samples(complex_) if check else None
     labs = None if labels is None else {i: list(v) for i, v in labels.items()}
 
     while found is not None:
@@ -481,27 +512,10 @@ def minimize(complex_, splice=0, labels=None, check=True):
     diffs = {}
     for i in range(lo + 1, hi + 1):
         diffs[i] = PolyMatrix(terms[i], terms[i - 1], mats[i])
-    out = ChainComplex(ring, terms, diffs, validate=True)
-
-    if samples:
-        for (i, d), expected in samples.items():
-            got = _homology_dim(out, i, d)
-            if got != expected:
-                raise SelfCheckError(
-                    f"minimization changed H_{i} in degree {d}: {expected} -> {got}"
-                )
+    out = ChainComplex(ring, terms, diffs, validate=False)
     if labels is not None:
         return out, labs
     return out
-
-
-def _homology_samples(complex_, per_position=3):
-    samples = {}
-    for i in range(complex_.lo + 1, complex_.hi):
-        degs = sorted({-t for t in complex_.term(i).twists})[:per_position]
-        for d in degs:
-            samples[(i, d)] = _homology_dim(complex_, i, d)
-    return samples
 
 
 def mcm_presentation(tate):
@@ -641,7 +655,8 @@ def normalize_matrix_factorization(complex_, g, ring_S):
         if i + 2 in mats:
             mats[i + 2] = const_endo(U).compose(mats[i + 2])
     terms = {i: complex_.term(i) for i in range(complex_.lo, complex_.hi + 1)}
-    return ChainComplex(ring, terms, mats, validate=True)
+    # a change of basis keeps d^2 = 0; run_build certifies the result
+    return ChainComplex(ring, terms, mats, validate=False)
 
 
 def is_two_periodic(complex_):

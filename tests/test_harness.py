@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from tatesplice.harness import (
 from tatesplice.koszul import koszul_complex
 
 F = PrimeField(32003)
+INSTANCE_FILES = sorted((Path(__file__).parent.parent / "instances").glob("*.json"))
 
 
 def cli(*args, **kw):
@@ -61,6 +63,12 @@ def test_run_build_instance_t(build_t):
     ranks = [sum(build_t["betti"][str(i)].values()) for i in range(-4, 6)]
     assert ranks == [4, 3, 2, 1, 1, 2, 3, 4, 5, 6]
     assert all(v.get("passed") for v in build_t["certificates"].values())
+    # swept from the lowest generator degree, at position -4, up to dmax
+    assert build_t["certificates"]["acyclicity"] == {
+        "passed": True,
+        "window": [-3, 4],
+        "degrees": [-5, 10],
+    }
     assert build_t["mcm"]["generator_count"] == 1
     assert build_t["mcm"]["matrix"] == [["x", "y"]]
 
@@ -297,6 +305,16 @@ def test_cli_end_to_end(tmp_path, inst_t):
     assert r.stdout.strip() == "13"
 
 
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.stem)
+def test_cli_build_and_verify_instance_file(tmp_path, capsys, path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli_module.main(["build", str(path), "-o", str(first)]) == 0
+    assert cli_module.main(["build", str(path), "-o", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert cli_module.main(["verify", str(first)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_validation_exit_code(tmp_path):
     bad = {
         "field_char": 32003,
@@ -415,12 +433,16 @@ def _build_exit_code(tmp_path, doc):
         ("window", [0, 1]),
         ("window", [-2, 3.0]),
         ("window", [True, 3]),
+        ("window", [3, 6]),
+        ("window", [1, 4]),
+        ("window", [-3, 0]),
         ("max_internal_degree", 10.5),
         ("max_internal_degree", "x"),
         ("max_internal_degree", -3),
         ("max_internal_degree", -1),
         ("variables", "xy"),
         ("variables", ["x", 1]),
+        ("variables", ["x^2", "y"]),
         ("f", "x"),
         ("g", None),
         ("A", [["x", "y"], "x"]),
@@ -434,12 +456,16 @@ def _build_exit_code(tmp_path, doc):
         "window_without_interior",
         "window_float",
         "window_bool",
+        "window_without_0_and_1",
+        "window_without_0",
+        "window_without_1",
         "dmax_float",
         "dmax_string",
         "dmax_minus_3",
         "dmax_minus_1",
         "variables_string",
         "variables_with_int",
+        "variables_not_identifier",
         "f_string",
         "g_null",
         "A_row_string",

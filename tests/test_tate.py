@@ -257,7 +257,7 @@ def test_minimize_splits_trivial_pair():
         t1, t0, [[pxy("x"), pxy("y"), pxy("0")], [pxy("0"), pxy("0"), pxy("1")]]
     )
     C = ChainComplex(S2, {0: t0, 1: t1}, {1: d1})
-    out = minimize(C, check=False)
+    out = minimize(C)
     assert out.term(0).twists == (0,)
     assert out.term(1).twists == (-1, -1)
     assert out.diff(1).entries == ((pxy("x"), pxy("y")),)
