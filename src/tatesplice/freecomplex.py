@@ -20,6 +20,7 @@ from math import comb
 from .arith import Polynomial, monomial_mul
 from .errors import (
     DegreeMismatchError,
+    H0IsoError,
     NotAComplexError,
     NotChainMapError,
     WindowEdgeError,
@@ -453,7 +454,10 @@ class ChainComplex:
     def subwindow(self, lo, hi):
         terms = {i: self.term(i) for i in range(lo, hi + 1)}
         diffs = {i: self.diffs[i] for i in self.diffs if lo < i <= hi}
-        return ChainComplex(self.ring, terms, diffs, validate=False)
+        sub = ChainComplex(self.ring, terms, diffs, validate=False)
+        # the same matrices sit at lo < i <= hi, so their stored ranks hold
+        sub._ranks = {key: r for key, r in self._ranks.items() if lo < key[0] <= hi}
+        return sub
 
     def __repr__(self):
         ranks = " <- ".join(
@@ -552,6 +556,44 @@ def induced_rank(phi_i, D, i, d):
         rank_in = D._ranks[(i + 1, d)] = boundary.rank()
     stacked = FieldMatrix(image.shape[0], image.columns + boundary.columns, image.p)
     return stacked.rank() - rank_in
+
+
+def _first_homology(complex_, positions, degrees):
+    """First (i, d, dim) with dim H_i(complex_)_d != 0, sweeping `positions`
+    (each interior to the window) in order and the degrees within each;
+    None when all vanish."""
+    for i in positions:
+        for d in degrees:
+            dim = _homology_dim(complex_, i, d)
+            if dim:
+                return i, d, dim
+    return None
+
+
+def _h0_dim(C, d):
+    """dim H_0(C) in internal degree d, the complex ending at its window
+    edges; 0 when position 0 lies outside the window."""
+    if not C.lo <= 0 <= C.hi:
+        return 0
+    return _homology_dim(C, 0, d, lo_zero=True, hi_zero=True)
+
+
+def _h0_iso_table(C, D, phi, degrees):
+    """Per internal degree: dims of H_0 on both sides and the rank of the
+    map induced by phi_0; an isomorphism shows as three equal numbers.
+    Raises H0IsoError at the first degree where they differ."""
+    table = {}
+    for d in degrees:
+        h0c = _h0_dim(C, d)
+        # phi is a chain map, so the induced map factors through H_0(C) and
+        # is 0 where H_0(C) is; taking it before H_0(D) lets induced_rank
+        # store the d_1 rank of D from the one piece it builds
+        induced = induced_rank(phi[0], D, 0, d) if h0c else 0
+        h0d = _h0_dim(D, d)
+        if not h0c == h0d == induced:
+            raise H0IsoError(d, f"dim H_0 = {h0c} and {h0d}, induced rank = {induced}")
+        table[d] = (h0c, h0d, induced)
+    return table
 
 
 class ChainMapReport:

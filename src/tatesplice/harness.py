@@ -188,7 +188,9 @@ def run_build(instance):
     data = InstanceData(instance)
     lo, hi = instance.window
     m = len(data.f) - len(data.g)
-    length = max(hi, m - 1 - lo) + 1
+    # the splice reads H_0 off the cone at positions -1 and 0, so the upper
+    # half F*[m] must reach below position 0 even when the window does not
+    length = max(hi, m - 1 - min(lo, -1)) + 1
     resolution = es_resolution(
         data.f, data.g, data.ring_R, length, A=data.lift, check=False
     )
@@ -229,15 +231,21 @@ def run_build(instance):
         "tate": complex_to_doc(final.complex),
         "splice": final.splice,
         "meta": final.meta,
-        "betti": {
-            str(i): {str(t): n for t, n in sorted(counts.items())}
-            for i, counts in final.betti().items()
-        },
+        "betti": _betti_section(final),
         "provenance": {str(i): v for i, v in final.provenance.items()},
         "certificates": final.certificates,
         "mcm": _mcm_section(final, len(data.f), len(data.g)),
     }
     return doc
+
+
+def _betti_section(tate):
+    """The `betti` section of an output document: position -> {twist: count}
+    of `tate`, keys as strings."""
+    return {
+        str(i): {str(t): n for t, n in counts.items()}
+        for i, counts in tate.betti().items()
+    }
 
 
 def _mcm_section(tate, n, c):
@@ -280,26 +288,25 @@ def run_verify(doc, dmax=None):
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    rows, _ = certify(complex_, dmax)
+    rows, degrees = certify(complex_, dmax)
     minimal_ok = rows[2][1]
 
-    betti_ok = True
-    for i in range(complex_.lo, complex_.hi + 1):
-        counts = {}
-        for t in complex_.term(i).twists:
-            counts[str(t)] = counts.get(str(t), 0) + 1
-        if betti.get(str(i), {}) != counts:
-            betti_ok = False
-            break
+    expected = _betti_section(TateResolution(complex_, 0, None, {}, {}))
+    positions = list(expected) + [i for i in betti if i not in expected]
+    differs = next((i for i in positions if betti.get(i) != expected.get(i)), None)
     rows.append(
         (
             "betti_table",
-            betti_ok,
-            "matches recomputation" if betti_ok else f"mismatch at position {i}",
+            differs is None,
+            "matches recomputation" if differs is None else f"mismatch at position {differs}",
         )
     )
 
-    mismatch = _document_mismatch(doc, complex_, minimal_ok)
+    # the swept degrees depend on dmax, so they are only comparable to the
+    # certificate's under the document's own bound
+    if dmax != _claim(doc, "meta", "dmax"):
+        degrees = None
+    mismatch = _document_mismatch(doc, complex_, minimal_ok, degrees)
     rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
     return all(passed for _, passed, _ in rows), rows
 
@@ -317,9 +324,10 @@ def _claim(doc, *path):
     return doc
 
 
-def _document_mismatch(doc, complex_, minimal):
+def _document_mismatch(doc, complex_, minimal, degrees):
     """The first claim of `doc` that its `tate` complex contradicts, or
-    None. `minimal` is whether the complex has no unit entry."""
+    None. `minimal` is whether the complex has no unit entry; `degrees` are
+    the acyclicity sweep's, or None when they are not to be compared."""
     f, g = _claim(doc, "instance", "f"), _claim(doc, "instance", "g")
     if not (isinstance(f, list) and isinstance(g, list)):
         return "instance.f and instance.g must be lists"
@@ -331,7 +339,10 @@ def _document_mismatch(doc, complex_, minimal):
     expected = {("mcm", key): value for key, value in mcm.items()}
     expected[("meta", "window")] = window
     expected[("instance", "window")] = window
-    expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
+    if degrees is None:
+        expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
+    else:
+        expected[("certificates", "acyclicity")] = _acyclicity_certificate(window, degrees)
     expected[("certificates", "minimal_after_reduction")] = {"passed": minimal}
     recomputed = ["chain_map", "acyclicity", "h0_iso", "minimal_after_reduction"]
     if _claim(doc, "certificates", "two_periodic") is not _ABSENT:

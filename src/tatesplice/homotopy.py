@@ -9,15 +9,14 @@ comparison maps from the Koszul resolution of the base quotient.
 
 from __future__ import annotations
 
-from .errors import H0IsoError, LiftIdentityError, NoSolutionError, NotChainMapError
+from .errors import LiftIdentityError, NoSolutionError, NotChainMapError
 from .freecomplex import (
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
-    _homology_dim,
+    _h0_iso_table,
     graded_piece,
-    induced_rank,
     is_chain_map,
 )
 from .koszul import koszul_complex, koszul_homotopy
@@ -226,18 +225,8 @@ def sigma_c_chain_map(system, ring_R, dmax):
         raise NotChainMapError(report.position, report.row, report.col, report.witness)
 
     # H_c(R (x) K) in degree d + D is H_0 of the target in degree d; position
-    # 0 of the target lies outside its window only when c exceeds K.hi
-    iso_table = {}
-    for d in range(0, dmax + 1):
-        h0 = _homology_dim(RK, 0, d, lo_zero=True, hi_zero=True)
-        hc = _homology_dim(target, 0, d, lo_zero=True, hi_zero=True) if c <= f_top else 0
-        induced = induced_rank(sigma[0], target, 0, d)
-        iso_table[d] = (h0, hc, induced)
-        if not (h0 == hc == induced):
-            raise H0IsoError(
-                d, f"dim H_0 = {h0}, dim H_c = {hc}, induced rank = {induced}"
-            )
-
+    # 0 of the target lies outside its window (dim 0) when c exceeds K.hi
+    iso_table = _h0_iso_table(RK, target, sigma, range(dmax + 1))
     return sigma, target, SigmaCertificate(bool(report), iso_table)
 
 

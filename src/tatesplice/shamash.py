@@ -22,7 +22,8 @@ from .freecomplex import (
     ChainComplex,
     GradedFreeModule,
     PolyMatrix,
-    _homology_dim,
+    _first_homology,
+    _h0_dim,
     d_squared_witness,
 )
 from .groebner import is_regular_sequence
@@ -171,17 +172,16 @@ class ResolutionCertificate:
 def verify_resolution(resolution, dmax, ring_M=None):
     """Recompute everything from scratch: d^2 = 0 entrywise mod I, vanishing
     of H_i for 0 < i < length in all internal degrees <= dmax, and the
-    Hilbert function of H_0 against that of S/(f)."""
+    Hilbert function of H_0 against that of S/(f). The d^2 and vanishing
+    checks each report their first failure only."""
     C = resolution.complex
     failures = []
     witness = d_squared_witness(C)
     if witness is not None:
         failures.append("d^2 != 0 at position {}, entry ({},{}) = {}".format(*witness))
-    for i in range(1, C.hi):
-        for d in range(0, dmax + 1):
-            dim = _homology_dim(C, i, d, lo_zero=True)
-            if dim:
-                failures.append(f"H_{i} nonzero in degree {d}: dim {dim}")
+    failure = _first_homology(C, range(1, C.hi), range(dmax + 1))
+    if failure is not None:
+        failures.append("H_{} nonzero in degree {}: dim {}".format(*failure))
     if ring_M is None:
         from .freecomplex import BaseRing
         from .groebner import buchberger
@@ -191,7 +191,7 @@ def verify_resolution(resolution, dmax, ring_M=None):
         )
     for d in range(0, dmax + 1):
         # the d_1 ranks are store hits from the vanishing sweep
-        dim0 = _homology_dim(C, 0, d, lo_zero=True, hi_zero=True)
+        dim0 = _h0_dim(C, d)
         dim_m = ring_M.dim_degree(d)
         if dim0 != dim_m:
             failures.append(

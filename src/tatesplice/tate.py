@@ -12,21 +12,17 @@ from __future__ import annotations
 from math import comb
 
 from .arith import Polynomial, monomial_div, monomial_divides
-from .errors import (
-    AcyclicityError,
-    H0IsoError,
-    LiftError,
-    WindowTooSmallError,
-)
+from .errors import AcyclicityError, LiftError, WindowTooSmallError
 from .freecomplex import (
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
-    _homology_dim,
+    _first_homology,
+    _h0_dim,
+    _h0_iso_table,
     d_squared_witness,
     graded_piece,
-    induced_rank,
     mapping_cone,
 )
 from .homotopy import _solve_through
@@ -47,13 +43,8 @@ class TateResolution:
 
     def betti(self):
         """Graded Betti numbers: position -> {twist: count}."""
-        table = {}
-        for i in range(self.complex.lo, self.complex.hi + 1):
-            counts = {}
-            for t in self.complex.term(i).twists:
-                counts[t] = counts.get(t, 0) + 1
-            table[i] = counts
-        return table
+        C = self.complex
+        return {i: _twist_counts(C.term(i).twists) for i in range(C.lo, C.hi + 1)}
 
     @property
     def passed(self):
@@ -146,45 +137,6 @@ def _content_degree_range(complex_, lo, hi, dmax):
     return list(range(start, dmax + 1))
 
 
-def _h0_dim(C, d):
-    """dim H_0(C) in internal degree d, the complex ending at its window
-    edges; 0 when position 0 lies outside the window."""
-    if not C.lo <= 0 <= C.hi:
-        return 0
-    return _homology_dim(C, 0, d, lo_zero=True, hi_zero=True)
-
-
-def _h0_iso_table(C, D, phi, degrees):
-    """Per internal degree: dims of H_0 on both sides and the rank of the
-    map induced by phi_0; an isomorphism shows as three equal numbers.
-    Raises H0IsoError at the first degree where they differ."""
-    table = {}
-    for d in degrees:
-        h0c = _h0_dim(C, d)
-        # phi is a chain map, so the induced map factors through H_0(C) and
-        # is 0 where H_0(C) is; taking it before H_0(D) lets induced_rank
-        # store the d_1 rank of D from the one piece it builds
-        induced = induced_rank(phi[0], D, 0, d) if h0c else 0
-        h0d = _h0_dim(D, d)
-        if not h0c == h0d == induced:
-            raise H0IsoError(
-                d, f"dim H0(F) = {h0c}, dim H0(F*[m]) = {h0d}, induced rank = {induced}"
-            )
-        table[d] = (h0c, h0d, induced)
-    return table
-
-
-def _first_homology(complex_, degrees):
-    """First (i, d, dim) with dim H_i(complex_)_d != 0, sweeping the interior
-    positions in order and the degrees within each; None when all vanish."""
-    for i in range(complex_.lo + 1, complex_.hi):
-        for d in degrees:
-            dim = _homology_dim(complex_, i, d)
-            if dim:
-                return i, d, dim
-    return None
-
-
 def _acyclicity_certificate(window, degrees):
     """The acyclicity certificate of a passing sweep over `degrees` of a
     complex on `window`."""
@@ -210,7 +162,7 @@ def certify(complex_, dmax):
         failure = "WindowEdge: window too narrow to certify interior homology"
     else:
         degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        failure = _first_homology(complex_, degrees)
+        failure = _first_homology(complex_, range(complex_.lo + 1, complex_.hi), degrees)
         if failure is not None:
             failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
     minimal = is_minimal(complex_)
@@ -230,45 +182,36 @@ def _splice(C, D, phi, window, dmax):
 
     The cone cone_i = C_i (+) D_{i+1} gives the exact segment
     H_0(cone) -> H_0(C) -> H_0(D) -> H_{-1}(cone) with phi_* in the middle
-    (Weibel, An Introduction to Homological Algebra, 1.5). So when -1 and 0
-    are interior to the window, a sweep that finds the cone exact there
-    certifies phi_* an isomorphism in every H_0 degree (the sweep's degrees
-    start at or below those of C_0 and D_0 and end at dmax). With C starting
-    at 0, H_0(C) is C_0 modulo boundaries and the induced rank is dim
-    H_0(C)_d, so each row reads (h, h, h) as the computed table would. Where
-    the sweep fails there, the table is computed so that a broken H_0
-    isomorphism is still reported as such."""
+    (Weibel, An Introduction to Homological Algebra, 1.5). The assembled cone
+    is swept before it is cut to the window, at positions -1 and 0 as well as
+    the window interior, so a passing sweep certifies phi_* an isomorphism in
+    every H_0 degree (the sweep's degrees start at or below those of C_0 and
+    D_0 and end at dmax): each row of the table reads (h, h, h) with
+    h = dim H_0(C)_d. Where the sweep fails, the table is computed so that a
+    broken H_0 isomorphism is still reported as such."""
     lo, hi = window
+    top = max(hi, 1)
     cone, layout = mapping_cone(phi, C, D)
-    if cone.lo > lo or cone.hi < hi:
+    if cone.lo > min(lo, -2) or cone.hi < top:
         raise WindowTooSmallError(
-            f"assembled cone window {cone.window} does not cover {window}"
+            f"assembled cone window {cone.window} does not cover {window} "
+            "with -1 and 0 interior"
         )
-    cone = cone.subwindow(lo, hi)
-
     h0_degrees = _content_degree_range(C, 0, 0, dmax) + _content_degree_range(D, 0, 0, dmax)
     h0_degrees = sorted(set(h0_degrees))
-    derived = lo <= -2 and hi >= 1 and C.lo == 0
-    iso = None if derived else _h0_iso_table(C, D, phi, h0_degrees)
-
-    degrees = _content_degree_range(cone, lo, hi, dmax)
-    failure = _first_homology(cone, degrees)
+    degrees = _content_degree_range(cone, min(lo, -1), top, dmax)
+    failure = _first_homology(cone, range(min(lo + 1, -1), top), degrees)
     if failure is not None:
-        if derived:
-            _h0_iso_table(C, D, phi, h0_degrees)
+        _h0_iso_table(C, D, phi, h0_degrees)
         raise AcyclicityError(*failure)
-    if derived:
-        iso = {}
-        for d in h0_degrees:
-            h = _h0_dim(C, d)
-            iso[d] = (h, h, h)
+    cone = cone.subwindow(lo, hi)
 
     certificates = {
         "chain_map": {"passed": True},
         "acyclicity": _acyclicity_certificate(window, degrees),
         "h0_iso": {
             "passed": True,
-            "table": {str(d): list(v) for d, v in sorted(iso.items())},
+            "table": {str(d): [_h0_dim(C, d)] * 3 for d in h0_degrees},
         },
         "minimal": {"passed": is_minimal(cone)},
     }

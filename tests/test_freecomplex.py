@@ -130,6 +130,16 @@ def test_shift_identities():
     ChainComplex(S2, shifted.terms, shifted.diffs, validate=True)
 
 
+def test_subwindow_keeps_the_stored_ranks_of_its_differentials():
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    assert [K.rank(i, 2) for i in (1, 2)] == [3, 1]
+    sub = K.subwindow(1, 2)
+    # d_2 is the same matrix in both; d_1 leaves the window, so its rank
+    # there is the rank of the zero map
+    assert sub._ranks == {(2, 2): 1}
+    assert sub.rank(1, 2) == 0
+
+
 def test_mapping_cone_zero_map_is_direct_sum():
     K = koszul_complex([pxy("x"), pxy("y")], S2)
     D = K.shift(1)

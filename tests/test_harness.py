@@ -218,6 +218,14 @@ def test_run_build_piece_count(inst_c, build_c, monkeypatch):
     assert len(keys) <= 278
 
 
+def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
+    # the cone's sweep covers positions -1 and 0, and the emitted complex
+    # keeps the ranks the sweep stored, so certify builds no piece again
+    keys = _record_pieces(monkeypatch)
+    assert run_build(inst_52.instance) == build_52
+    assert len(keys) <= 35
+
+
 def test_rung_52w_certified_and_acyclic(build_52w):
     """The memory-wall rung: every certificate passes, the document
     verifies, and the dense oracle agrees that homology vanishes at interior
@@ -504,11 +512,17 @@ def test_cli_section_verbs_on_document_without_section(tmp_path, capsys, build_t
     assert section in captured.err
 
 
+DELETE = object()
+
+
 def _set(doc, path, value):
     *head, last = path
     for key in head:
         doc = doc[key]
-    doc[last] = value
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
 
 
 @pytest.mark.parametrize(
@@ -528,6 +542,8 @@ def _set(doc, path, value):
         ("build_c", ("certificates", "h0_iso", "passed"), False),
         ("build_c", ("certificates", "minimal_after_reduction", "passed"), False),
         ("build_h", ("certificates", "two_periodic", "passed"), False),
+        ("build_c", ("certificates", "acyclicity", "degrees"), [7, 8]),
+        ("build_c", ("certificates", "acyclicity", "degrees"), DELETE),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -540,3 +556,27 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
     assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
         ["document", "FAIL"]
     ]
+
+
+def test_cli_verify_rejects_extra_betti_position(tmp_path, capsys, build_c):
+    doc = json.loads(dump_output(build_c))
+    doc["betti"]["99"] = {"0": 1}
+    assert _verify_exit_code(tmp_path, doc) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["betti_table", "FAIL"]
+    ]
+    assert "position 99" in out
+
+
+@pytest.mark.parametrize("rung", ["52", "41"])
+def test_cli_build_window_starting_at_zero(tmp_path, capsys, request, rung):
+    # H_0 of the upper half is read below its truncated end, not at it
+    doc = {**request.getfixturevalue(f"inst_{rung}").instance.to_doc(), "window": [0, 2]}
+    ipath, opath = tmp_path / "instance.json", tmp_path / "out.json"
+    ipath.write_text(json.dumps(doc))
+    assert cli_module.main(["build", str(ipath), "-o", str(opath)]) == 0
+    assert cli_module.main(["verify", str(opath)]) == 0
+    assert capsys.readouterr().err == ""
+    mcm = json.loads(opath.read_text())["mcm"]
+    assert mcm["generator_count"] == mcm["formula_count"]

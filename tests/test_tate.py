@@ -10,6 +10,7 @@ from tatesplice.freecomplex import (
     ChainComplex,
     GradedFreeModule,
     PolyMatrix,
+    block_matrix,
 )
 from tatesplice.harness import run_build
 from tatesplice.koszul import (
@@ -38,6 +39,7 @@ from tatesplice.tate import (
     _content_degree_range,
     _h0_iso_table,
     _phi_prime_block,
+    _splice,
 )
 
 F = PrimeField(32003)
@@ -84,26 +86,24 @@ def test_phi_prime_hypersurface_matrix_factorization(inst_h):
     assert prod == pxy("x^2 + y^2")
 
 
-def test_zero_comparison_map_rejected_by_h0(inst_t):
+def _zero_phi_splice(inst_t, window):
+    """tate_splice of t's resolution with the comparison map replaced by 0."""
     res = es_resolution(inst_t.f, inst_t.g, inst_t.ring_R, 6, A=inst_t.lift, check=False)
     phi, target = expand_phi(res)
-    zero_phi = {
-        i: PolyMatrix.zero(res.complex.term(i), target.term(i)) for i in phi
-    }
+    zero_phi = {i: PolyMatrix.zero(res.complex.term(i), target.term(i)) for i in phi}
+    return tate_splice(res, window=window, dmax=6, phi=zero_phi, target=target)
+
+
+def test_zero_comparison_map_rejected_by_h0(inst_t):
     with pytest.raises(H0IsoError):
-        tate_splice(res, window=(-2, 3), dmax=6, phi=zero_phi, target=target)
+        _zero_phi_splice(inst_t, (-2, 3))
 
 
 def test_zero_comparison_map_rejected_by_computed_h0_table(inst_t):
-    # window [-1, 2] leaves position -1 on the edge, so the sweep does not
-    # cover the H_0 isomorphism and the table is computed
-    res = es_resolution(inst_t.f, inst_t.g, inst_t.ring_R, 6, A=inst_t.lift, check=False)
-    phi, target = expand_phi(res)
-    zero_phi = {
-        i: PolyMatrix.zero(res.complex.term(i), target.term(i)) for i in phi
-    }
+    # on window [-1, 2] the sweep still reaches position -1 of the assembled
+    # cone; it fails there and the computed table names the H_0 failure
     with pytest.raises(H0IsoError):
-        tate_splice(res, window=(-1, 2), dmax=6, phi=zero_phi, target=target)
+        _zero_phi_splice(inst_t, (-1, 2))
 
 
 def _resolution(inst):
@@ -113,10 +113,10 @@ def _resolution(inst):
     return es_resolution(inst.f, inst.g, inst.ring_R, length, A=inst.lift, check=False)
 
 
-@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52w"])
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52w", "52"])
 def test_derived_h0_table_equals_computed_table(rung, request):
-    """Where the sweep covers positions -1 and 0, the H_0 rows read off it
-    equal the table computed from H_0 of both halves and the induced map."""
+    """The H_0 rows read off the cone's sweep at positions -1 and 0 equal
+    the table computed from H_0 of both halves and the induced map."""
     inst = request.getfixturevalue(f"inst_{rung}")
     dmax = inst.instance.max_internal_degree
     tate = tate_splice(_resolution(inst), window=inst.instance.window, dmax=dmax)
@@ -135,7 +135,7 @@ def test_derived_h0_table_equals_computed_table(rung, request):
     }
 
 
-def test_h0_table_computed_only_where_the_sweep_misses_it(inst_c, inst_52, monkeypatch):
+def test_h0_table_computed_only_after_a_failed_sweep(inst_t, inst_c, inst_52, monkeypatch):
     calls = []
     real = tate_module._h0_iso_table
 
@@ -144,10 +144,63 @@ def test_h0_table_computed_only_where_the_sweep_misses_it(inst_c, inst_52, monke
         return real(*args)
 
     monkeypatch.setattr(tate_module, "_h0_iso_table", counting)
-    run_build(inst_c.instance)  # window [-4, 6]: derived from the sweep
+    run_build(inst_c.instance)  # window [-4, 6]
+    run_build(inst_52.instance)  # window [-1, 2]
     assert calls == []
-    run_build(inst_52.instance)  # window [-1, 2]: computed
+    with pytest.raises(H0IsoError):
+        _zero_phi_splice(inst_t, (-1, 2))
     assert len(calls) == 1
+
+
+def _koszul_and_sum(lo):
+    """K = Koszul(x, y) and K (+) K(-5) with empty terms down to `lo`, and
+    the summand's inclusion and projection."""
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    K5 = K.twist(-5)
+    terms = {i: GradedFreeModule(S2, ()) for i in range(lo, 0)}
+    into, onto = {}, {}
+    for i in range(3):
+        parts = [K.term(i), K5.term(i)]
+        terms[i] = GradedFreeModule(S2, K.term(i).twists + K5.term(i).twists)
+        identity = {(0, 0): PolyMatrix.identity(K.term(i))}
+        into[i] = block_matrix([K.term(i)], parts, identity)
+        onto[i] = block_matrix(parts, [K.term(i)], identity)
+    diffs = {
+        i: block_matrix(
+            [K.term(i), K5.term(i)],
+            [K.term(i - 1), K5.term(i - 1)],
+            {(0, 0): K.diff(i), (1, 1): K5.diff(i)},
+        )
+        for i in (1, 2)
+    }
+    return K, ChainComplex(S2, terms, diffs), into, onto
+
+
+def test_splice_sweep_sees_h0_not_onto_on_a_window_from_minus_one():
+    # K -> K (+) K(-5) is injective on H_0 but not onto; only H_{-1} of the
+    # cone shows it (in degree 5)
+    K, KK, into, _ = _koszul_and_sum(-1)
+    with pytest.raises(H0IsoError) as e:
+        _splice(K, KK, into, (-1, 2), dmax=6)
+    assert e.value.degree == 5
+
+
+def test_splice_sweep_sees_h0_not_injective_on_a_window_ending_at_zero():
+    # K (+) K(-5) -> K is onto on H_0 but not injective; only H_0 of the
+    # cone shows it, and position 0 is the window's edge
+    K, KK, _, onto = _koszul_and_sum(0)
+    K = ChainComplex(S2, {-2: GradedFreeModule(S2, ()), **K.terms}, K.diffs)
+    with pytest.raises(H0IsoError) as e:
+        _splice(KK, K, onto, (-3, 0), dmax=6)
+    assert e.value.degree == 5
+
+
+def test_tate_splice_needs_the_cone_below_position_minus_one(inst_52):
+    # length 3 puts F*[m] at positions 0..3, so the assembled cone starts at
+    # -1 and the H_{-1} that the H_0 isomorphism is read off sits on its edge
+    res = es_resolution(inst_52.f, inst_52.g, inst_52.ring_R, 3, A=inst_52.lift, check=False)
+    with pytest.raises(WindowTooSmallError):
+        tate_splice(res, window=(0, 2), dmax=4)
 
 
 def test_tate_splice_instance_t(splice_t):
