@@ -15,9 +15,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import add
 
-from .arith import Polynomial, monomial_mul
+from .arith import Polynomial
 from .errors import (
     DegreeMismatchError,
     H0IsoError,
@@ -30,14 +32,23 @@ from .linalg import FieldMatrix
 
 
 class BaseRing:
-    """Ring tag: polynomial ring S over F_p, or the quotient R = S/I."""
+    """Ring tag: polynomial ring S over F_p, or the quotient R = S/I.
 
-    __slots__ = ("ctx", "field", "modulus")
+    Two caches for `graded_piece` fill on first use, only ever with values
+    the ring determines: `_rows` maps a monomial to its normal form as one
+    flat row (idx0, v0, idx1, v1, ...) in its degree's basis, (index, 1) over
+    S; `_tables` maps (mu, e) to a list whose slot j is the shared row of mu
+    times basis monomial j of degree e, so a table never copies a row.
+    """
+
+    __slots__ = ("ctx", "field", "modulus", "_rows", "_tables")
 
     def __init__(self, ctx, field, modulus=None):
         self.ctx = ctx
         self.field = field
         self.modulus = modulus  # GroebnerBasis of I, or None for S itself
+        self._rows = {}
+        self._tables = {}
 
     def reduce(self, poly):
         if self.modulus is None:
@@ -58,6 +69,27 @@ class BaseRing:
         if self.modulus is None:
             return comb(d + self.ctx.nvars - 1, self.ctx.nvars - 1)
         return len(self.modulus.quotient_degree_basis(d))
+
+    def _row(self, mono):
+        row = self._rows.get(mono)
+        if row is None:
+            if self.modulus is None:
+                # every monomial of S_d is a basis element: fill the degree
+                for i, m in enumerate(monomials_of_degree(self.ctx.nvars, sum(mono))):
+                    self._rows[m] = (i, 1)
+                return self._rows[mono]
+            index = self.modulus.quotient_degree_basis(sum(mono)).index
+            nf = self.modulus._nf_monomial(mono).terms
+            row = self._rows[mono] = tuple(x for m, v in nf.items() for x in (index[m], v))
+        return row
+
+    def _table(self, mu, e):
+        table = self._tables.get((mu, e))
+        if table is None:
+            table = self._tables[(mu, e)] = [
+                self._row(tuple(map(add, mu, m))) for m in self.degree_basis(e)
+            ]
+        return table
 
     def zero(self):
         return Polynomial.zero(self.ctx, self.field)
@@ -109,14 +141,6 @@ class GradedFreeModule:
     def degree_dim(self, d):
         return sum(self.ring.dim_degree(d + a) for a in self.twists)
 
-    def degree_labels(self, d):
-        """Basis of the degree-d piece: (generator index, monomial) pairs."""
-        labels = []
-        for k, a in enumerate(self.twists):
-            for mono in self.ring.degree_basis(d + a):
-                labels.append((k, mono))
-        return labels
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedFreeModule)
@@ -145,21 +169,17 @@ def direct_sum(modules):
 
 
 class DegreeLayout:
-    """Coordinates of a module's degree-d piece, with offsets per generator."""
+    """Coordinates of a module's degree-d piece; its basis is (generator
+    index, monomial) pairs, generator by generator."""
 
-    __slots__ = ("module", "degree", "labels", "index", "offsets")
+    __slots__ = ("module", "degree", "labels", "index")
 
     def __init__(self, module, d):
         self.module = module
         self.degree = d
-        self.labels = module.degree_labels(d)
+        basis = module.ring.degree_basis
+        self.labels = [(k, m) for k, a in enumerate(module.twists) for m in basis(d + a)]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        offsets = []
-        pos = 0
-        for a in module.twists:
-            offsets.append(pos)
-            pos += module.ring.dim_degree(d + a)
-        self.offsets = offsets
 
     @property
     def dim(self):
@@ -481,34 +501,41 @@ def d_squared_witness(complex_):
 def graded_piece(matrix, d):
     """Exact sparse F_p matrix of the degree-d component of a PolyMatrix.
 
-    Column (k, mono) holds the coordinates of mono times column k of the
-    matrix: each entry term's exponent is added to mono, and over a quotient
-    the product's cached monomial normal form is read off termwise, so no
-    polynomial is built per product."""
+    Rows and columns are ordered as in `DegreeLayout`: generator by
+    generator, each through its ring's degree basis. Column (k, m) holds the
+    coordinates of m times column k of the matrix, built in one pass from the
+    ring's cached multiplication tables: an entry in row r with term a*mu
+    adds a times slot j of table (mu, d + twist_k), m being basis monomial j,
+    shifted by the offset of generator r. No product, normal form or layout
+    key is formed per entry."""
     ring = matrix.source.ring
-    src = DegreeLayout(matrix.source, d)
-    tgt = DegreeLayout(matrix.target, d)
-    index = tgt.index
-    nf = ring.modulus._nf_monomial if ring.modulus is not None else None
-    # the nonzero entries of each column of the matrix, with their rows
-    columns = [
-        [(r, row[k].terms.items()) for r, row in enumerate(matrix.entries) if row[k].terms]
-        for k in range(matrix.source.rank)
-    ]
-
-    # a generator, so that no list of all triplets is held at once
-    def triplets():
-        for c, (k, mono) in enumerate(src.labels):
-            for r_gen, terms in columns[k]:
-                for expo, coeff in terms:
-                    prod = monomial_mul(expo, mono)
-                    if nf is None:
-                        yield index[(r_gen, prod)], c, coeff
+    p = ring.field.p
+    dims = (ring.dim_degree(d + t) for t in matrix.target.twists)
+    offsets = list(accumulate(dims, initial=0))  # one more: the row count
+    columns = []
+    for k, a in enumerate(matrix.source.twists):
+        e = d + a
+        n = ring.dim_degree(e)
+        if not n:
+            continue
+        terms = [
+            (offsets[r], coeff, ring._table(mu, e))
+            for r, row in enumerate(matrix.entries)
+            for mu, coeff in row[k].terms.items()
+        ]
+        for j in range(n):
+            col = {}
+            for off, coeff, table in terms:
+                it = iter(table[j])
+                for i, v in zip(it, it):
+                    i += off
+                    x = (col.get(i, 0) + coeff * v) % p
+                    if x:
+                        col[i] = x
                     else:
-                        for pm, v in nf(prod).terms.items():
-                            yield index[(r_gen, pm)], c, coeff * v
-
-    return FieldMatrix.from_triplets(tgt.dim, src.dim, triplets(), ring.field.p)
+                        col.pop(i, None)
+            columns.append(col)
+    return FieldMatrix(offsets[-1], columns, p)
 
 
 def _homology_dim(complex_, i, d, lo_zero=False, hi_zero=False):

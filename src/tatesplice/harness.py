@@ -25,7 +25,7 @@ from .errors import (
 from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
 from .groebner import _regular_basis
 from .koszul import LiftMatrix
-from .shamash import es_resolution
+from .shamash import MAX_LENGTH, es_resolution
 from .tate import (
     certify,
     is_two_periodic,
@@ -54,6 +54,14 @@ _REQUIRED_FIELDS = _INSTANCE_FIELDS - {"A"}
 
 def _is_string_list(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _resolution_length(window, m):
+    """Resolution length a build over `window` needs, m = len(f) - len(g):
+    the splice reads H_0 off the cone at positions -1 and 0, so F*[m] must
+    reach below position 0 even when the window does not."""
+    lo, hi = window
+    return max(hi, m - 1 - min(lo, -1)) + 1
 
 
 @dataclass
@@ -107,6 +115,12 @@ class ProblemInstance:
         if not window[0] <= 0 < window[1]:
             # the MCM presentation is the differential from position 1 to 0
             raise ValueError(f"window {list(window)} must contain positions 0 and 1")
+        length = _resolution_length(window, len(doc["f"]) - len(doc["g"]))
+        if length > MAX_LENGTH:
+            raise ValueError(
+                f"window {list(window)} needs a resolution of length {length}, "
+                f"above the limit of {MAX_LENGTH}"
+            )
         dmax = doc["max_internal_degree"]
         if type(dmax) is not int:
             raise ValueError(f"max_internal_degree must be an integer, got {dmax!r}")
@@ -187,10 +201,7 @@ def run_build(instance):
     """
     data = InstanceData(instance)
     lo, hi = instance.window
-    m = len(data.f) - len(data.g)
-    # the splice reads H_0 off the cone at positions -1 and 0, so the upper
-    # half F*[m] must reach below position 0 even when the window does not
-    length = max(hi, m - 1 - min(lo, -1)) + 1
+    length = _resolution_length(instance.window, len(data.f) - len(data.g))
     resolution = es_resolution(
         data.f, data.g, data.ring_R, length, A=data.lift, check=False
     )

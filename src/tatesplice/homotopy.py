@@ -180,28 +180,13 @@ def sigma_maps(system, s):
     return out
 
 
-class SigmaCertificate:
-    """Recorded evidence that sigma_c is a chain map over R inducing
-    degreewise isomorphisms H_0 -> H_c."""
-
-    def __init__(self, chain_map_ok, iso_table):
-        self.chain_map_ok = chain_map_ok
-        self.iso_table = dict(iso_table)
-
-    @property
-    def passed(self):
-        return self.chain_map_ok and all(
-            h0 == hc == rk for (h0, hc, rk) in self.iso_table.values()
-        )
-
-
 def sigma_c_chain_map(system, ring_R, dmax):
-    """sigma_c = tau_1 o ... o tau_c reduced mod I, with its certificate.
+    """sigma_c = tau_1 o ... o tau_c reduced mod I, certified.
 
-    Returns (components over R, target complex, certificate). The certificate
-    recomputes (a) the chain-map property of sigma_c: R (x) K -> R (x) K[-c]
-    and (b) per internal degree <= dmax, that the induced map
-    H_0(R (x) K) -> H_c(R (x) K) is an isomorphism of F_p spaces.
+    Returns (components over R, target complex, iso table). Raises
+    NotChainMapError unless sigma_c: R (x) K -> R (x) K[-c] is a chain map, and
+    H0IsoError unless, per internal degree d <= dmax, the induced map
+    H_0 -> H_c is an isomorphism; the table maps d to (dim H_0, dim H_c, rank).
     """
     K = system.K
     c = system.c
@@ -227,7 +212,7 @@ def sigma_c_chain_map(system, ring_R, dmax):
     # H_c(R (x) K) in degree d + D is H_0 of the target in degree d; position
     # 0 of the target lies outside its window (dim 0) when c exceeds K.hi
     iso_table = _h0_iso_table(RK, target, sigma, range(dmax + 1))
-    return sigma, target, SigmaCertificate(bool(report), iso_table)
+    return sigma, target, iso_table
 
 
 def _base_change(K, ring_R):

@@ -13,6 +13,7 @@ from tatesplice.errors import (
 from tatesplice.freecomplex import (
     BaseRing,
     ChainComplex,
+    DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
     _homology_dim,
@@ -24,7 +25,7 @@ from tatesplice.freecomplex import (
     mapping_cone,
 )
 from tatesplice.groebner import buchberger
-from tatesplice.harness import oracle_homology
+from tatesplice.harness import _oracle_basis, _oracle_matrix, oracle_homology
 from tatesplice.koszul import koszul_complex
 
 F = PrimeField(101)
@@ -197,6 +198,89 @@ def test_graded_piece_multiplication_over_quotient():
     # basis {x, y} -> {xy}: x*x = 0, x*y = xy
     assert piece.shape == (1, 2)
     assert piece.columns == [{}, {0: 1}]
+
+
+def _piece_entries(m, d):
+    """{(column label, row label): value} of graded_piece, every value a
+    nonzero residue."""
+    piece = graded_piece(m, d)
+    rows = DegreeLayout(m.target, d).labels
+    cols = DegreeLayout(m.source, d).labels
+    assert piece.shape == (len(rows), len(cols))
+    p = m.source.ring.field.p
+    out = {}
+    for c, col in enumerate(piece.columns):
+        for r, v in col.items():
+            assert 0 < v < p
+            out[(cols[c], rows[r])] = v
+    return out
+
+
+def _oracle_entries(m, d):
+    """The same from the dense oracle, whose bases are in its own order."""
+    ring = m.source.ring
+    grid, nrows, ncols = _oracle_matrix(m, d)
+    # the oracle's order: generator by generator, its own basis within each
+    rows, cols = (
+        [(k, mono) for k, a in enumerate(mod.twists) for mono in _oracle_basis(ring, d + a)]
+        for mod in (m.target, m.source)
+    )
+    assert (len(rows), len(cols)) == (nrows, ncols)
+    p = ring.field.p
+    return {
+        (cols[c], rows[r]): grid[r][c] % p
+        for r in range(nrows)
+        for c in range(ncols)
+        if grid[r][c] % p
+    }
+
+
+def _quotient(ctx, gens):
+    return BaseRing(ctx, F, buchberger([parse_polynomial(g, ctx, F) for g in gens]))
+
+
+def _matrix(ring, src_twists, tgt_twists, rows):
+    src = GradedFreeModule(ring, src_twists)
+    tgt = GradedFreeModule(ring, tgt_twists)
+    entries = [[parse_polynomial(e, ring.ctx, F) for e in row] for row in rows]
+    return PolyMatrix(src, tgt, entries)
+
+
+MIXED_3 = [
+    ["x^2 + 3*y*z", "x - 2*z", "x*y*z + y^3"],
+    ["y + z", "5", "x^2 - z^2"],
+]
+
+
+@pytest.mark.parametrize(
+    "ring, src_twists, tgt_twists, rows",
+    [
+        (S3, (-2, -1, -3), (0, -1), MIXED_3),
+        # x^2, y^2 and z^2 vanish: many products land in the ideal
+        (_quotient(XYZ, ["x^2", "y^2", "z^2"]), (-2, -1, -3), (0, -1), MIXED_3),
+        (_quotient(XY, ["x^2 + y^2"]), (-1, -2), (0,), [["x + 2*y", "x*y - y^2"]]),
+        (
+            _quotient(XYZ, ["x^2 + 2*x*y + 3*y*z + z^2", "y^2 + 5*x*z + 7*x*y + 11*z^2"]),
+            (-2, -1, -3),
+            (0, -1),
+            MIXED_3,
+        ),
+        # x * (x - y) = x^2 - x*y = 0: the column of x cancels to nothing
+        (_quotient(XY, ["x^2 - x*y"]), (-1, -2), (0, 0), [["x - y", "y^2"], ["y", "x*y"]]),
+        (S2, (), (0, -1), [[], []]),
+        (S2, (-1, -2), (), []),
+    ],
+    ids=["S", "monomial_quotient", "hypersurface", "dense_quadrics", "cancelling", "no_columns", "no_rows"],
+)
+def test_graded_piece_matches_dense_oracle(ring, src_twists, tgt_twists, rows):
+    m = _matrix(ring, src_twists, tgt_twists, rows)
+    for d in range(-2, 6):
+        assert _piece_entries(m, d) == _oracle_entries(m, d), f"degree {d}"
+        # a repeated request reads the cached tables and adds none
+        before = (len(ring._tables), len(ring._rows))
+        first = graded_piece(m, d)
+        assert graded_piece(m, d).columns == first.columns
+        assert (len(ring._tables), len(ring._rows)) == before
 
 
 def test_homology_dims_koszul():

@@ -11,6 +11,7 @@ import pytest
 import tatesplice
 from tatesplice import cli as cli_module
 from tatesplice import freecomplex, groebner
+from tatesplice import harness as harness_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import ContainmentError, NotRegularError
 from tatesplice.freecomplex import BaseRing
@@ -490,6 +491,20 @@ def test_cli_build_rejects_malformed_window_and_dmax(tmp_path, capsys, inst_t, f
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
     assert (field or "object") in err
+
+
+@pytest.mark.parametrize("window", [[-45, 3], [-1, 45]])
+def test_cli_build_rejects_window_beyond_length_limit(tmp_path, capsys, monkeypatch, inst_c, window):
+    # rejected when the instance is read, before any Groebner basis is built
+    def no_basis(seq):
+        raise AssertionError("Groebner basis built for an over-long window")
+
+    monkeypatch.setattr(harness_module, "_regular_basis", no_basis)
+    doc = {**inst_c.instance.to_doc(), "window": window}
+    assert _build_exit_code(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert f"window {window}" in err and "limit of 40" in err
 
 
 def test_cli_build_accepts_dmax_zero(tmp_path, capsys, inst_t):

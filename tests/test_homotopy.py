@@ -3,7 +3,8 @@
 import pytest
 
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import LiftIdentityError, NoSolutionError
+from tatesplice import homotopy
+from tatesplice.errors import H0IsoError, LiftIdentityError, NoSolutionError, NotChainMapError
 from tatesplice.freecomplex import BaseRing, GradedFreeModule, PolyMatrix
 from tatesplice.groebner import buchberger
 from tatesplice.homotopy import (
@@ -128,29 +129,68 @@ def test_homotopy_order_anticommutes_mod_ideal():
                 assert gb_I.is_member(e)
 
 
+def _assert_iso(iso_table, dmax):
+    assert sorted(iso_table) == list(range(dmax + 1))
+    for h0, hc, rank in iso_table.values():
+        assert h0 == hc == rank
+
+
 def test_sigma_c_certificate_instance_t():
     system, lift = _system_t()
     R = BaseRing(XY, F, buchberger(list(lift.g)))
-    sigma, target, cert = sigma_c_chain_map(system, R, dmax=10)
-    assert cert.passed
+    sigma, target, iso_table = sigma_c_chain_map(system, R, dmax=10)
+    _assert_iso(iso_table, 10)
     assert sigma[0].entries == ((pxy("x*y"),),)
 
 
 def test_sigma_c_certificate_instance_c():
     system, lift = _system_c()
     R = BaseRing(XYZ, F, buchberger(list(lift.g)))
-    sigma, target, cert = sigma_c_chain_map(system, R, dmax=10)
-    assert cert.passed
+    sigma, target, iso_table = sigma_c_chain_map(system, R, dmax=10)
+    _assert_iso(iso_table, 10)
+
+
+def _system_h():
+    lift = LiftMatrix([[pxy("x")], [pxy("y")]], [pxy("x"), pxy("y")], [pxy("x^2 + y^2")])
+    R = BaseRing(XY, F, buchberger(list(lift.g)))
+    return HomotopySystem.koszul_wedge(lift, S2), R
 
 
 def test_sigma_c_certificate_hypersurface():
-    lift = LiftMatrix([[pxy("x")], [pxy("y")]], [pxy("x"), pxy("y")], [pxy("x^2 + y^2")])
-    system = HomotopySystem.koszul_wedge(lift, S2)
-    R = BaseRing(XY, F, buchberger(list(lift.g)))
-    sigma, target, cert = sigma_c_chain_map(system, R, dmax=8)
-    assert cert.passed
+    system, R = _system_h()
+    sigma, target, iso_table = sigma_c_chain_map(system, R, dmax=8)
+    _assert_iso(iso_table, 8)
     # sigma_1 is wedge by x e_1 + y e_2
     assert [row[0] for row in sigma[0].entries] == [pxy("x"), pxy("y")]
+
+
+def test_sigma_c_rejects_a_map_that_is_not_a_chain_map(monkeypatch):
+    # 2 sigma_0 beside sigma_1 breaks the square at position 1
+    system, R = _system_h()
+    real = homotopy.sigma_component
+    monkeypatch.setattr(
+        homotopy,
+        "sigma_component",
+        lambda sys_, subset, j: real(sys_, subset, j).scale(2 if j == 0 else 1),
+    )
+    with pytest.raises(NotChainMapError) as e:
+        sigma_c_chain_map(system, R, dmax=8)
+    assert e.value.position == 1
+
+
+def test_sigma_c_rejects_a_chain_map_without_h0_isomorphism(monkeypatch):
+    # the zero map is a chain map, and it kills H_0 = F_p in degree 0
+    system, R = _system_h()
+    real = homotopy.sigma_component
+
+    def zero(sys_, subset, j):
+        m = real(sys_, subset, j)
+        return PolyMatrix.zero(m.source, m.target)
+
+    monkeypatch.setattr(homotopy, "sigma_component", zero)
+    with pytest.raises(H0IsoError) as e:
+        sigma_c_chain_map(system, R, dmax=8)
+    assert e.value.degree == 0
 
 
 def test_corrupted_lift_rejected_upstream():
