@@ -34,10 +34,10 @@ from .linalg import FieldMatrix
 class BaseRing:
     """Ring tag: polynomial ring S over F_p, or the quotient R = S/I.
 
-    Two caches for `graded_piece` fill on first use, only ever with values
-    the ring determines: `_rows` maps a monomial to its normal form as one
-    flat row (idx0, v0, idx1, v1, ...) in its degree's basis, (index, 1) over
-    S; `_tables` maps (mu, e) to a list whose slot j is the shared row of mu
+    `graded_piece` reads a product monomial's normal form as one flat row
+    (idx0, v0, idx1, v1, ...) in its degree's basis: over R the modulus owns
+    the one row store (`GroebnerBasis.nf_row`), over S `_rows` keeps (index,
+    1). `_tables` maps (mu, e) to a list whose slot j is the shared row of mu
     times basis monomial j of degree e, so a table never copies a row.
     """
 
@@ -71,16 +71,14 @@ class BaseRing:
         return len(self.modulus.quotient_degree_basis(d))
 
     def _row(self, mono):
+        if self.modulus is not None:
+            return self.modulus.nf_row(mono)
         row = self._rows.get(mono)
         if row is None:
-            if self.modulus is None:
-                # every monomial of S_d is a basis element: fill the degree
-                for i, m in enumerate(monomials_of_degree(self.ctx.nvars, sum(mono))):
-                    self._rows[m] = (i, 1)
-                return self._rows[mono]
-            index = self.modulus.quotient_degree_basis(sum(mono)).index
-            nf = self.modulus._nf_monomial(mono).terms
-            row = self._rows[mono] = tuple(x for m, v in nf.items() for x in (index[m], v))
+            # every monomial of S_d is a basis element: fill the degree
+            for i, m in enumerate(monomials_of_degree(self.ctx.nvars, sum(mono))):
+                self._rows[m] = (i, 1)
+            row = self._rows[mono]
         return row
 
     def _table(self, mu, e):
@@ -728,14 +726,18 @@ def ring_to_doc(ring):
 
 def ring_from_doc(doc):
     from .arith import PrimeField, VariableContext, parse_polynomial
-    from .groebner import buchberger
+    from .groebner import GroebnerBasis
 
     field = PrimeField(doc["field_char"])
     ctx = VariableContext(doc["variables"])
     modulus = None
     if "modulus" in doc:
         gens = [parse_polynomial(s, ctx, field) for s in doc["modulus"]]
-        modulus = buchberger(gens)
+        if not gens:
+            raise ValueError("empty modulus")
+        # certified as stored, each element representing itself: no Buchberger
+        units = [[Polynomial.constant(ctx, field, int(g is h)) for h in gens] for g in gens]
+        modulus = GroebnerBasis(ctx, field, gens, units, gens, [g.total_degree() for g in gens])
     return BaseRing(ctx, field, modulus)
 
 

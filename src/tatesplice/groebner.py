@@ -174,9 +174,10 @@ class QuotientDegreeBasis:
 class GroebnerBasis:
     """Reduced monic Gröbner basis with representation tracking.
 
-    Every generator records a vector over the original input sequence;
-    the identity generator == sum(rep_i * original_i) is certified at
-    construction, as is reduction of all S-pairs to zero.
+    Every generator records a vector over the original input sequence.
+    Construction certifies the basis, computed or given: monic, homogeneous,
+    inter-reduced generators, generator == sum(rep_i * original_i), and every
+    S-pair reducing to zero. `nf_row` is the one memoized normal-form kernel.
     """
 
     def __init__(self, ring, field, generators, representations, originals, ideal_degrees):
@@ -186,11 +187,13 @@ class GroebnerBasis:
         self.representations = tuple(tuple(r) for r in representations)
         self.originals = tuple(originals)
         self.ideal_degrees = tuple(ideal_degrees)
-        self._nf_cache = {}
+        self._leads = [(g.leading_monomial(), g.terms) for g in self.generators]
+        self._rows = {}
         self._qbasis_cache = {}
         self._certify()
 
     def _certify(self):
+        _require_homogeneous(self.generators)
         leads = self.lead_monomials()
         for g, rep in zip(self.generators, self.representations):
             if g.leading_coefficient() != 1:
@@ -200,38 +203,60 @@ class GroebnerBasis:
                 acc = acc + q * orig
             if acc != g:
                 raise SelfCheckError("representation identity fails")
-        for i, gi in enumerate(self.generators):
-            for e, _ in gi.terms.items():
-                if e != gi.leading_monomial() and any(
-                    monomial_divides(l, e) for l in leads
-                ):
-                    raise SelfCheckError("basis not fully inter-reduced")
+        for i, g in enumerate(self.generators):
+            # a lead divides no term of g but lead(g), which only its own divides
+            if any(sum(monomial_divides(l, e) for l in leads) != (e == leads[i]) for e in g.terms):
+                raise SelfCheckError("basis not fully inter-reduced")
             for j in range(i + 1, len(self.generators)):
-                s = _spoly(gi, self.generators[j])
-                _, rem = divide_tracking(s, self.generators)
-                if not rem.is_zero():
+                if not self.normal_form(_spoly(g, (), self.generators[j], ())[0]).is_zero():
                     raise SelfCheckError("S-pair does not reduce to zero")
 
     def lead_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
 
-    def _nf_monomial(self, expo):
-        nf = self._nf_cache.get(expo)
-        if nf is None:
-            mono = Polynomial.monomial(self.ring, self.field, expo)
-            _, nf = divide_tracking(mono, self.generators)
-            self._nf_cache[expo] = nf
-        return nf
+    def nf_row(self, mono):
+        """Normal form of the monomial `mono`, memoized, as a flat row (idx0,
+        v0, idx1, v1, ...) in its degree's quotient basis. A standard monomial
+        is (index, 1); any other m is q * lead(g_k) for the first such k, and
+        its row is -sum c * row(q*t) over the tail terms c*t of g_k. Each q*t
+        lies below m in the same degree, so a stack fills those rows first."""
+        rows = self._rows
+        if mono in rows:
+            return rows[mono]
+        index = self.quotient_degree_basis(sum(mono)).index
+        p, stack = self.field.p, [mono]
+        while stack:
+            m = stack[-1]
+            if m in index:
+                rows[stack.pop()] = (index[m], 1)
+                continue
+            lead, terms = next(lt for lt in self._leads if monomial_divides(lt[0], m))
+            q = monomial_div(m, lead)
+            parts = [(monomial_mul(q, t), c) for t, c in terms.items() if t != lead]
+            missing = [u for u, _ in parts if u not in rows]
+            if missing:
+                stack += missing
+                continue
+            acc = {}
+            for u, c in parts:
+                it = iter(rows[u])
+                for j, v in zip(it, it):
+                    acc[j] = (acc.get(j, 0) - c * v) % p
+            rows[stack.pop()] = tuple(x for j, v in acc.items() if v for x in (j, v))
+        return rows[mono]
 
     def normal_form(self, poly):
-        """Remainder modulo the basis; field-linear, computed termwise."""
-        out = Polynomial.zero(self.ring, self.field)
-        for expo, coeff in poly.sorted_terms():
-            out = out + self._nf_monomial(expo).scale(coeff)
-        return out
-
-    def reduce_with_quotients(self, poly):
-        return divide_tracking(poly, self.generators)
+        """Remainder modulo the basis: the sum of coeff * nf_row(mono) over
+        the terms of poly, read back through each degree's quotient basis."""
+        p, out, bases = self.field.p, {}, {}
+        for expo, coeff in poly.terms.items():
+            d = sum(expo)
+            if d not in bases:
+                bases[d] = self.quotient_degree_basis(d).monomials
+            monos, it = bases[d], iter(self.nf_row(expo))
+            for j, v in zip(it, it):
+                out[monos[j]] = (out.get(monos[j], 0) + coeff * v) % p
+        return Polynomial(self.ring, self.field, out)
 
     def is_member(self, poly):
         return self.normal_form(poly).is_zero()
@@ -268,13 +293,8 @@ class GroebnerBasis:
         return f"GroebnerBasis({gens})"
 
 
-def _spoly(f, g):
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lf, lg)
-    return f.term_mul(monomial_div(lcm, lf)) - g.term_mul(monomial_div(lcm, lg))
-
-
-def _spoly_rep(f, rep_f, g, rep_g):
+def _spoly(f, rep_f, g, rep_g):
+    """The S-polynomial of f and g, and its representation from theirs."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lf, lg)
     uf, ug = monomial_div(lcm, lf), monomial_div(lcm, lg)
@@ -329,7 +349,7 @@ def buchberger(gens):
         li, lj = fi.leading_monomial(), fj.leading_monomial()
         if monomial_lcm(li, lj) == monomial_mul(li, lj):
             continue  # coprime lead terms: S-pair reduces to zero
-        s, rep_s = _spoly_rep(fi, basis[i][1], fj, basis[j][1])
+        s, rep_s = _spoly(fi, basis[i][1], fj, basis[j][1])
         quots, rem = divide_tracking(s, [b[0] for b in basis])
         if rem.is_zero():
             continue
@@ -383,7 +403,7 @@ def lift_through(g, f, gb=None):
     _require_homogeneous([g] + list(f))
     if gb is None:
         gb = buchberger(f)
-    quots, rem = gb.reduce_with_quotients(g)
+    quots, rem = divide_tracking(g, gb.generators)
     if not rem.is_zero():
         raise NotInIdealError(f"{g} is not in the ideal; normal form {rem}")
     ring, field = g.ring, g.field

@@ -3,8 +3,8 @@
 Instances are strict JSON (unknown fields rejected). Outputs are serialized
 with sorted keys so repeated builds of the same instance are byte-identical.
 The homology oracle here shares no matrix code with the graded_piece path:
-it enumerates bases, assembles dense integer grids, and row-reduces them
-with plain Python loops.
+it enumerates bases, reduces products by plain division, assembles dense
+integer grids, and row-reduces them with plain Python loops.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
-from .groebner import _regular_basis
+from .groebner import _regular_basis, divide_tracking
 from .koszul import LiftMatrix
 from .shamash import MAX_LENGTH, es_resolution
 from .tate import (
@@ -475,7 +475,9 @@ def _oracle_matrix(matrix, d):
             e = matrix.entries[r_gen][k]
             if e.is_zero():
                 continue
-            prod = ring.reduce(e.term_mul(mono))
+            prod = e.term_mul(mono)
+            if ring.modulus is not None:  # plain division, not graded_piece's rows
+                prod = divide_tracking(prod, ring.modulus.generators)[1]
             for pm, coeff in prod.terms.items():
                 grid[row_index[(r_gen, pm)]][c] += coeff
     return grid, len(row_labels), len(col_labels)

@@ -1,5 +1,7 @@
 """Buchberger, normal forms, lifting, quotient bases, regularity."""
 
+import random
+import sys
 from itertools import product
 
 import pytest
@@ -265,3 +267,45 @@ def test_hilbert_dim_from_leads_counts_standard_monomials(data):
     for d in range(-1, 7):
         expected = _brute_standard_monomials(leads, nvars, d) if d >= 0 else 0
         assert hilbert_dim_from_leads(leads, nvars, d) == expected
+
+
+# --- the memoized normal-form kernel against plain division ------------------
+
+TWISTED_CUBIC = ["x*z - y^2", "x*w - y*z", "y*w - z^2"]
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_nf_row_matches_division_remainder(data):
+    """nf_row and normal_form agree with the division remainder on every
+    monomial up to degree 6, asked for in a random order: seeded dense
+    quadrics and cubics in 3 or 4 variables, or the binomial ideal of the
+    twisted cubic."""
+    case = data.draw(st.sampled_from(["binomial", (2, 2), (2, 3), (2, 2, 3)]))
+    if case == "binomial":
+        ctx = CONTEXTS[4]
+        gens = [poly(g, ctx) for g in TWISTED_CUBIC]
+    else:
+        ctx = CONTEXTS[data.draw(st.sampled_from((3, 4)))]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        dense = [monomials_of_degree(ctx.nvars, d) for d in case]
+        gens = [Polynomial(ctx, F, {m: rng.randrange(1, F.p) for m in monos}) for monos in dense]
+    gb = buchberger(gens)
+    monos = [m for d in range(7) for m in monomials_of_degree(ctx.nvars, d)]
+    data.draw(st.randoms()).shuffle(monos)
+    for m in monos:
+        mono = Polynomial.monomial(ctx, F, m)
+        _, rem = divide_tracking(mono, gb.generators)
+        assert gb.normal_form(mono) == rem
+        index = gb.quotient_degree_basis(sum(m)).index
+        row = gb.nf_row(m)
+        assert dict(zip(row[::2], row[1::2])) == {index[e]: c for e, c in rem.terms.items()}
+
+
+def test_nf_row_long_chain_without_recursion():
+    # modulo x - y, x^d reduces through x^(d-1)*y, ..., x*y^(d-1) to y^d, the
+    # one standard monomial of degree d: a chain longer than the recursion limit
+    gb = buchberger([pxy("x - y")])
+    d = 3 * sys.getrecursionlimit()
+    assert gb.nf_row((d, 0)) == (0, 1)
+    assert gb.normal_form(pxy(f"x^{d}")) == pxy(f"y^{d}")

@@ -1,5 +1,6 @@
 """Instance files, pipelines, the dense oracle, reports, and the CLI."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -210,6 +211,42 @@ def test_run_verify_builds_each_piece_once(build_c, monkeypatch):
     assert ok
     assert keys
     assert len(keys) == len(set(keys))
+
+
+def _generic_doc(seed):
+    """The benchmark's `generic` instance for one seed."""
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generic_doc(seed)
+
+
+def test_run_verify_certifies_stored_basis(monkeypatch):
+    # generic seed 1: a 13-element basis, certified as stored, not recomputed
+    doc = json.loads(dump_output(run_build(ProblemInstance.from_doc(_generic_doc(1)))))
+
+    def no_buchberger(gens):
+        raise AssertionError("verify ran buchberger")
+
+    monkeypatch.setattr(groebner, "buchberger", no_buchberger)
+    calls = _count_buchberger(monkeypatch)
+    ok, _ = run_verify(doc)
+    assert ok
+    assert calls == [doc["tate"]["ring"]["modulus"]]
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [["x^3 + y^3", "y^3"], [], ["x^3 + y^2", "y^3"]],
+    ids=["not_reduced", "empty", "inhomogeneous"],
+)
+def test_cli_verify_rejects_bad_modulus(tmp_path, capsys, build_c, modulus):
+    doc = json.loads(dump_output(build_c))
+    doc["tate"]["ring"]["modulus"] = modulus
+    assert _verify_exit_code(tmp_path, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed document") and err.count("\n") == 1
 
 
 def test_run_build_piece_count(inst_c, build_c, monkeypatch):
