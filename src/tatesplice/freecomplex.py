@@ -437,10 +437,16 @@ class ChainComplex:
 
     def rank(self, i, d):
         """Rank of d_i in internal degree d; its graded piece is built at most
-        once per complex, and only the rank is kept."""
+        once per complex, and only the rank is kept. The rank at (i, d - 1)
+        carries over, building nothing, when `_same_piece` shows the pieces
+        equal, as past the regularity of a 1-dimensional R, where x_n is a
+        nonzerodivisor and normal forms commute with it (Bayer-Stillman 1987)."""
         r = self._ranks.get((i, d))
         if r is None:
-            r = self._ranks[(i, d)] = graded_piece(self.diff(i), d).rank()
+            r = self._ranks.get((i, d - 1))
+            if r is None or not _same_piece(self.diff(i), d):
+                r = graded_piece(self.diff(i), d).rank()
+            self._ranks[(i, d)] = r
         return r
 
     @property
@@ -534,6 +540,24 @@ def graded_piece(matrix, d):
                         col.pop(i, None)
             columns.append(col)
     return FieldMatrix(offsets[-1], columns, p)
+
+
+def _same_piece(matrix, d):
+    """Whether graded_piece(matrix, d) equals graded_piece(matrix, d - 1).
+    A piece reads only the dims (row offsets, column counts) and the tables
+    of the entry terms, so it is enough that every dim, and then every table
+    (mu, e) of a nonzero column, equals its value one degree lower."""
+    ring = matrix.source.ring
+    dim = ring.dim_degree
+    if any(dim(d + t) != dim(d - 1 + t) for t in matrix.source.twists + matrix.target.twists):
+        return False
+    return all(
+        ring._table(mu, d + a) == ring._table(mu, d - 1 + a)
+        for k, a in enumerate(matrix.source.twists)
+        if dim(d + a)
+        for row in matrix.entries
+        for mu in row[k].terms
+    )
 
 
 def _homology_dim(complex_, i, d, lo_zero=False, hi_zero=False):

@@ -21,8 +21,6 @@ from .arith import (
 )
 from .errors import InhomogeneousInputError, NotInIdealError, SelfCheckError
 
-_MAX_LEAD_GENERATORS = 24
-
 
 def _require_homogeneous(polys):
     for p in polys:
@@ -107,37 +105,29 @@ def monomials_of_degree(nvars, d):
 
 
 def hilbert_dim_from_leads(leads, nvars, d):
-    """dim_F (S / lead-term ideal)_d by inclusion-exclusion over generator lcms."""
+    """dim_F (S / lead-term ideal)_d from the Hilbert numerator of the leads."""
     if d < 0:
         return 0
-    leads = tuple(leads)
-    if len(leads) > _MAX_LEAD_GENERATORS:
-        raise ValueError("too many lead-term generators for inclusion-exclusion")
     return sum(
         n * comb(d - k + nvars - 1, nvars - 1)
-        for k, n in _hilbert_numerator(leads, nvars).items()
+        for k, n in _hilbert_numerator(tuple(leads), nvars).items()
         if k <= d
     )
 
 
 @lru_cache(maxsize=None)
 def _hilbert_numerator(leads, nvars):
-    """{k: n_k}, the signed count of lead-monomial subsets whose lcm has
-    degree k: the Hilbert series of S / (leads) is sum n_k t^k / (1 - t)^nvars."""
-    counts = {}
-    for mask in range(1 << len(leads)):
-        lcm = (0,) * nvars
-        sign = 1
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                lcm = monomial_lcm(lcm, leads[i])
-                sign = -sign
-            m >>= 1
-            i += 1
-        k = sum(lcm)
-        counts[k] = counts.get(k, 0) + sign
+    """{k: n_k}, the Hilbert series of S / (leads) being sum n_k t^k / (1 - t)^nvars,
+    by the colon recursion N(I' + (m)) = N(I') - t^deg(m) N(I' : m) on the last
+    lead m, with I' : m generated by lcm(l, m) / m (Bayer-Stillman 1992)."""
+    if not leads:
+        return {0: 1}
+    *rest, m = leads
+    colon = {monomial_div(monomial_lcm(l, m), m) for l in rest}
+    minimal = sorted(c for c in colon if not any(o != c and monomial_divides(o, c) for o in colon))
+    counts = dict(_hilbert_numerator(tuple(rest), nvars))
+    for k, n in _hilbert_numerator(tuple(minimal), nvars).items():
+        counts[k + sum(m)] = counts.get(k + sum(m), 0) - n
     return {k: n for k, n in counts.items() if n}
 
 
@@ -207,9 +197,10 @@ class GroebnerBasis:
             # a lead divides no term of g but lead(g), which only its own divides
             if any(sum(monomial_divides(l, e) for l in leads) != (e == leads[i]) for e in g.terms):
                 raise SelfCheckError("basis not fully inter-reduced")
-            for j in range(i + 1, len(self.generators)):
-                if not self.normal_form(_spoly(g, (), self.generators[j], ())[0]).is_zero():
-                    raise SelfCheckError("S-pair does not reduce to zero")
+        for i, j in _criterion_pairs(leads):
+            s, _ = _spoly(self.generators[i], (), self.generators[j], ())
+            if not self.normal_form(s).is_zero():
+                raise SelfCheckError("S-pair does not reduce to zero")
 
     def lead_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
@@ -263,7 +254,7 @@ class GroebnerBasis:
 
     def quotient_degree_basis(self, d):
         """All normal-form monomials of degree d, checked against the
-        inclusion-exclusion Hilbert count of the lead-term ideal."""
+        Hilbert count of the lead-term ideal."""
         if d < 0:
             return QuotientDegreeBasis(d, ())
         cached = self._qbasis_cache.get(d)
@@ -291,6 +282,21 @@ class GroebnerBasis:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"GroebnerBasis({gens})"
+
+
+def _criterion_pairs(leads):
+    """The pairs (i, j) whose S-polynomials a certificate must reduce.
+    Buchberger's criteria skip coprime leads, and (i, j) when another lead_k
+    divides lcm_ij while lcm_ik and lcm_jk are proper divisors of it, since
+    induction on the lcm covers that pair (Gebauer-Moller 1988)."""
+    for j, lj in enumerate(leads):
+        for i, li in enumerate(leads[:j]):
+            m = monomial_lcm(li, lj)
+            if m != monomial_mul(li, lj) and not any(
+                monomial_divides(lk, m) and m not in (monomial_lcm(li, lk), monomial_lcm(lj, lk))
+                for lk in leads[:i] + leads[i + 1:j] + leads[j + 1:]
+            ):
+                yield i, j
 
 
 def _spoly(f, rep_f, g, rep_g):

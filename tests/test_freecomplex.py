@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tatesplice import freecomplex
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import (
     DegreeMismatchError,
@@ -139,6 +140,40 @@ def test_subwindow_keeps_the_stored_ranks_of_its_differentials():
     # there is the rank of the zero map
     assert sub._ranks == {(2, 2): 1}
     assert sub.rank(1, 2) == 0
+
+
+def test_koszul_ranks_over_S_equal_built_pieces():
+    # over S every degree has a larger basis, so no rank carries over
+    K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], S3)
+    for i in range(1, 4):
+        for d in range(-1, 8):
+            K.rank(i, d)
+    for (i, d), r in K._ranks.items():
+        assert r == graded_piece(K.diff(i), d).rank(), (i, d)
+
+
+def test_rank_builds_the_piece_when_only_the_dims_repeat(monkeypatch):
+    # R = F_7[x,y,z]/(yz, xz + 3z^2, xy + y^2) has dims 1, 3, 3, 3, ...; at
+    # d = 3 the map (y): R(-1) -> R has the dims of d = 2, but the tables of
+    # y differ, so the piece is built
+    F7 = PrimeField(7)
+    gens = [parse_polynomial(g, XYZ, F7) for g in ("y*z", "x*z + 3*z^2", "x*y + y^2")]
+    R = BaseRing(XYZ, F7, buchberger(gens))
+    assert [R.dim_degree(d) for d in range(6)] == [1, 3, 3, 3, 3, 3]
+    src, tgt, m = one_by_one(R, parse_polynomial("y", XYZ, F7), -1, 0)
+    C = ChainComplex(R, {0: tgt, 1: src}, {1: m})
+    assert C.rank(1, 2) == 1
+    built = []
+    build = freecomplex.graded_piece
+    monkeypatch.setattr(freecomplex, "graded_piece", lambda m, d: built.append(d) or build(m, d))
+    assert C.rank(1, 3) == build(m, 3).rank()
+    assert built == [3]
+    # the tables of x repeat from degree 2 on: its rank at d = 4 is carried
+    x = one_by_one(R, parse_polynomial("x", XYZ, F7), -1, 0)[2]
+    X = ChainComplex(R, {0: tgt, 1: src}, {1: x})
+    assert X.rank(1, 3) == 3
+    built.clear()
+    assert X.rank(1, 4) == 3 and built == []
 
 
 def test_mapping_cone_zero_map_is_direct_sum():

@@ -17,6 +17,7 @@ from tatesplice.arith import (
 )
 from tatesplice.errors import InhomogeneousInputError, NotInIdealError
 from tatesplice.groebner import (
+    _hilbert_numerator,
     buchberger,
     divide_tracking,
     hilbert_dim_from_leads,
@@ -267,6 +268,38 @@ def test_hilbert_dim_from_leads_counts_standard_monomials(data):
     for d in range(-1, 7):
         expected = _brute_standard_monomials(leads, nvars, d) if d >= 0 else 0
         assert hilbert_dim_from_leads(leads, nvars, d) == expected
+
+
+def _inclusion_exclusion_numerator(leads, nvars):
+    """The Hilbert numerator by the sum over all 2^k subsets of the leads."""
+    counts = {}
+    for mask in range(1 << len(leads)):
+        lcm, sign = (0,) * nvars, 1
+        for i, lead in enumerate(leads):
+            if mask >> i & 1:
+                lcm, sign = tuple(map(max, lcm, lead)), -sign
+        counts[sum(lcm)] = counts.get(sum(lcm), 0) + sign
+    return {k: n for k, n in counts.items() if n}
+
+
+def test_hilbert_numerator_matches_inclusion_exclusion():
+    rng = random.Random(13)
+    for _ in range(40):
+        nvars = rng.randint(1, 5)
+        leads = tuple(
+            rng.choice(monomials_of_degree(nvars, rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 9))
+        )
+        assert _hilbert_numerator(leads, nvars) == _inclusion_exclusion_numerator(leads, nvars)
+        for d in range(7):
+            assert hilbert_dim_from_leads(leads, nvars, d) == _brute_standard_monomials(leads, nvars, d)
+
+
+def test_hilbert_dim_of_a_power_of_the_maximal_ideal():
+    # 28 leads, more than the 2^k subset sum could take
+    leads = monomials_of_degree(3, 6)
+    assert len(leads) == 28
+    assert [hilbert_dim_from_leads(leads, 3, d) for d in range(7)] == [1, 3, 6, 10, 15, 21, 0]
 
 
 # --- the memoized normal-form kernel against plain division ------------------

@@ -13,6 +13,7 @@ import tatesplice
 from tatesplice import cli as cli_module
 from tatesplice import freecomplex, groebner
 from tatesplice import harness as harness_module
+from tatesplice import tate as tate_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import ContainmentError, NotRegularError
 from tatesplice.freecomplex import BaseRing
@@ -238,8 +239,17 @@ def test_run_verify_certifies_stored_basis(monkeypatch):
 
 @pytest.mark.parametrize(
     "modulus",
-    [["x^3 + y^3", "y^3"], [], ["x^3 + y^2", "y^3"]],
-    ids=["not_reduced", "empty", "inhomogeneous"],
+    [
+        ["x^3 + y^3", "y^3"],
+        [],
+        ["x^3 + y^2", "y^3"],
+        # all three lead lcms equal x*y*z, so the chain criterion skips
+        # none of them; S(x*y + z^2, x*z) = z^3 is a standard monomial
+        ["x*y + z^2", "x*z", "y*z"],
+        # leads x^2 and x*y share x; S = -y^3 does not reduce
+        ["x^2 - y^2", "x*y"],
+    ],
+    ids=["not_reduced", "empty", "inhomogeneous", "equal_lcms", "shared_variable"],
 )
 def test_cli_verify_rejects_bad_modulus(tmp_path, capsys, build_c, modulus):
     doc = json.loads(dump_output(build_c))
@@ -253,7 +263,48 @@ def test_run_build_piece_count(inst_c, build_c, monkeypatch):
     keys = _record_pieces(monkeypatch)
     doc = run_build(inst_c.instance)
     assert doc == build_c
-    assert len(keys) <= 278
+    assert len(keys) <= 87
+
+
+def test_run_build_piece_count_generic(monkeypatch):
+    # past the regularity of R the sweep's pieces repeat from degree to
+    # degree, and each repeat takes the rank stored one degree below
+    keys = _record_pieces(monkeypatch)
+    run_build(ProblemInstance.from_doc(_generic_doc(1)))
+    assert len(keys) <= 37
+
+
+def _built_cones(monkeypatch, instance):
+    """The cones run_build assembles, with the ranks its sweeps stored."""
+    cones = []
+    assemble = tate_module.mapping_cone
+
+    def recording(phi, C, D):
+        cone, layout = assemble(phi, C, D)
+        cones.append(cone)
+        return cone, layout
+
+    monkeypatch.setattr(tate_module, "mapping_cone", recording)
+    run_build(instance)
+    return cones
+
+
+@pytest.mark.parametrize("rung", ["c", "generic"])
+def test_stored_cone_ranks_equal_built_pieces(rung, inst_c, monkeypatch):
+    instance = inst_c.instance if rung == "c" else ProblemInstance.from_doc(_generic_doc(1))
+    requests = _record_pieces(monkeypatch)
+    cones = _built_cones(monkeypatch, instance)
+    built = set(requests)
+    carried = 0
+    assert cones
+    for cone in cones:
+        assert cone._ranks
+        for (i, d), r in cone._ranks.items():
+            m = cone.diff(i)
+            carried += (m.source.twists, m.target.twists, m.entries, d) not in built
+            assert r == freecomplex.graded_piece(m, d).rank(), (i, d)
+    # both rings have dimension 1, and some ranks came from the degree below
+    assert carried
 
 
 def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
@@ -261,7 +312,7 @@ def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
     # keeps the ranks the sweep stored, so certify builds no piece again
     keys = _record_pieces(monkeypatch)
     assert run_build(inst_52.instance) == build_52
-    assert len(keys) <= 35
+    assert len(keys) <= 30
 
 
 def test_rung_52w_certified_and_acyclic(build_52w):
