@@ -25,7 +25,6 @@ from .groebner import (
     lift_through,
 )
 from .koszul import (
-    AlphaElement,
     ExteriorBasis,
     LiftMatrix,
     alpha_element,
@@ -54,7 +53,6 @@ from .tate import (
 from .harness import ProblemInstance, oracle_homology, run_build, run_verify
 
 __all__ = [
-    "AlphaElement",
     "BaseRing",
     "ChainComplex",
     "ExteriorBasis",

@@ -9,6 +9,8 @@ comparison maps from the Koszul resolution of the base quotient.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import LiftIdentityError, NoSolutionError, NotChainMapError
 from .freecomplex import (
     ChainComplex,
@@ -170,8 +172,6 @@ def sigma_component(system, indices, j):
 
 def sigma_maps(system, s):
     """All components sigma_{s,j} indexed by (subset, j), subsets lex ordered."""
-    from itertools import combinations
-
     K = system.K
     out = {}
     for subset in combinations(range(1, system.c + 1), s):

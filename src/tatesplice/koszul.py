@@ -1,9 +1,14 @@
-"""Koszul complexes, exterior-algebra bookkeeping, wedge maps, and alpha.
+"""Exterior-algebra bookkeeping, the Koszul and divided-power complexes,
+wedge maps, alpha and beta.
 
 Subset bases are sorted tuples of 1-based indices in lexicographic order.
-All signs are computed by counting inversions at the call site. The top
-exterior power is trivialized by e_1 ^ ... ^ e_n |-> 1, which fixes the
-duality iso beta used to identify the upper half of a splice.
+All signs are computed by counting inversions at the call site. Every
+exterior-algebra map reads one of two term kernels: `koszul_terms` for the
+Koszul differential and `wedge_terms` for left multiplication by a vector.
+`exterior_total_complex` assembles the divided-power (x) exterior complex
+from both; the Koszul complex is its case with no divided-power variables.
+The top exterior power is trivialized by e_1 ^ ... ^ e_n |-> 1, which fixes
+the duality iso beta used to identify the upper half of a splice.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from itertools import combinations
 from .arith import Polynomial
 from .errors import LiftIdentityError, SelfCheckError
 from .freecomplex import ChainComplex, GradedFreeModule, PolyMatrix
-from .groebner import lift_through
+from .groebner import buchberger, lift_through
 
 MAX_AMBIENT_RANK = 24
 
@@ -56,6 +61,20 @@ def complement_sign(subset, n):
     return sign, comp
 
 
+def koszul_terms(subset):
+    """(sign, t, rest) for each term sign * f_t e_rest of d(e_subset)."""
+    for s, t in enumerate(subset):
+        yield (-1 if s % 2 else 1), t, subset[:s] + subset[s + 1 :]
+
+
+def wedge_terms(v, subset):
+    """(merged, coefficient) for each nonzero term of v ^ e_subset."""
+    for t, coeff in v.coeffs.items():
+        sign, merged = merge_sign(t, subset)
+        if sign:
+            yield merged, coeff.scale(sign)
+
+
 class ExteriorVector:
     """Element of Lambda^k S^n, homogeneous of a fixed internal degree.
 
@@ -80,16 +99,10 @@ class ExteriorVector:
         if self.n != other.n:
             raise ValueError("ambient rank mismatch")
         coeffs = {}
-        for t1, p1 in self.coeffs.items():
-            for t2, p2 in other.coeffs.items():
-                sign, merged = merge_sign(t1, t2)
-                if sign == 0:
-                    continue
-                term = (p1 * p2).scale(sign)
-                if merged in coeffs:
-                    coeffs[merged] = coeffs[merged] + term
-                else:
-                    coeffs[merged] = term
+        for t2, p2 in other.coeffs.items():
+            for merged, term in wedge_terms(self, t2):
+                term = term * p2
+                coeffs[merged] = coeffs[merged] + term if merged in coeffs else term
         return ExteriorVector(
             self.n, self.k + other.k, coeffs, self.degree + other.degree
         )
@@ -106,30 +119,102 @@ def exterior_module(ring, n, k, f_degrees):
     return GradedFreeModule(ring, twists)
 
 
-def koszul_complex(f, ring):
-    """Koszul complex on f over the given base ring (S or a quotient of it).
+class DividedPowerBasis:
+    """Basis of D_k(R^c): exponent vectors alpha in N^c with |alpha| = k,
+    ordered lexicographically."""
 
-    d(e_{i1} ^ ... ^ e_{ik}) = sum_s (-1)^(s+1) f_{is} e_{...drop s...}.
+    __slots__ = ("c", "k", "exponents")
+
+    def __init__(self, c, k):
+        self.c = c
+        self.k = k
+        self.exponents = tuple(_compositions(c, k))
+
+    def __len__(self):
+        return len(self.exponents)
+
+
+def _compositions(c, k):
+    """All alpha in N^c with sum k, lexicographically ascending."""
+    if c == 0:
+        if k == 0:
+            yield ()
+        return
+    for first in range(k + 1):
+        for rest in _compositions(c - 1, k - first):
+            yield (first,) + rest
+
+
+def shamash_labels(n, c, i):
+    """Generator labels (alpha, T) of term i of D(R^c) (x) Lambda(R^n):
+    |alpha| = k and |T| = i - 2k, layers k ascending."""
+    return [
+        (alpha, subset)
+        for k in range(i // 2 + 1)
+        for alpha in DividedPowerBasis(c, k).exponents
+        for subset in ExteriorBasis(n, i - 2 * k).subsets
+    ]
+
+
+def exterior_total_complex(f, columns, ring, length):
+    """The complex D(R^c) (x) Lambda(R^n) on f and the 1-vectors `columns`
+    (c of them), terms 0..length. Term i is the sum over k >= 0 of
+    D_k (x) Lambda^{i-2k}, generators labeled as in `shamash_labels`, e_T of
+    degree sum(deg f_t) and y_j of degree `columns[j].degree`. The
+    differential is
+
+        d(y^alpha (x) e_T) = y^alpha (x) d(e_T)
+                           + sum_{j: alpha_j > 0} y^{alpha - e_j} (x) (a_j ^ e_T)
+
+    with d the Koszul differential on f and a_j = columns[j]; no binomial
+    coefficients enter, so the construction is characteristic-safe.
+    Returns (complex, labels) with labels[i] the generators of term i.
     """
     f = list(f)
     n = len(f)
     f_degrees = [p.total_degree() for p in f]
-    terms = {i: exterior_module(ring, n, i, f_degrees) for i in range(n + 1)}
-    diffs = {}
+    labels = {i: shamash_labels(n, len(columns), i) for i in range(length + 1)}
+    terms = {
+        i: GradedFreeModule(
+            ring,
+            [
+                -sum(a * col.degree for a, col in zip(alpha, columns))
+                - sum(f_degrees[t - 1] for t in subset)
+                for alpha, subset in labs
+            ],
+        )
+        for i, labs in labels.items()
+    }
     zero = ring.zero()
-    for i in range(1, n + 1):
-        src = ExteriorBasis(n, i)
-        tgt = ExteriorBasis(n, i - 1)
-        entries = [[zero] * len(src) for _ in range(len(tgt))]
-        for c, subset in enumerate(src.subsets):
-            for s, t in enumerate(subset):
-                rest = subset[:s] + subset[s + 1 :]
-                sign = -1 if s % 2 else 1
-                entry = f[t - 1].scale(sign)
-                r = tgt.index[rest]
-                entries[r][c] = entries[r][c] + entry
+    diffs = {}
+    for i in range(1, length + 1):
+        tgt_index = {lab: r for r, lab in enumerate(labels[i - 1])}
+        entries = [[zero] * len(labels[i]) for _ in range(len(labels[i - 1]))]
+        for col, (alpha, subset) in enumerate(labels[i]):
+            # horizontal: the Koszul differential in the exterior factor
+            for sign, t, rest in koszul_terms(subset):
+                r = tgt_index[(alpha, rest)]
+                entries[r][col] = entries[r][col] + f[t - 1].scale(sign)
+            # vertical: lower the divided power, wedge with the matching column
+            for j, a_j in enumerate(columns):
+                if not alpha[j]:
+                    continue
+                lowered = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                for merged, term in wedge_terms(a_j, subset):
+                    r = tgt_index[(lowered, merged)]
+                    entries[r][col] = entries[r][col] + term
         diffs[i] = PolyMatrix(terms[i], terms[i - 1], entries)
-    return ChainComplex(ring, terms, diffs, validate=True)
+    return ChainComplex(ring, terms, diffs, validate=True), labels
+
+
+def koszul_complex(f, ring):
+    """Koszul complex on f over the given base ring (S or a quotient of it):
+    the exterior total complex with no divided-power variables.
+
+    d(e_{i1} ^ ... ^ e_{ik}) = sum_s (-1)^(s+1) f_{is} e_{...drop s...}.
+    """
+    f = list(f)
+    return exterior_total_complex(f, [], ring, len(f))[0]
 
 
 class LiftMatrix:
@@ -173,8 +258,6 @@ class LiftMatrix:
     def from_lift(cls, f, g, gb=None):
         """Deterministic A from division-tracked lifting of each g_j."""
         if gb is None:
-            from .groebner import buchberger
-
             gb = buchberger(list(f))
         cols = [lift_through(gj, list(f), gb) for gj in g]
         n = len(f)
@@ -224,28 +307,16 @@ def _minor(entries, rows, cols):
     return acc
 
 
-class AlphaElement(ExteriorVector):
-    """Image of e_1 ^ ... ^ e_c under Lambda^c A: coefficients are the
-    maximal minors of A indexed by row subsets."""
-
-    __slots__ = ("lift",)
-
-    def __init__(self, lift):
-        n, c = lift.n, lift.c
-        cols = tuple(range(c))
-        coeffs = {}
-        for subset in ExteriorBasis(n, c).subsets:
-            rows = tuple(i - 1 for i in subset)
-            m = _minor(lift.A, rows, cols)
-            if not m.is_zero():
-                coeffs[subset] = m
-        super().__init__(n, c, coeffs, sum(lift.g_degrees))
-        self.lift = lift
-
-
 def alpha_element(lift):
-    """alpha in Lambda^c S^n; orientation e_1^...^e_c |-> sum minors e'_T."""
-    return AlphaElement(lift)
+    """alpha = Lambda^c A (e_1 ^ ... ^ e_c) in Lambda^c S^n: the coefficient
+    of e'_T is the maximal minor of A on the rows T."""
+    n, c = lift.n, lift.c
+    cols = tuple(range(c))
+    coeffs = {
+        subset: _minor(lift.A, tuple(i - 1 for i in subset), cols)
+        for subset in ExteriorBasis(n, c).subsets
+    }
+    return ExteriorVector(n, c, coeffs, sum(lift.g_degrees))
 
 
 def wedge_map(v, i, f_degrees, ring):
@@ -261,12 +332,9 @@ def wedge_map(v, i, f_degrees, ring):
     zero = ring.zero()
     entries = [[zero] * len(src_basis) for _ in range(len(tgt_basis))]
     for c, subset in enumerate(src_basis.subsets):
-        for t, coeff in v.coeffs.items():
-            sign, merged = merge_sign(t, subset)
-            if sign == 0:
-                continue
+        for merged, term in wedge_terms(v, subset):
             r = tgt_basis.index[merged]
-            entries[r][c] = entries[r][c] + coeff.scale(sign)
+            entries[r][c] = entries[r][c] + term
     return PolyMatrix(source, target, entries)
 
 

@@ -2,73 +2,24 @@
 
 Term i is the direct sum over k >= 0 of D_k(R^c) (x) Lambda^{i-2k} R^n, with
 generators labeled (alpha, T): alpha an exponent vector with |alpha| = k, T a
-subset of {1..n}. The differential is
-
-    d(y^alpha (x) w) = y^alpha (x) delta(w)
-                     + sum_{j: alpha_j > 0} y^{alpha - e_j} (x) (a_j ^ w)
-
-with a_j the j-th column of the lift matrix A; no binomial coefficients enter,
-so the construction is characteristic-safe. The vertical entries are drawn
-from A's columns: degree bookkeeping forces this, and the d^2 = 0 and
-acyclicity certificates adjudicate the construction.
+subset of {1..n}. `es_resolution` checks the preconditions, lifts each g_j
+through f to the j-th column a_j of the matrix A, and hands f and the a_j to
+`koszul.exterior_total_complex`, whose differential is the Koszul
+differential on f plus, for each j, lowering alpha_j by one while wedging
+with a_j. The vertical entries are drawn from A's columns: degree
+bookkeeping forces this, and the d^2 = 0 and acyclicity certificates
+adjudicate the construction. `verify_resolution` rechecks a resolution from
+scratch; `is_minimal` looks for unit entries.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import ContainmentError, NotInIdealError, NotRegularError
-from .freecomplex import (
-    ChainComplex,
-    GradedFreeModule,
-    PolyMatrix,
-    _first_homology,
-    _h0_dim,
-    d_squared_witness,
-)
-from .groebner import is_regular_sequence
-from .koszul import LiftMatrix, merge_sign
+from .freecomplex import BaseRing, _first_homology, _h0_dim, d_squared_witness
+from .groebner import buchberger, is_regular_sequence
+from .koszul import LiftMatrix, exterior_total_complex
 
 MAX_LENGTH = 40
-
-
-class DividedPowerBasis:
-    """Basis of D_k(R^c): exponent vectors alpha in N^c with |alpha| = k,
-    ordered lexicographically."""
-
-    __slots__ = ("c", "k", "exponents", "index")
-
-    def __init__(self, c, k):
-        self.c = c
-        self.k = k
-        self.exponents = tuple(_compositions(c, k))
-        self.index = {a: i for i, a in enumerate(self.exponents)}
-
-    def __len__(self):
-        return len(self.exponents)
-
-
-def _compositions(c, k):
-    """All alpha in N^c with sum k, lexicographically ascending."""
-    if c == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(c - 1, k - first):
-            yield (first,) + rest
-
-
-def shamash_labels(n, c, i):
-    """Generator labels (alpha, T) of term i, layers k ascending."""
-    labels = []
-    for k in range(i // 2 + 1):
-        w = i - 2 * k
-        if w < 0 or w > n:
-            continue
-        for alpha in DividedPowerBasis(c, k).exponents:
-            for subset in combinations(range(1, n + 1), w):
-                labels.append((alpha, subset))
-    return labels
 
 
 class ShamashResolution:
@@ -85,14 +36,6 @@ class ShamashResolution:
         return [
             idx for idx, (alpha, _) in enumerate(self.labels.get(i, ())) if sum(alpha) == 0
         ]
-
-
-def _label_twist(label, f_degrees, g_degrees):
-    alpha, subset = label
-    return -(
-        sum(a * dg for a, dg in zip(alpha, g_degrees))
-        + sum(f_degrees[t - 1] for t in subset)
-    )
 
 
 def es_resolution(f, g, ring_R, length, A=None, check=True):
@@ -116,44 +59,8 @@ def es_resolution(f, g, ring_R, length, A=None, check=True):
             A = LiftMatrix.from_lift(f, g)
         except NotInIdealError as exc:
             raise ContainmentError(f"(g) is not contained in (f): {exc}") from exc
-    n, c = A.n, A.c
-    f_degrees, g_degrees = A.f_degrees, A.g_degrees
-    zero = ring_R.zero()
-
-    labels = {i: shamash_labels(n, c, i) for i in range(length + 1)}
-    terms = {
-        i: GradedFreeModule(
-            ring_R, [_label_twist(lab, f_degrees, g_degrees) for lab in labels[i]]
-        )
-        for i in range(length + 1)
-    }
-    diffs = {}
-    for i in range(1, length + 1):
-        tgt_index = {lab: r for r, lab in enumerate(labels[i - 1])}
-        entries = [[zero] * len(labels[i]) for _ in range(len(labels[i - 1]))]
-        for col, (alpha, subset) in enumerate(labels[i]):
-            # horizontal: Koszul differential in the exterior factor
-            for s, t in enumerate(subset):
-                rest = subset[:s] + subset[s + 1 :]
-                sign = -1 if s % 2 else 1
-                r = tgt_index[(alpha, rest)]
-                entries[r][col] = entries[r][col] + f[t - 1].scale(sign)
-            # vertical: lower the divided power, wedge with the matching column
-            for j in range(c):
-                if alpha[j] == 0:
-                    continue
-                lowered = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-                for t in range(1, n + 1):
-                    coeff = A.A[t - 1][j]
-                    if coeff.is_zero():
-                        continue
-                    sign, merged = merge_sign((t,), subset)
-                    if sign == 0:
-                        continue
-                    r = tgt_index[(lowered, merged)]
-                    entries[r][col] = entries[r][col] + coeff.scale(sign)
-        diffs[i] = PolyMatrix(terms[i], terms[i - 1], entries)
-    complex_ = ChainComplex(ring_R, terms, diffs, validate=True)
+    columns = [A.column(j) for j in range(A.c)]
+    complex_, labels = exterior_total_complex(f, columns, ring_R, length)
     return ShamashResolution(complex_, labels, A, ring_R)
 
 
@@ -183,9 +90,6 @@ def verify_resolution(resolution, dmax, ring_M=None):
     if failure is not None:
         failures.append("H_{} nonzero in degree {}: dim {}".format(*failure))
     if ring_M is None:
-        from .freecomplex import BaseRing
-        from .groebner import buchberger
-
         ring_M = BaseRing(
             resolution.ring.ctx, resolution.ring.field, buchberger(list(resolution.lift.f))
         )

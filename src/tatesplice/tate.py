@@ -14,6 +14,7 @@ from math import comb
 from .arith import Polynomial, monomial_div, monomial_divides
 from .errors import AcyclicityError, LiftError, WindowTooSmallError
 from .freecomplex import (
+    BaseRing,
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
@@ -26,7 +27,7 @@ from .freecomplex import (
     mapping_cone,
 )
 from .homotopy import _solve_through
-from .koszul import alpha_element, wedge_map
+from .koszul import ExteriorBasis, alpha_element, complement_sign, wedge_map, wedge_terms
 from .linalg import FieldMatrix
 from .shamash import is_minimal
 
@@ -78,8 +79,6 @@ def expand_phi(resolution, alpha=None):
     D0 = alpha.degree - sum(f_degrees)
     target = F.dual().shift(m).twist(D0)
 
-    from .koszul import ExteriorBasis
-
     phi = {}
     for i in range(F.lo, F.hi + 1):
         src_labels = resolution.labels.get(i, ())
@@ -87,18 +86,12 @@ def expand_phi(resolution, alpha=None):
         zero = F.ring.zero()
         entries = [[zero] * len(src_labels) for _ in range(len(tgt_labels))]
         if 0 <= i <= n and 0 <= m - i:
+            # the Koszul layer lists its subsets in ExteriorBasis order
             kcomp = _phi_prime_block(alpha, i, f_degrees, F.ring)
-            src_ext = ExteriorBasis(n, i)
-            tgt_ext = ExteriorBasis(n, m - i)
-            for col, (a_col, V) in enumerate(src_labels):
-                if sum(a_col):
-                    continue
-                for row, (a_row, U) in enumerate(tgt_labels):
-                    if sum(a_row):
-                        continue
-                    e = kcomp[tgt_ext.index[U]][src_ext.index[V]]
-                    if not e.is_zero():
-                        entries[row][col] = e
+            cols = resolution.koszul_indices(i)
+            for row, grid_row in zip(resolution.koszul_indices(m - i), kcomp):
+                for col, e in zip(cols, grid_row):
+                    entries[row][col] = e
         phi[i] = PolyMatrix(F.term(i), target.term(i), entries)
     return phi, target
 
@@ -106,8 +99,6 @@ def expand_phi(resolution, alpha=None):
 def _phi_prime_block(alpha, i, f_degrees, ring):
     """Raw entry grid of beta o (alpha ^ -) on Lambda^i, rows indexed by the
     (m-i)-subsets whose duals receive the image."""
-    from .koszul import ExteriorBasis, complement_sign, merge_sign
-
     n = alpha.n
     m = n - alpha.k
     src = ExteriorBasis(n, i)
@@ -115,13 +106,11 @@ def _phi_prime_block(alpha, i, f_degrees, ring):
     zero = ring.zero()
     grid = [[zero] * len(src) for _ in range(len(tgt))]
     for col, V in enumerate(src.subsets):
-        for T, coeff in alpha.coeffs.items():
-            sign1, merged = merge_sign(T, V)
-            if sign1 == 0:
-                continue
-            sign2, comp = complement_sign(merged, n)
+        for merged, term in wedge_terms(alpha, V):
+            # beta, as in koszul.beta_matrix
+            sign, comp = complement_sign(merged, n)
             row = tgt.index[comp]
-            grid[row][col] = grid[row][col] + coeff.scale(sign1 * sign2)
+            grid[row][col] = grid[row][col] + term.scale(sign)
     return grid
 
 
@@ -500,10 +489,7 @@ def orthogonality_check(lift):
     """Cramer orthogonality: wedge(alpha) o wedge(a_j) vanishes entrywise
     over S for every column a_j of A."""
     alpha = alpha_element(lift)
-    ring_S = lift.f[0].ring
-    from .freecomplex import BaseRing
-
-    ring = BaseRing(ring_S, lift.f[0].field)
+    ring = BaseRing(lift.f[0].ring, lift.f[0].field)
     n, c = lift.n, lift.c
     f_degs = list(lift.f_degrees)
     for j in range(c):

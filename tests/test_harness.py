@@ -1,5 +1,6 @@
 """Instance files, pipelines, the dense oracle, reports, and the CLI."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -135,6 +136,25 @@ def test_run_build_deterministic_bytes(inst_t):
     a = dump_output(run_build(inst_t.instance))
     b = dump_output(run_build(inst_t.instance))
     assert a == b
+
+
+# sha256 of dump_output for each rung; a change that alters an output
+# document must say why and update its digest here.
+OUTPUT_SHA256 = {
+    "t": "bb2d8681065caf77a577403b16e5604b4464f7cab24f4adb241b5f3b1cd7ee2a",
+    "h": "845feb8f8888a08883cd5191e9696ba8f2bbbc576c857a6699236a99bfdb645e",
+    "c": "cfbe76ac23da0d40f955bf6fa521951a74a04681e6015ad858e85a48c5f63173",
+    "41": "5832372b89dc3f7c85b3f7a7a087b47ae64cabff588f2de45aff2256cfc0ebc5",
+    "52": "c8bbf282eab456fefd0cbf72841be22699c9e30f84382971e27cd25a629b07bc",
+    "52w": "78a27998185cad6d90914a4dbb22bb250ba4fec659dcfc2465d332048c4398e1",
+}
+
+
+@pytest.mark.parametrize("rung", sorted(OUTPUT_SHA256))
+def test_output_bytes_pinned(rung, request):
+    doc = request.getfixturevalue(f"build_{rung}")
+    digest = hashlib.sha256(dump_output(doc).encode()).hexdigest()
+    assert digest == OUTPUT_SHA256[rung]
 
 
 def test_run_build_with_explicit_lift_matrix(inst_t, build_t):

@@ -6,14 +6,14 @@ from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import ContainmentError, NotRegularError
 from tatesplice.freecomplex import BaseRing, ChainComplex, PolyMatrix
 from tatesplice.groebner import buchberger
-from tatesplice.koszul import koszul_complex
-from tatesplice.shamash import (
+from tatesplice.koszul import (
     DividedPowerBasis,
-    es_resolution,
-    is_minimal,
+    ExteriorBasis,
+    koszul_complex,
     shamash_labels,
-    verify_resolution,
+    wedge_map,
 )
+from tatesplice.shamash import es_resolution, is_minimal, verify_resolution
 
 F = PrimeField(32003)
 XY = VariableContext(["x", "y"])
@@ -37,6 +37,9 @@ def test_divided_power_basis():
     b = DividedPowerBasis(2, 2)
     assert b.exponents == ((0, 2), (1, 1), (2, 0))
     assert len(DividedPowerBasis(3, 2)) == 6
+    # no divided-power variables: the Koszul complex's labels
+    assert DividedPowerBasis(0, 0).exponents == ((),)
+    assert len(DividedPowerBasis(0, 2)) == 0
 
 
 def test_labels_layering():
@@ -44,6 +47,7 @@ def test_labels_layering():
     ks = [sum(a) for a, _ in labs]
     assert ks == sorted(ks)
     assert len(labs) == 5  # ranks 1,2,3,4,5 for n = c = 2 at position 4
+    assert shamash_labels(3, 0, 2) == [((), s) for s in ExteriorBasis(3, 2).subsets]
 
 
 def test_instance_t_ranks_and_verification():
@@ -132,6 +136,32 @@ def test_koszul_layer_is_subcomplex():
             [res.complex.diff(i).entries[r][c] for c in cols] for r in rows
         ]
         assert sub == [list(row) for row in K.diff(i).entries]
+
+
+def test_vertical_blocks_are_wedge_maps():
+    """Each block of d from layer alpha to alpha - e_j is wedge_map(a_j, w)."""
+    f = [p3("x^2"), p3("y^2"), p3("z^2")]
+    g = [p3("x^3"), p3("y^3")]
+    R = ring_r(g)
+    res = es_resolution(f, g, R, 5)
+    A = res.lift
+    checked = 0
+    for i in range(2, 6):
+        entries = res.complex.diff(i).entries
+        for alpha in {a for a, _ in res.labels[i] if sum(a)}:
+            w = i - 2 * sum(alpha)
+            cols = [k for k, (a, _) in enumerate(res.labels[i]) if a == alpha]
+            assert [res.labels[i][k][1] for k in cols] == list(ExteriorBasis(3, w).subsets)
+            for j in range(A.c):
+                if not alpha[j]:
+                    continue
+                lowered = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                rows = [r for r, (a, _) in enumerate(res.labels[i - 1]) if a == lowered]
+                block = [[entries[r][k] for k in cols] for r in rows]
+                want = wedge_map(A.column(j), w, list(A.f_degrees), R)
+                assert block == [list(row) for row in want.entries]
+                checked += 1
+    assert checked
 
 
 def test_vertical_component_squares_to_zero():

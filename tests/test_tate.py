@@ -17,6 +17,7 @@ from tatesplice.koszul import (
     ExteriorVector,
     LiftMatrix,
     alpha_element,
+    beta_matrix,
     koszul_complex,
     wedge_map,
 )
@@ -84,6 +85,24 @@ def test_phi_prime_hypersurface_matrix_factorization(inst_h):
     d2 = K.diff(2).entries
     prod = phi1[0][0] * d2[0][0] + phi1[0][1] * d2[1][0]
     assert prod == pxy("x^2 + y^2")
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41"])
+def test_expand_phi_koszul_block_is_beta_after_wedge(rung, request):
+    """On the Koszul layers, phi_i is beta o (alpha ^ -) from the library."""
+    inst = request.getfixturevalue(f"inst_{rung}")
+    res = _resolution(inst)
+    phi, _ = expand_phi(res)
+    alpha = alpha_element(inst.lift)
+    n, c = alpha.n, alpha.k
+    f_degrees = list(inst.lift.f_degrees)
+    for i in range(0, n - c + 1):
+        cols = res.koszul_indices(i)
+        rows = res.koszul_indices(n - c - i)
+        block = [[phi[i].entries[r][k] for k in cols] for r in rows]
+        beta = beta_matrix(inst.ring_R, n, i + c, f_degrees).twisted(alpha.degree)
+        want = beta.compose(wedge_map(alpha, i, f_degrees, inst.ring_R))
+        assert block == [list(row) for row in want.entries]
 
 
 def _zero_phi_splice(inst_t, window):
