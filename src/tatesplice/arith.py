@@ -56,9 +56,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} is too large: p must be below 2^31")
         self.p = p
 
-    def normalize(self, n):
-        return n % self.p
-
     def inv(self, n):
         return pow(n % self.p, -1, self.p)
 

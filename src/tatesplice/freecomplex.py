@@ -19,15 +19,16 @@ from itertools import accumulate
 from math import comb
 from operator import add
 
-from .arith import Polynomial
+from .arith import Polynomial, PrimeField, VariableContext, parse_polynomial
 from .errors import (
     DegreeMismatchError,
     H0IsoError,
+    LiftIdentityError,
     NotAComplexError,
     NotChainMapError,
     WindowEdgeError,
 )
-from .groebner import monomials_of_degree
+from .groebner import GroebnerBasis, monomials_of_degree
 from .linalg import FieldMatrix
 
 
@@ -490,15 +491,23 @@ class ChainComplex:
         return f"ChainComplex[{self.lo},{self.hi}]({ranks})"
 
 
+def _first_nonzero(matrix):
+    """(row, col, entry) of the first nonzero entry, rows then columns
+    ascending; None for the zero matrix."""
+    for r, row in enumerate(matrix.entries):
+        for c, e in enumerate(row):
+            if not e.is_zero():
+                return r, c, e
+    return None
+
+
 def d_squared_witness(complex_):
     """The first (i, r, c, entry) with entry (r, c) of d_{i-1} d_i nonzero,
     positions ascending; None when every product vanishes."""
     for i in range(complex_.lo + 2, complex_.hi + 1):
-        prod = complex_.diff(i - 1).compose(complex_.diff(i))
-        for r, row in enumerate(prod.entries):
-            for c, e in enumerate(row):
-                if not e.is_zero():
-                    return i, r, c, e
+        witness = _first_nonzero(complex_.diff(i - 1).compose(complex_.diff(i)))
+        if witness is not None:
+            return (i, *witness)
     return None
 
 
@@ -645,29 +654,56 @@ def _h0_iso_table(C, D, phi, degrees):
     return table
 
 
-class ChainMapReport:
-    """Outcome of a chain-map check, with a witness when it fails."""
+def _content_degree_range(complex_, lo, hi, dmax):
+    """Internal degrees from the lowest generator degree of terms lo..hi up
+    to dmax; empty when those terms have no generator."""
+    twists = [t for i in range(lo, hi + 1) for t in complex_.term(i).twists]
+    return list(range(-max(twists), dmax + 1)) if twists else []
 
-    __slots__ = ("ok", "position", "row", "col", "witness")
 
-    def __init__(self, ok, position=None, row=None, col=None, witness=None):
-        self.ok = ok
-        self.position = position
-        self.row = row
-        self.col = col
-        self.witness = witness
+def is_minimal(complex_):
+    """No differential entry with a nonzero constant term (degree-0 entry)."""
+    return not any(
+        not e.is_zero() and e.total_degree() == 0
+        for d in complex_.diffs.values()
+        for row in d.entries
+        for e in row
+    )
 
-    def __bool__(self):
-        return self.ok
+
+def certify(complex_, dmax):
+    """The rows (name, passed, detail) d_squared_zero, acyclicity and
+    minimality of complex_, and the internal degrees the acyclicity sweep
+    covers: from the lowest generator degree up to dmax, at every interior
+    position. A window with no interior position fails acyclicity."""
+    witness = d_squared_witness(complex_)
+    d2_detail = "all products vanish"
+    if witness is not None:
+        d2_detail = "d^2 != 0 at position {}: entry ({},{}) = {}".format(*witness)
+    degrees = []
+    if complex_.hi - complex_.lo < 2:
+        failure = "WindowEdge: window too narrow to certify interior homology"
+    else:
+        degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
+        failure = _first_homology(complex_, range(complex_.lo + 1, complex_.hi), degrees)
+        if failure is not None:
+            failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
+    minimal = is_minimal(complex_)
+    rows = [
+        ("d_squared_zero", witness is None, d2_detail),
+        ("acyclicity", failure is None, failure or "interior homology vanishes"),
+        ("minimality", minimal, "no unit entries" if minimal else "unit entry present"),
+    ]
+    return rows, degrees
 
 
 def is_chain_map(phi, C, D):
-    """Check d_D o phi_i == phi_{i-1} o d_C on every aligned square."""
+    """Check d_D o phi_i == phi_{i-1} o d_C on every aligned square; raises
+    NotChainMapError at the first nonzero entry of a failing square."""
     for i, f in phi.items():
         if f.source != C.term(i) or f.target != D.term(i):
             raise ValueError(f"component {i} has wrong source/target")
-    positions = sorted(phi)
-    for i in positions:
+    for i in sorted(phi):
         if i - 1 not in phi and C.term(i - 1).rank and D.term(i - 1).rank:
             if C.lo < i and D.lo < i:
                 raise ValueError(f"component {i-1} missing below component {i}")
@@ -685,23 +721,39 @@ def is_chain_map(phi, C, D):
             diff = lhs
         else:
             diff = lhs - rhs
-        if not diff.is_zero():
-            for r, row in enumerate(diff.entries):
-                for c, e in enumerate(row):
-                    if not e.is_zero():
-                        return ChainMapReport(False, i, r, c, str(e))
-    return ChainMapReport(True)
+        witness = _first_nonzero(diff)
+        if witness is not None:
+            r, c, e = witness
+            raise NotChainMapError(i, r, c, str(e))
+
+
+def check_homotopy_identity(K, g, tau):
+    """Check d tau + tau d = g id on every nonzero term of K, for tau
+    {i: K_i -> K_{i+1} twisted by deg g}; a missing component counts as the
+    zero map. Raises LiftIdentityError naming the first failing term."""
+    Ktw = K.twist(g.total_degree())
+    for i in range(K.lo, K.hi + 1):
+        if K.term(i).rank == 0:
+            continue
+        lhs = PolyMatrix.zero(K.term(i), Ktw.term(i))
+        if i < K.hi and i in tau:
+            lhs = lhs + Ktw.diff(i + 1).compose(tau[i])
+        if i > K.lo and i - 1 in tau:
+            lhs = lhs + tau[i - 1].compose(K.diff(i))
+        if lhs != PolyMatrix.scalar(K.term(i), g):
+            raise LiftIdentityError(
+                f"homotopy identity d tau + tau d = ({g}) id fails on term {i}"
+            )
 
 
 def mapping_cone(phi, C, D):
-    """Cone of a verified degree-0 chain map phi: C -> D.
+    """Cone of a degree-0 chain map phi: C -> D, which `is_chain_map`
+    verifies first.
 
     cone_i = C_i (+) D_{i+1}; the phi block carries sign (-1)^i. Returns the
     complex together with a layout dict {i: rank of the C-part at i}.
     """
-    report = is_chain_map(phi, C, D)
-    if not report:
-        raise NotChainMapError(report.position, report.row, report.col, report.witness)
+    is_chain_map(phi, C, D)
     ring = C.ring
     lo = min(C.lo, D.lo - 1)
     hi = max(C.hi, D.hi - 1)
@@ -749,9 +801,6 @@ def ring_to_doc(ring):
 
 
 def ring_from_doc(doc):
-    from .arith import PrimeField, VariableContext, parse_polynomial
-    from .groebner import GroebnerBasis
-
     field = PrimeField(doc["field_char"])
     ctx = VariableContext(doc["variables"])
     modulus = None
@@ -781,8 +830,6 @@ def complex_to_doc(complex_):
 
 
 def complex_from_doc(doc, validate=True):
-    from .arith import parse_polynomial
-
     ring = ring_from_doc(doc["ring"])
     lo, hi = doc["window"]
     terms = {

@@ -22,12 +22,11 @@ from .errors import (
     TateSpliceError,
     WindowTooSmallError,
 )
-from .freecomplex import BaseRing, complex_from_doc, complex_to_doc
+from .freecomplex import BaseRing, certify, complex_from_doc, complex_to_doc
 from .groebner import _regular_basis, divide_tracking
 from .koszul import LiftMatrix
 from .shamash import MAX_LENGTH, es_resolution
 from .tate import (
-    certify,
     is_two_periodic,
     mcm_generator_count,
     mcm_presentation,
@@ -202,9 +201,7 @@ def run_build(instance):
     data = InstanceData(instance)
     lo, hi = instance.window
     length = _resolution_length(instance.window, len(data.f) - len(data.g))
-    resolution = es_resolution(
-        data.f, data.g, data.ring_R, length, A=data.lift, check=False
-    )
+    resolution = es_resolution(data.lift, data.ring_R, length)
     tate = tate_splice(
         resolution,
         window=(lo, hi),

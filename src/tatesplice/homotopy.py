@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import LiftIdentityError, NoSolutionError, NotChainMapError
+from .errors import LiftIdentityError, NoSolutionError
 from .freecomplex import (
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
     _h0_iso_table,
+    check_homotopy_identity,
     graded_piece,
     is_chain_map,
 )
@@ -25,14 +26,15 @@ from .koszul import koszul_complex, koszul_homotopy
 
 
 class HomotopySystem:
-    """A base resolution K over S plus one verified homotopy per generator."""
+    """A base resolution K over S plus one homotopy per generator, each
+    verified by the constructor that made it (`koszul_homotopy` or
+    `solve_homotopy`)."""
 
     def __init__(self, K, g_list, taus, provenance):
         self.K = K
         self.g_list = tuple(g_list)
         self.taus = [dict(t) for t in taus]
         self.provenance = provenance
-        self._verify()
 
     @classmethod
     def koszul_wedge(cls, lift, ring):
@@ -51,10 +53,6 @@ class HomotopySystem:
         taus = [solve_homotopy(K, g) for g in g_list]
         return cls(K, g_list, taus, "solved")
 
-    def _verify(self):
-        for g, tau in zip(self.g_list, self.taus):
-            _check_homotopy_identity(self.K, g, tau)
-
     def tau(self, j):
         """Homotopy for g_j (1-based index, matching the paper's subscripts)."""
         return self.taus[j - 1]
@@ -64,27 +62,7 @@ class HomotopySystem:
         return len(self.g_list)
 
 
-def _check_homotopy_identity(K, g, tau):
-    dg = g.total_degree()
-    Ktw = K.twist(dg)
-    for i in range(K.lo, K.hi + 1):
-        if K.term(i).rank == 0:
-            continue
-        lhs = PolyMatrix.zero(K.term(i), Ktw.term(i))
-        if i + 1 <= K.hi and i in tau:
-            lhs = lhs + Ktw.diff(i + 1).compose(tau[i])
-        elif i < K.hi and K.term(i + 1).rank:
-            raise NoSolutionError(f"missing homotopy component at {i}")
-        if i > K.lo and i - 1 in tau:
-            lhs = lhs + tau[i - 1].compose(K.diff(i))
-        want = PolyMatrix.scalar(K.term(i), g)
-        if lhs != want:
-            raise LiftIdentityError(
-                f"homotopy identity d tau + tau d = ({g}) id fails on term {i}"
-            )
-
-
-def solve_homotopy(K, g, verify=True):
+def solve_homotopy(K, g):
     """Find tau with d tau + tau d = g id by exact degreewise linear solves.
 
     Proceeds up the window; at each homological degree the unknown block is
@@ -114,13 +92,12 @@ def solve_homotopy(K, g, verify=True):
                 "null-homotopically or the window is too short"
             )
         taus[i] = sol
-    if verify:
-        try:
-            _check_homotopy_identity(K, g, taus)
-        except LiftIdentityError as exc:
-            raise NoSolutionError(
-                f"homotopy system does not close: {exc} (window too short?)"
-            ) from exc
+    try:
+        check_homotopy_identity(K, g, taus)
+    except LiftIdentityError as exc:
+        raise NoSolutionError(
+            f"homotopy system does not close: {exc} (window too short?)"
+        ) from exc
     return taus
 
 
@@ -205,9 +182,7 @@ def sigma_c_chain_map(system, ring_R, dmax):
             RK.term(i), target.term(i), over_S.entries, reduce=True
         )
 
-    report = is_chain_map(sigma, RK, target)
-    if not report:
-        raise NotChainMapError(report.position, report.row, report.col, report.witness)
+    is_chain_map(sigma, RK, target)
 
     # H_c(R (x) K) in degree d + D is H_0 of the target in degree d; position
     # 0 of the target lies outside its window (dim 0) when c exceeds K.hi

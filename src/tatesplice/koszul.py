@@ -17,10 +17,8 @@ from itertools import combinations
 
 from .arith import Polynomial
 from .errors import LiftIdentityError, SelfCheckError
-from .freecomplex import ChainComplex, GradedFreeModule, PolyMatrix
+from .freecomplex import ChainComplex, GradedFreeModule, PolyMatrix, check_homotopy_identity
 from .groebner import buchberger, lift_through
-
-MAX_AMBIENT_RANK = 24
 
 
 class ExteriorBasis:
@@ -29,8 +27,6 @@ class ExteriorBasis:
     __slots__ = ("n", "k", "subsets", "index")
 
     def __init__(self, n, k):
-        if n > MAX_AMBIENT_RANK:
-            raise ValueError(f"ambient rank {n} exceeds {MAX_AMBIENT_RANK}")
         self.n = n
         self.k = k
         if 0 <= k <= n:
@@ -362,18 +358,7 @@ def koszul_homotopy(a, f, ring, g=None):
     f_degrees = [p.total_degree() for p in f]
     vec = ExteriorVector(n, 1, {(i + 1,): ai for i, ai in enumerate(a)}, dg)
     taus = {i: wedge_map(vec, i, f_degrees, ring) for i in range(n)}
-
-    K = koszul_complex(f, ring)
-    Ktw = K.twist(dg)
-    for i in range(n + 1):
-        lhs = PolyMatrix.zero(K.term(i), Ktw.term(i))
-        if i < n:
-            lhs = lhs + Ktw.diff(i + 1).compose(taus[i])
-        if i > 0:
-            lhs = lhs + taus[i - 1].compose(K.diff(i))
-        want = PolyMatrix.scalar(K.term(i), g)
-        if lhs != want:
-            raise LiftIdentityError(f"homotopy identity fails on term {i}")
+    check_homotopy_identity(koszul_complex(f, ring), g, taus)
     return taus
 
 

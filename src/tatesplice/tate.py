@@ -19,17 +19,17 @@ from .freecomplex import (
     DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
+    _content_degree_range,
     _first_homology,
     _h0_dim,
     _h0_iso_table,
-    d_squared_witness,
     graded_piece,
+    is_minimal,
     mapping_cone,
 )
 from .homotopy import _solve_through
-from .koszul import ExteriorBasis, alpha_element, complement_sign, wedge_map, wedge_terms
+from .koszul import alpha_element, beta_matrix, wedge_map
 from .linalg import FieldMatrix
-from .shamash import is_minimal
 
 
 class TateResolution:
@@ -66,12 +66,11 @@ class McmPresentation:
         self.labels = labels
 
 
-def expand_phi(resolution, alpha=None):
+def expand_phi(resolution):
     """Lift phi' through the projection onto the Koszul layer: the full map
     phi = pi* o phi' o pi on the divided-power resolution, zero on every
     layer with divided-power degree > 0. Returns (phi, target complex)."""
-    if alpha is None:
-        alpha = alpha_element(resolution.lift)
+    alpha = alpha_element(resolution.lift)
     F = resolution.complex
     n, c = alpha.n, alpha.k
     m = n - c
@@ -85,45 +84,17 @@ def expand_phi(resolution, alpha=None):
         tgt_labels = resolution.labels.get(m - i, ())
         zero = F.ring.zero()
         entries = [[zero] * len(src_labels) for _ in range(len(tgt_labels))]
-        if 0 <= i <= n and 0 <= m - i:
-            # the Koszul layer lists its subsets in ExteriorBasis order
-            kcomp = _phi_prime_block(alpha, i, f_degrees, F.ring)
+        if 0 <= i <= m:
+            # phi'_i = beta o (alpha ^ -) on Lambda^i; the Koszul layer lists
+            # its subsets in ExteriorBasis order, as the blocks' bases do
+            beta = beta_matrix(F.ring, n, i + c, f_degrees).twisted(alpha.degree)
+            block = beta.compose(wedge_map(alpha, i, f_degrees, F.ring))
             cols = resolution.koszul_indices(i)
-            for row, grid_row in zip(resolution.koszul_indices(m - i), kcomp):
-                for col, e in zip(cols, grid_row):
+            for row, block_row in zip(resolution.koszul_indices(m - i), block.entries):
+                for col, e in zip(cols, block_row):
                     entries[row][col] = e
         phi[i] = PolyMatrix(F.term(i), target.term(i), entries)
     return phi, target
-
-
-def _phi_prime_block(alpha, i, f_degrees, ring):
-    """Raw entry grid of beta o (alpha ^ -) on Lambda^i, rows indexed by the
-    (m-i)-subsets whose duals receive the image."""
-    n = alpha.n
-    m = n - alpha.k
-    src = ExteriorBasis(n, i)
-    tgt = ExteriorBasis(n, m - i)
-    zero = ring.zero()
-    grid = [[zero] * len(src) for _ in range(len(tgt))]
-    for col, V in enumerate(src.subsets):
-        for merged, term in wedge_terms(alpha, V):
-            # beta, as in koszul.beta_matrix
-            sign, comp = complement_sign(merged, n)
-            row = tgt.index[comp]
-            grid[row][col] = grid[row][col] + term.scale(sign)
-    return grid
-
-
-def _content_degree_range(complex_, lo, hi, dmax):
-    degrees = []
-    start = None
-    for i in range(lo, hi + 1):
-        for t in complex_.term(i).twists:
-            gd = -t
-            start = gd if start is None else min(start, gd)
-    if start is None:
-        return []
-    return list(range(start, dmax + 1))
 
 
 def _acyclicity_certificate(window, degrees):
@@ -135,32 +106,6 @@ def _acyclicity_certificate(window, degrees):
         "window": [lo + 1, hi - 1],
         "degrees": [degrees[0], degrees[-1]] if degrees else [],
     }
-
-
-def certify(complex_, dmax):
-    """The rows (name, passed, detail) d_squared_zero, acyclicity and
-    minimality of complex_, and the internal degrees the acyclicity sweep
-    covers: from the lowest generator degree up to dmax, at every interior
-    position. A window with no interior position fails acyclicity."""
-    witness = d_squared_witness(complex_)
-    d2_detail = "all products vanish"
-    if witness is not None:
-        d2_detail = f"d^2 != 0 at position {witness[0]}"
-    degrees = []
-    if complex_.hi - complex_.lo < 2:
-        failure = "WindowEdge: window too narrow to certify interior homology"
-    else:
-        degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        failure = _first_homology(complex_, range(complex_.lo + 1, complex_.hi), degrees)
-        if failure is not None:
-            failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
-    minimal = is_minimal(complex_)
-    rows = [
-        ("d_squared_zero", witness is None, d2_detail),
-        ("acyclicity", failure is None, failure or "interior homology vanishes"),
-        ("minimality", minimal, "no unit entries" if minimal else "unit entry present"),
-    ]
-    return rows, degrees
 
 
 def _splice(C, D, phi, window, dmax):
@@ -207,7 +152,7 @@ def _splice(C, D, phi, window, dmax):
     return cone, layout, certificates
 
 
-def tate_splice(resolution, window=(-6, 8), dmax=None, phi=None, target=None):
+def tate_splice(resolution, window=(-6, 8), dmax=None):
     """Mapping-cone Tate resolution of M = S/(f) over R from the divided-power
     resolution and the wedge-with-alpha comparison map.
 
@@ -220,8 +165,7 @@ def tate_splice(resolution, window=(-6, 8), dmax=None, phi=None, target=None):
     m = lift.n - lift.c
     if dmax is None:
         dmax = max(-t for i in range(F.lo, F.hi + 1) for t in F.term(i).twists) + 6
-    if phi is None:
-        phi, target = expand_phi(resolution)
+    phi, target = expand_phi(resolution)
     cone, layout, certificates = _splice(F, target, phi, window, dmax)
 
     provenance = {}

@@ -161,9 +161,7 @@ def test_criterion_7(inst_t, inst_c):
         (inst_c, 1, (-4, 6), 12),
     ):
         length = max(window[1], m - 1 - window[0]) + 1
-        res = es_resolution(
-            bundle.f, bundle.g, bundle.ring_R, length, A=bundle.lift, check=False
-        )
+        res = es_resolution(bundle.lift, bundle.ring_R, length)
         tate = tate_splice(res, window=window, dmax=dmax)
         dual = general_splice(
             res.complex, res.complex, m, window=window, dmax=dmax, check_duality=True

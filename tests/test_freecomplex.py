@@ -9,6 +9,7 @@ from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import (
     DegreeMismatchError,
     NotAComplexError,
+    NotChainMapError,
     WindowEdgeError,
 )
 from tatesplice.freecomplex import (
@@ -204,12 +205,14 @@ def test_mapping_cone_identity_is_exact():
 def test_is_chain_map_witness():
     K = koszul_complex([pxy("x"), pxy("y")], S2)
     phi = {i: PolyMatrix.identity(K.term(i)) for i in range(0, 3)}
-    assert is_chain_map(phi, K, K)
+    is_chain_map(phi, K, K)
     bad = {i: m for i, m in phi.items()}
     bad[1] = PolyMatrix(K.term(1), K.term(1), [[pxy("1"), pxy("0")], [pxy("0"), pxy("0")]])
-    report = is_chain_map(bad, K, K)
-    assert not report
-    assert report.position is not None and report.witness is not None
+    # d_1 o bad_1 = (x, 0) against id o d_1 = (x, y): the square at 1 fails
+    # first, in entry (0, 1)
+    with pytest.raises(NotChainMapError) as e:
+        is_chain_map(bad, K, K)
+    assert (e.value.position, e.value.row, e.value.col, e.value.witness) == (1, 0, 1, str(pxy("-y")))
 
 
 def test_graded_piece_polynomial_ring():

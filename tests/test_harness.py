@@ -234,13 +234,76 @@ def test_run_verify_builds_each_piece_once(build_c, monkeypatch):
     assert len(keys) == len(set(keys))
 
 
-def _generic_doc(seed):
-    """The benchmark's `generic` instance for one seed."""
-    path = Path(__file__).parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name):
+    """bench/<name>.py loaded as a module, without bench/ on the import path."""
+    path = Path(__file__).parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.generic_doc(seed)
+    return module
+
+
+def _generic_doc(seed):
+    """The benchmark's `generic` instance for one seed."""
+    return _bench_module("workloads").generic_doc(seed)
+
+
+class _RecordingDict(dict):
+    """An empty dict that records every key asked of `get`."""
+
+    def __init__(self, asked):
+        super().__init__()
+        self.asked = asked
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return default
+
+
+def test_bench_tracer_finds_every_name_it_traces():
+    """The benchmark's tracer wraps package names from outside the package:
+    every method it lists and every name its metrics read must exist, and
+    uninstalling must put every binding back."""
+    tracing = _bench_module("tracer")
+
+    def bindings():
+        out = {}
+        for name, mod in list(sys.modules.items()):
+            if name == "tatesplice" or name.startswith("tatesplice."):
+                out.update(((name, attr), obj) for attr, obj in vars(mod).items())
+        for layer, classes in tracing.METHODS.items():
+            for cls_name in classes:
+                cls = getattr(sys.modules[f"tatesplice.{layer}"], cls_name)
+                out.update(((layer, cls_name, attr), obj) for attr, obj in vars(cls).items())
+        return out
+
+    before = bindings()
+    tracer = tracing.Tracer("test")
+    try:
+        tracer.install()
+        installed = bindings()
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())
+    assert any(installed[key] is not obj for key, obj in before.items())
+
+    wrapped = set(tracer.names)
+    methods = {
+        f"{layer}.{cls}" + ("" if method == "__init__" else f".{method}")
+        for layer, classes in tracing.METHODS.items()
+        for cls, names in classes.items()
+        for method in names
+    }
+    assert methods <= wrapped
+    asked = set()
+    tracer.inclusive, tracer.calls, tracer.self_time, tracer.errors = (
+        _RecordingDict(asked) for _ in range(4)
+    )
+    tracing.layer_metrics(tracer, 0.0, 0.0)
+    assert "freecomplex.is_chain_map" in asked
+    assert asked <= wrapped, sorted(asked - wrapped)
 
 
 def test_run_verify_certifies_stored_basis(monkeypatch):

@@ -3,7 +3,7 @@
 import pytest
 
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice import homotopy
+from tatesplice import freecomplex, homotopy, koszul
 from tatesplice.errors import H0IsoError, LiftIdentityError, NoSolutionError, NotChainMapError
 from tatesplice.freecomplex import BaseRing, GradedFreeModule, PolyMatrix
 from tatesplice.groebner import buchberger
@@ -86,6 +86,21 @@ def _system_c():
     g = [p3("x^3"), p3("y^3")]
     lift = LiftMatrix.from_lift(f, g)
     return HomotopySystem.koszul_wedge(lift, S3), lift
+
+
+def test_koszul_wedge_checks_each_homotopy_once(monkeypatch):
+    calls = []
+    real = freecomplex.check_homotopy_identity
+
+    def counting(K, g, tau):
+        calls.append(g)
+        return real(K, g, tau)
+
+    for module in (freecomplex, koszul, homotopy):
+        monkeypatch.setattr(module, "check_homotopy_identity", counting)
+    system, lift = _system_c()
+    assert calls == list(lift.g)
+    assert system.c == 2
 
 
 def test_sigma_empty_index_is_identity():

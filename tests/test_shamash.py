@@ -1,19 +1,17 @@
 """The divided-power resolution: ranks, differential structure, verification."""
 
-import pytest
-
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import ContainmentError, NotRegularError
-from tatesplice.freecomplex import BaseRing, ChainComplex, PolyMatrix
+from tatesplice.freecomplex import BaseRing, ChainComplex, PolyMatrix, is_minimal
 from tatesplice.groebner import buchberger
 from tatesplice.koszul import (
     DividedPowerBasis,
     ExteriorBasis,
+    LiftMatrix,
     koszul_complex,
     shamash_labels,
     wedge_map,
 )
-from tatesplice.shamash import es_resolution, is_minimal, verify_resolution
+from tatesplice.shamash import ShamashResolution, es_resolution, verify_resolution
 
 F = PrimeField(32003)
 XY = VariableContext(["x", "y"])
@@ -54,22 +52,37 @@ def test_instance_t_ranks_and_verification():
     f = [pxy("x"), pxy("y")]
     g = [pxy("x^2"), pxy("y^2")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 4)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 4)
     assert [res.complex.term(i).rank for i in range(5)] == [1, 2, 3, 4, 5]
-    cert = verify_resolution(res, dmax=8)
-    assert cert.passed
-    assert cert.d2_ok
+    rows = verify_resolution(res, dmax=8)
+    assert [(name, passed) for name, passed, _ in rows] == [
+        ("d_squared_zero", True),
+        ("acyclicity", True),
+        ("minimality", True),
+        ("h0_hilbert", True),
+    ]
+
+
+def test_h0_hilbert_row_fails_against_the_wrong_module():
+    # t resolves S/(x, y); S/(x, y^2) has dim 1, not 0, in degree 1
+    f = [pxy("x"), pxy("y")]
+    g = [pxy("x^2"), pxy("y^2")]
+    R = ring_r(g)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 4)
+    wrong = ring_r([pxy("x"), pxy("y^2")])
+    rows = {name: (passed, detail) for name, passed, detail in verify_resolution(res, 8, wrong)}
+    assert rows["h0_hilbert"] == (False, "H_0 Hilbert function differs in degree 1: 0 vs 1")
+    assert all(passed for name, (passed, _) in rows.items() if name != "h0_hilbert")
 
 
 def test_hypersurface_ranks_and_periodicity():
     f = [pxy("x"), pxy("y")]
     g = [pxy("x^2 + y^2")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 6)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 6)
     ranks = [res.complex.term(i).rank for i in range(7)]
     assert ranks == [1, 2, 2, 2, 2, 2, 2]
-    cert = verify_resolution(res, dmax=10)
-    assert cert.passed
+    assert all(passed for _, passed, _ in verify_resolution(res, dmax=10))
     assert is_minimal(res.complex)
     # entrywise 2-periodicity from position 2 on
     for i in range(2, 5):
@@ -80,7 +93,7 @@ def test_length_zero():
     f = [pxy("x"), pxy("y")]
     g = [pxy("x^2"), pxy("y^2")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 0)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 0)
     assert res.complex.window == (0, 0)
     assert res.complex.term(0).rank == 1
     assert res.complex.term(0).twists == (0,)
@@ -90,16 +103,15 @@ def test_instance_c_verification():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 6)
-    cert = verify_resolution(res, dmax=12)
-    assert cert.passed
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 6)
+    assert all(passed for _, passed, _ in verify_resolution(res, dmax=12))
 
 
 def test_sabotage_detected_with_witness():
     f = [pxy("x"), pxy("y")]
     g = [pxy("x^2"), pxy("y^2")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 4)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 4)
     C = res.complex
     # drop the vertical (divided-power-lowering) component from d_3
     labels2 = res.labels[2]
@@ -112,22 +124,18 @@ def test_sabotage_detected_with_witness():
     broken = dict(C.diffs)
     broken[3] = PolyMatrix(C.term(3), C.term(2), entries)
     damaged = ChainComplex(R, C.terms, broken, validate=False)
-    from tatesplice.shamash import ShamashResolution
-
-    cert = verify_resolution(
-        ShamashResolution(damaged, res.labels, res.lift, R), dmax=6
-    )
-    assert not cert.passed
-    assert not cert.d2_ok
+    rows = verify_resolution(ShamashResolution(damaged, res.labels, res.lift, R), dmax=6)
+    name, passed, detail = rows[0]
+    assert name == "d_squared_zero" and not passed
     # surviving witness is an A-entry times an f-entry: x*y
-    assert any("d^2" in msg and "x*y" in msg for msg in cert.failures)
+    assert detail.startswith("d^2 != 0 at position 3: entry") and "x*y" in detail
 
 
 def test_koszul_layer_is_subcomplex():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 5)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 5)
     K = koszul_complex(f, R)
     for i in range(1, 4):
         rows = res.koszul_indices(i - 1)
@@ -143,7 +151,7 @@ def test_vertical_blocks_are_wedge_maps():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 5)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 5)
     A = res.lift
     checked = 0
     for i in range(2, 6):
@@ -168,7 +176,7 @@ def test_vertical_component_squares_to_zero():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 5)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 5)
 
     def vertical_only(i):
         entries = [list(row) for row in res.complex.diff(i).entries]
@@ -186,15 +194,5 @@ def test_minimality_when_ideal_in_m_times_j():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     R = ring_r(g)
-    res = es_resolution(f, g, R, 5)
+    res = es_resolution(LiftMatrix.from_lift(f, g), R, 5)
     assert is_minimal(res.complex)
-
-
-def test_preconditions():
-    f = [pxy("x"), pxy("x*y")]
-    g = [pxy("x^2")]
-    R = ring_r([pxy("x^2")])
-    with pytest.raises(NotRegularError):
-        es_resolution(f, g, R, 3)
-    with pytest.raises(ContainmentError):
-        es_resolution([pxy("x^2"), pxy("y^2")], [pxy("x*y")], ring_r([pxy("x*y")]), 3)

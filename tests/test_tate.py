@@ -10,6 +10,7 @@ from tatesplice.freecomplex import (
     ChainComplex,
     GradedFreeModule,
     PolyMatrix,
+    _content_degree_range,
     block_matrix,
 )
 from tatesplice.harness import run_build
@@ -37,9 +38,7 @@ from tatesplice.tate import (
     orthogonality_check,
     poly_exact_divide,
     tate_splice,
-    _content_degree_range,
     _h0_iso_table,
-    _phi_prime_block,
     _splice,
 )
 
@@ -60,26 +59,33 @@ def p3(s):
 
 @pytest.fixture(scope="module")
 def splice_t(inst_t):
-    res = es_resolution(inst_t.f, inst_t.g, inst_t.ring_R, 6, A=inst_t.lift, check=False)
+    res = es_resolution(inst_t.lift, inst_t.ring_R, 6)
     return res, tate_splice(res, window=(-4, 5), dmax=10)
 
 
 @pytest.fixture(scope="module")
 def splice_c(inst_c):
-    res = es_resolution(inst_c.f, inst_c.g, inst_c.ring_R, 7, A=inst_c.lift, check=False)
+    res = es_resolution(inst_c.lift, inst_c.ring_R, 7)
     return res, tate_splice(res, window=(-4, 6), dmax=12)
 
 
+def _phi_prime(inst, i):
+    """Entries of phi'_i, the block of phi_i on the Koszul layers."""
+    res = _resolution(inst)
+    phi, _ = expand_phi(res)
+    cols = res.koszul_indices(i)
+    rows = res.koszul_indices(len(inst.f) - len(inst.g) - i)
+    return [[phi[i].entries[r][k] for k in cols] for r in rows]
+
+
 def test_phi_prime_socle_component(inst_t):
-    alpha = alpha_element(inst_t.lift)
-    assert _phi_prime_block(alpha, 0, [1, 1], inst_t.ring_R) == [[pxy("x*y")]]
+    assert _phi_prime(inst_t, 0) == [[pxy("x*y")]]
 
 
 def test_phi_prime_hypersurface_matrix_factorization(inst_h):
     K = koszul_complex(inst_h.f, inst_h.ring_S)
-    alpha = alpha_element(inst_h.lift)
-    phi0 = _phi_prime_block(alpha, 0, [1, 1], inst_h.ring_R)
-    phi1 = _phi_prime_block(alpha, 1, [1, 1], inst_h.ring_R)
+    phi0 = _phi_prime(inst_h, 0)
+    phi1 = _phi_prime(inst_h, 1)
     # two components, 2x1 and 1x2
     assert (len(phi0), len(phi0[0])) == (2, 1) and (len(phi1), len(phi1[0])) == (1, 2)
     d2 = K.diff(2).entries
@@ -105,31 +111,36 @@ def test_expand_phi_koszul_block_is_beta_after_wedge(rung, request):
         assert block == [list(row) for row in want.entries]
 
 
-def _zero_phi_splice(inst_t, window):
+def _zero_phi_splice(inst_t, window, monkeypatch):
     """tate_splice of t's resolution with the comparison map replaced by 0."""
-    res = es_resolution(inst_t.f, inst_t.g, inst_t.ring_R, 6, A=inst_t.lift, check=False)
-    phi, target = expand_phi(res)
-    zero_phi = {i: PolyMatrix.zero(res.complex.term(i), target.term(i)) for i in phi}
-    return tate_splice(res, window=window, dmax=6, phi=zero_phi, target=target)
+    res = es_resolution(inst_t.lift, inst_t.ring_R, 6)
+    real = tate_module.expand_phi
+
+    def zero_phi(resolution):
+        phi, target = real(resolution)
+        return {i: PolyMatrix.zero(m.source, m.target) for i, m in phi.items()}, target
+
+    monkeypatch.setattr(tate_module, "expand_phi", zero_phi)
+    return tate_splice(res, window=window, dmax=6)
 
 
-def test_zero_comparison_map_rejected_by_h0(inst_t):
+def test_zero_comparison_map_rejected_by_h0(inst_t, monkeypatch):
     with pytest.raises(H0IsoError):
-        _zero_phi_splice(inst_t, (-2, 3))
+        _zero_phi_splice(inst_t, (-2, 3), monkeypatch)
 
 
-def test_zero_comparison_map_rejected_by_computed_h0_table(inst_t):
+def test_zero_comparison_map_rejected_by_computed_h0_table(inst_t, monkeypatch):
     # on window [-1, 2] the sweep still reaches position -1 of the assembled
     # cone; it fails there and the computed table names the H_0 failure
     with pytest.raises(H0IsoError):
-        _zero_phi_splice(inst_t, (-1, 2))
+        _zero_phi_splice(inst_t, (-1, 2), monkeypatch)
 
 
 def _resolution(inst):
     lo, hi = inst.instance.window
     m = len(inst.f) - len(inst.g)
     length = max(hi, m - 1 - lo) + 1
-    return es_resolution(inst.f, inst.g, inst.ring_R, length, A=inst.lift, check=False)
+    return es_resolution(inst.lift, inst.ring_R, length)
 
 
 @pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52w", "52"])
@@ -167,7 +178,7 @@ def test_h0_table_computed_only_after_a_failed_sweep(inst_t, inst_c, inst_52, mo
     run_build(inst_52.instance)  # window [-1, 2]
     assert calls == []
     with pytest.raises(H0IsoError):
-        _zero_phi_splice(inst_t, (-1, 2))
+        _zero_phi_splice(inst_t, (-1, 2), monkeypatch)
     assert len(calls) == 1
 
 
@@ -217,7 +228,7 @@ def test_splice_sweep_sees_h0_not_injective_on_a_window_ending_at_zero():
 def test_tate_splice_needs_the_cone_below_position_minus_one(inst_52):
     # length 3 puts F*[m] at positions 0..3, so the assembled cone starts at
     # -1 and the H_{-1} that the H_0 isomorphism is read off sits on its edge
-    res = es_resolution(inst_52.f, inst_52.g, inst_52.ring_R, 3, A=inst_52.lift, check=False)
+    res = es_resolution(inst_52.lift, inst_52.ring_R, 3)
     with pytest.raises(WindowTooSmallError):
         tate_splice(res, window=(0, 2), dmax=4)
 
@@ -253,7 +264,7 @@ def test_tate_splice_provenance_labels(splice_t):
 
 
 def test_hypersurface_cone_two_periodic(inst_h):
-    res = es_resolution(inst_h.f, inst_h.g, inst_h.ring_R, 7, A=inst_h.lift, check=False)
+    res = es_resolution(inst_h.lift, inst_h.ring_R, 7)
     tate = tate_splice(res, window=(-4, 5), dmax=10)
     minimized = minimize(tate.complex)
     normalized = normalize_matrix_factorization(minimized, inst_h.g[0], inst_h.ring_S)
