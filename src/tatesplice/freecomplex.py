@@ -184,12 +184,12 @@ class DegreeLayout:
     def dim(self):
         return len(self.labels)
 
-    def coordinates(self, polys):
-        """Sparse coordinates {index: value} of an element given as one
-        polynomial per generator."""
+    def coordinates(self, column):
+        """Sparse coordinates {index: value} of an element given as a sparse
+        column {generator: polynomial}."""
         ring = self.module.ring
         vec = {}
-        for k, poly in enumerate(polys):
+        for k, poly in column.items():
             poly = ring.reduce(poly)
             for mono, coeff in poly.terms.items():
                 idx = self.index.get((k, mono))
@@ -201,72 +201,74 @@ class DegreeLayout:
         return vec
 
     def element(self, vec):
-        """Inverse of coordinates: a list of polynomials, one per generator."""
+        """Inverse of coordinates: a sparse column {generator: polynomial},
+        generators ascending."""
         ring = self.module.ring
-        polys = [dict() for _ in range(self.module.rank)]
+        polys = {}
         for idx in sorted(vec):
             k, mono = self.labels[idx]
-            polys[k][mono] = vec[idx]
-        return [Polynomial(ring.ctx, ring.field, t) for t in polys]
+            polys.setdefault(k, {})[mono] = vec[idx]
+        return {k: Polynomial(ring.ctx, ring.field, t) for k, t in polys.items()}
 
 
 class PolyMatrix:
     """Degree-compatible polynomial matrix between graded free modules.
 
-    Over a quotient ring every entry is stored in normal form.
+    Only nonzero entries are stored: `columns[c]` maps row r to entry (r, c),
+    rows ascending. Over a quotient ring every entry is stored in normal form.
     """
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "columns")
 
-    def __init__(self, source, target, entries, reduce=True):
+    def __init__(self, source, target, columns, reduce=True):
         if source.ring != target.ring:
             raise ValueError("source and target over different rings")
         self.source = source
         self.target = target
         ring = source.ring
-        rows = []
-        if len(entries) != target.rank:
-            raise ValueError("row count does not match target rank")
-        for r, row in enumerate(entries):
-            if len(row) != source.rank:
-                raise ValueError("column count does not match source rank")
-            new_row = []
-            for c, e in enumerate(row):
+        if len(columns) != source.rank:
+            raise ValueError("column count does not match source rank")
+        cols = []
+        for c, column in enumerate(columns):
+            col = {}
+            for r in sorted(column):
+                e = column[r]
                 if reduce:
                     e = ring.reduce(e)
-                if not e.is_zero():
-                    want = target.twists[r] - source.twists[c]
-                    if not e.is_homogeneous() or e.total_degree() != want:
-                        raise DegreeMismatchError(
-                            f"entry ({r},{c}) = {e} must be homogeneous of degree {want}"
-                        )
-                new_row.append(e)
-            rows.append(tuple(new_row))
-        self.entries = tuple(rows)
+                if e.is_zero():
+                    continue
+                if not 0 <= r < target.rank:
+                    raise ValueError(f"row {r} outside target rank {target.rank}")
+                want = target.twists[r] - source.twists[c]
+                if not e.is_homogeneous() or e.total_degree() != want:
+                    raise DegreeMismatchError(
+                        f"entry ({r},{c}) = {e} must be homogeneous of degree {want}"
+                    )
+                col[r] = e
+            cols.append(col)
+        self.columns = tuple(cols)
 
     # --- constructors ---------------------------------------------------
     @classmethod
+    def from_rows(cls, source, target, rows, reduce=True):
+        """The matrix whose entry (r, c) is rows[r][c]."""
+        if len(rows) != target.rank:
+            raise ValueError("row count does not match target rank")
+        if any(len(row) != source.rank for row in rows):
+            raise ValueError("column count does not match source rank")
+        columns = [{} for _ in range(source.rank)]
+        for r, row in enumerate(rows):
+            for c, e in enumerate(row):
+                columns[c][r] = e
+        return cls(source, target, columns, reduce)
+
+    @classmethod
     def zero(cls, source, target):
-        z = source.ring.zero()
-        return cls(
-            source,
-            target,
-            [[z] * source.rank for _ in range(target.rank)],
-            reduce=False,
-        )
+        return cls(source, target, [{}] * source.rank, reduce=False)
 
     @classmethod
     def identity(cls, module):
-        z = module.ring.zero()
-        one = module.ring.one()
-        return cls(
-            module,
-            module,
-            [
-                [one if r == c else z for c in range(module.rank)]
-                for r in range(module.rank)
-            ],
-        )
+        return cls.scalar(module, module.ring.one())
 
     @classmethod
     def scalar(cls, module, poly):
@@ -274,67 +276,58 @@ class PolyMatrix:
         d = poly.total_degree()
         if d is None:
             return cls.zero(module, module)
-        z = module.ring.zero()
-        return cls(
-            module,
-            module.twist(d),
-            [
-                [poly if r == c else z for c in range(module.rank)]
-                for r in range(module.rank)
-            ],
-        )
+        return cls(module, module.twist(d), [{c: poly} for c in range(module.rank)])
+
+    @property
+    def entries(self):
+        """Read-only dense view: rows of entries, zeros included."""
+        zero = self.source.ring.zero()
+        rows = [[zero] * self.source.rank for _ in range(self.target.rank)]
+        for c, col in enumerate(self.columns):
+            for r, e in col.items():
+                rows[r][c] = e
+        return tuple(map(tuple, rows))
 
     # --- structure ------------------------------------------------------
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
 
     def compose(self, other):
         """self o other (apply other first)."""
         if other.target != self.source:
             raise ValueError("composition shape/twist mismatch")
-        ring = self.source.ring
-        rows = []
-        for r in range(self.target.rank):
-            row = []
-            for c in range(other.source.rank):
-                acc = ring.zero()
-                for k in range(self.source.rank):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(other.source, self.target, rows)
+        cols = []
+        for other_col in other.columns:
+            col = {}
+            for k, b in other_col.items():
+                for r, a in self.columns[k].items():
+                    col[r] = col[r] + a * b if r in col else a * b
+            cols.append(col)
+        return PolyMatrix(other.source, self.target, cols)
 
     def transpose(self):
-        return PolyMatrix(
-            self.target.dual(),
-            self.source.dual(),
-            [
-                [self.entries[c][r] for c in range(self.target.rank)]
-                for r in range(self.source.rank)
-            ],
-            reduce=False,
-        )
+        rows = [{} for _ in range(self.target.rank)]
+        for c, col in enumerate(self.columns):
+            for r, e in col.items():
+                rows[r][c] = e
+        return PolyMatrix(self.target.dual(), self.source.dual(), rows, reduce=False)
 
     def twisted(self, t):
         """Same entries between modules twisted by t."""
         return PolyMatrix(
-            self.source.twist(t), self.target.twist(t), self.entries, reduce=False
+            self.source.twist(t), self.target.twist(t), self.columns, reduce=False
         )
 
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise ValueError("sum shape/twist mismatch")
-        return PolyMatrix(
-            self.source,
-            self.target,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        cols = []
+        for col, other_col in zip(self.columns, other.columns):
+            col = dict(col)
+            for r, b in other_col.items():
+                col[r] = col[r] + b if r in col else b
+            cols.append(col)
+        return PolyMatrix(self.source, self.target, cols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -343,7 +336,7 @@ class PolyMatrix:
         return PolyMatrix(
             self.source,
             self.target,
-            [[e.scale(scalar) for e in row] for row in self.entries],
+            [{r: e.scale(scalar) for r, e in col.items()} for col in self.columns],
             reduce=False,
         )
 
@@ -352,7 +345,7 @@ class PolyMatrix:
             isinstance(other, PolyMatrix)
             and self.source == other.source
             and self.target == other.target
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __repr__(self):
@@ -366,28 +359,17 @@ def block_matrix(col_modules, row_modules, blocks):
     """Assemble a PolyMatrix from blocks[(i, j)]: col_modules[j] -> row_modules[i]."""
     source = direct_sum(col_modules)
     target = direct_sum(row_modules)
-    ring = source.ring
-    z = ring.zero()
-    entries = [[z] * source.rank for _ in range(target.rank)]
-    row_off = []
-    pos = 0
-    for m in row_modules:
-        row_off.append(pos)
-        pos += m.rank
-    col_off = []
-    pos = 0
-    for m in col_modules:
-        col_off.append(pos)
-        pos += m.rank
+    row_off = list(accumulate((m.rank for m in row_modules), initial=0))
+    col_off = list(accumulate((m.rank for m in col_modules), initial=0))
+    columns = [{} for _ in range(source.rank)]
     for (i, j), blk in blocks.items():
         if blk is None:
             continue
         if blk.source != col_modules[j] or blk.target != row_modules[i]:
             raise ValueError(f"block ({i},{j}) has wrong shape or twists")
-        for r in range(blk.target.rank):
-            for c in range(blk.source.rank):
-                entries[row_off[i] + r][col_off[j] + c] = blk.entries[r][c]
-    return PolyMatrix(source, target, entries)
+        for c, col in enumerate(blk.columns):
+            columns[col_off[j] + c].update((row_off[i] + r, e) for r, e in col.items())
+    return PolyMatrix(source, target, columns)
 
 
 class ChainComplex:
@@ -494,11 +476,11 @@ class ChainComplex:
 def _first_nonzero(matrix):
     """(row, col, entry) of the first nonzero entry, rows then columns
     ascending; None for the zero matrix."""
-    for r, row in enumerate(matrix.entries):
-        for c, e in enumerate(row):
-            if not e.is_zero():
-                return r, c, e
-    return None
+    firsts = [(next(iter(col)), c) for c, col in enumerate(matrix.columns) if col]
+    if not firsts:
+        return None
+    r, c = min(firsts)
+    return r, c, matrix.columns[c][r]
 
 
 def d_squared_witness(complex_):
@@ -526,15 +508,15 @@ def graded_piece(matrix, d):
     dims = (ring.dim_degree(d + t) for t in matrix.target.twists)
     offsets = list(accumulate(dims, initial=0))  # one more: the row count
     columns = []
-    for k, a in enumerate(matrix.source.twists):
+    for a, column in zip(matrix.source.twists, matrix.columns):
         e = d + a
         n = ring.dim_degree(e)
         if not n:
             continue
         terms = [
             (offsets[r], coeff, ring._table(mu, e))
-            for r, row in enumerate(matrix.entries)
-            for mu, coeff in row[k].terms.items()
+            for r, entry in column.items()
+            for mu, coeff in entry.terms.items()
         ]
         for j in range(n):
             col = {}
@@ -562,10 +544,10 @@ def _same_piece(matrix, d):
         return False
     return all(
         ring._table(mu, d + a) == ring._table(mu, d - 1 + a)
-        for k, a in enumerate(matrix.source.twists)
+        for a, column in zip(matrix.source.twists, matrix.columns)
         if dim(d + a)
-        for row in matrix.entries
-        for mu in row[k].terms
+        for entry in column.values()
+        for mu in entry.terms
     )
 
 
@@ -664,10 +646,10 @@ def _content_degree_range(complex_, lo, hi, dmax):
 def is_minimal(complex_):
     """No differential entry with a nonzero constant term (degree-0 entry)."""
     return not any(
-        not e.is_zero() and e.total_degree() == 0
+        e.total_degree() == 0
         for d in complex_.diffs.values()
-        for row in d.entries
-        for e in row
+        for col in d.columns
+        for e in col.values()
     )
 
 
@@ -841,5 +823,5 @@ def complex_from_doc(doc, validate=True):
         entries = [
             [parse_polynomial(s, ring.ctx, ring.field) for s in row] for row in rows
         ]
-        diffs[i] = PolyMatrix(terms[i], terms[i - 1], entries)
+        diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries)
     return ChainComplex(ring, terms, diffs, validate=validate)

@@ -468,10 +468,7 @@ def _oracle_matrix(matrix, d):
             row_labels.append((k, mono))
     grid = [[0] * len(col_labels) for _ in row_labels]
     for c, (k, mono) in enumerate(col_labels):
-        for r_gen in range(matrix.target.rank):
-            e = matrix.entries[r_gen][k]
-            if e.is_zero():
-                continue
+        for r_gen, e in matrix.columns[k].items():
             prod = e.term_mul(mono)
             if ring.modulus is not None:  # plain division, not graded_piece's rows
                 prod = divide_tracking(prod, ring.modulus.generators)[1]

@@ -38,12 +38,13 @@ class HomotopySystem:
 
     @classmethod
     def koszul_wedge(cls, lift, ring):
-        """Wedge homotopies for every column of a lift matrix A."""
+        """Wedge homotopies for every column of a lift matrix A, each checked
+        against the one Koszul complex of f."""
         K = koszul_complex(list(lift.f), ring)
         taus = []
         for j in range(lift.c):
             a = [lift.A[i][j] for i in range(lift.n)]
-            taus.append(koszul_homotopy(a, list(lift.f), ring, g=lift.g[j]))
+            taus.append(koszul_homotopy(a, lift.f, K, g=lift.g[j]))
         system = cls(K, lift.g, taus, "koszul-wedge")
         system.lift = lift
         return system
@@ -104,21 +105,13 @@ def solve_homotopy(K, g):
 def _solve_through(through, rhs):
     """X with through o X == rhs, solved per column; None if inconsistent."""
     columns = []
-    for c in range(rhs.source.rank):
-        gen_degree = -rhs.source.twists[c]
-        A = graded_piece(through, gen_degree)
-        tgt_layout = DegreeLayout(rhs.target, gen_degree)
-        b = tgt_layout.coordinates([rhs.entries[r][c] for r in range(rhs.target.rank)])
-        x = A.solve(b)
+    for twist, column in zip(rhs.source.twists, rhs.columns):
+        A = graded_piece(through, -twist)
+        x = A.solve(DegreeLayout(rhs.target, -twist).coordinates(column))
         if x is None:
             return None
-        src_layout = DegreeLayout(through.source, gen_degree)
-        columns.append(src_layout.element(x))
-    entries = [
-        [columns[c][r] for c in range(rhs.source.rank)]
-        for r in range(through.source.rank)
-    ]
-    return PolyMatrix(rhs.source, through.source, entries)
+        columns.append(DegreeLayout(through.source, -twist).element(x))
+    return PolyMatrix(rhs.source, through.source, columns)
 
 
 def sigma_component(system, indices, j):
@@ -178,9 +171,7 @@ def sigma_c_chain_map(system, ring_R, dmax):
             sigma[i] = PolyMatrix.zero(RK.term(i), target.term(i))
             continue
         over_S = sigma_component(system, tuple(range(1, c + 1)), i)
-        sigma[i] = PolyMatrix(
-            RK.term(i), target.term(i), over_S.entries, reduce=True
-        )
+        sigma[i] = PolyMatrix(RK.term(i), target.term(i), over_S.columns)
 
     is_chain_map(sigma, RK, target)
 
@@ -198,7 +189,7 @@ def _base_change(K, ring_R):
     }
     diffs = {}
     for i, d in K.diffs.items():
-        diffs[i] = PolyMatrix(terms[i], terms[i - 1], d.entries, reduce=True)
+        diffs[i] = PolyMatrix(terms[i], terms[i - 1], d.columns)
     return ChainComplex(ring_R, terms, diffs, validate=True)
 
 

@@ -181,25 +181,26 @@ def exterior_total_complex(f, columns, ring, length):
         )
         for i, labs in labels.items()
     }
-    zero = ring.zero()
     diffs = {}
     for i in range(1, length + 1):
         tgt_index = {lab: r for r, lab in enumerate(labels[i - 1])}
-        entries = [[zero] * len(labels[i]) for _ in range(len(labels[i - 1]))]
-        for col, (alpha, subset) in enumerate(labels[i]):
+        cols = []
+        for alpha, subset in labels[i]:
             # horizontal: the Koszul differential in the exterior factor
-            for sign, t, rest in koszul_terms(subset):
-                r = tgt_index[(alpha, rest)]
-                entries[r][col] = entries[r][col] + f[t - 1].scale(sign)
-            # vertical: lower the divided power, wedge with the matching column
+            col = {
+                tgt_index[(alpha, rest)]: f[t - 1].scale(sign)
+                for sign, t, rest in koszul_terms(subset)
+            }
+            # vertical: lower the divided power, wedge with the matching
+            # column; no two terms of a column share a target generator
             for j, a_j in enumerate(columns):
                 if not alpha[j]:
                     continue
                 lowered = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
                 for merged, term in wedge_terms(a_j, subset):
-                    r = tgt_index[(lowered, merged)]
-                    entries[r][col] = entries[r][col] + term
-        diffs[i] = PolyMatrix(terms[i], terms[i - 1], entries)
+                    col[tgt_index[(lowered, merged)]] = term
+            cols.append(col)
+        diffs[i] = PolyMatrix(terms[i], terms[i - 1], cols)
     return ChainComplex(ring, terms, diffs, validate=True), labels
 
 
@@ -325,20 +326,19 @@ def wedge_map(v, i, f_degrees, ring):
     tgt_basis = ExteriorBasis(n, i + v.k)
     source = exterior_module(ring, n, i, f_degrees)
     target = exterior_module(ring, n, i + v.k, f_degrees).twist(v.degree)
-    zero = ring.zero()
-    entries = [[zero] * len(src_basis) for _ in range(len(tgt_basis))]
-    for c, subset in enumerate(src_basis.subsets):
-        for merged, term in wedge_terms(v, subset):
-            r = tgt_basis.index[merged]
-            entries[r][c] = entries[r][c] + term
-    return PolyMatrix(source, target, entries)
+    # v ^ e_subset has one term per subset of v, each landing on its own e_merged
+    cols = [
+        {tgt_basis.index[merged]: term for merged, term in wedge_terms(v, subset)}
+        for subset in src_basis.subsets
+    ]
+    return PolyMatrix(source, target, cols)
 
 
-def koszul_homotopy(a, f, ring, g=None):
-    """Homotopy for g = sum(a_i f_i) on the Koszul complex of f: exterior
+def koszul_homotopy(a, f, K, g=None):
+    """Homotopy for g = sum(a_i f_i) on K, the Koszul complex of f: exterior
     multiplication by sum(a_i e'_i). Returns {i: tau_i} with
     tau_i: K_i -> K_{i+1}(twisted); the identity d tau + tau d = g id is
-    verified exactly on every term.
+    verified exactly on every term of K.
     """
     f = list(f)
     a = list(a)
@@ -357,8 +357,8 @@ def koszul_homotopy(a, f, ring, g=None):
     dg = g.total_degree()
     f_degrees = [p.total_degree() for p in f]
     vec = ExteriorVector(n, 1, {(i + 1,): ai for i, ai in enumerate(a)}, dg)
-    taus = {i: wedge_map(vec, i, f_degrees, ring) for i in range(n)}
-    check_homotopy_identity(koszul_complex(f, ring), g, taus)
+    taus = {i: wedge_map(vec, i, f_degrees, K.ring) for i in range(n)}
+    check_homotopy_identity(K, g, taus)
     return taus
 
 
@@ -374,13 +374,12 @@ def beta_matrix(ring, n, j, f_degrees):
     source = exterior_module(ring, n, j, f_degrees)
     total = sum(f_degrees)
     target = exterior_module(ring, n, n - j, f_degrees).dual().twist(-total)
-    zero = ring.zero()
     one = ring.one()
-    entries = [[zero] * len(src_basis) for _ in range(len(tgt_basis))]
-    for c, subset in enumerate(src_basis.subsets):
+    cols = []
+    for subset in src_basis.subsets:
         sign, comp = complement_sign(subset, n)
-        entries[tgt_basis.index[comp]][c] = one.scale(sign)
-    return PolyMatrix(source, target, entries)
+        cols.append({tgt_basis.index[comp]: one.scale(sign)})
+    return PolyMatrix(source, target, cols)
 
 
 def koszul_self_duality(g_list, ring):

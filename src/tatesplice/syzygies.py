@@ -27,7 +27,7 @@ def graded_kernel_generators(matrix, dmax):
     """
     ring = matrix.source.ring
     p = ring.field.p
-    gens = []  # (degree, element as list of polynomials)
+    gens = []  # (degree, element as a sparse column {generator: polynomial})
     if matrix.source.rank == 0:
         return gens
     start = min(-t for t in matrix.source.twists)
@@ -41,7 +41,8 @@ def graded_kernel_generators(matrix, dmax):
         base = []
         for gdeg, elem in gens:
             for mono in ring.degree_basis(d - gdeg):
-                base.append(layout.coordinates([e.term_mul(mono) for e in elem]))
+                multiple = {k: e.term_mul(mono) for k, e in elem.items()}
+                base.append(layout.coordinates(multiple))
         base_rank = FieldMatrix(layout.dim, base, p).rank()
         for v in null:
             if FieldMatrix(layout.dim, base + [v], p).rank() > base_rank:
@@ -54,13 +55,8 @@ def graded_kernel_generators(matrix, dmax):
 def syzygy_matrix(matrix, dmax):
     """The next differential: minimal kernel generators assembled columnwise."""
     gens = graded_kernel_generators(matrix, dmax)
-    ring = matrix.source.ring
-    source = GradedFreeModule(ring, [-d for d, _ in gens])
-    entries = [
-        [gens[c][1][r] for c in range(len(gens))]
-        for r in range(matrix.source.rank)
-    ]
-    return PolyMatrix(source, matrix.source, entries)
+    source = GradedFreeModule(matrix.source.ring, [-d for d, _ in gens])
+    return PolyMatrix(source, matrix.source, [elem for _, elem in gens])
 
 
 def minimal_resolution(presentation, length, dmax):

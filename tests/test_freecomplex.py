@@ -44,7 +44,7 @@ def pxy(s):
 def one_by_one(ring, entry, src_twist, tgt_twist):
     src = GradedFreeModule(ring, (src_twist,))
     tgt = GradedFreeModule(ring, (tgt_twist,))
-    return src, tgt, PolyMatrix(src, tgt, [[entry]])
+    return src, tgt, PolyMatrix.from_rows(src, tgt, [[entry]])
 
 
 def test_make_complex_koszul():
@@ -56,7 +56,7 @@ def test_make_complex_koszul():
 def test_make_complex_rejects_x_squared_over_S():
     src1, mid, d1 = one_by_one(S2, pxy("x"), -1, 0)
     src2 = GradedFreeModule(S2, (-2,))
-    d2 = PolyMatrix(src2, src1, [[pxy("x")]])
+    d2 = PolyMatrix.from_rows(src2, src1, [[pxy("x")]])
     with pytest.raises(NotAComplexError) as e:
         ChainComplex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert e.value.position == 2
@@ -67,7 +67,7 @@ def test_make_complex_accepts_x_squared_over_quotient():
     R = BaseRing(XY, F, buchberger([pxy("x^2")]))
     src1, mid, d1 = one_by_one(R, pxy("x"), -1, 0)
     src2 = GradedFreeModule(R, (-2,))
-    d2 = PolyMatrix(src2, src1, [[pxy("x")]])
+    d2 = PolyMatrix.from_rows(src2, src1, [[pxy("x")]])
     C = ChainComplex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert C.window == (0, 2)
 
@@ -76,7 +76,7 @@ def test_degree_mismatch_rejected():
     src = GradedFreeModule(S2, (-2,))
     tgt = GradedFreeModule(S2, (0,))
     with pytest.raises(DegreeMismatchError):
-        PolyMatrix(src, tgt, [[pxy("x")]])  # needs degree 2
+        PolyMatrix.from_rows(src, tgt, [[pxy("x")]])  # needs degree 2
 
 
 def test_dual_of_multiplication():
@@ -207,7 +207,7 @@ def test_is_chain_map_witness():
     phi = {i: PolyMatrix.identity(K.term(i)) for i in range(0, 3)}
     is_chain_map(phi, K, K)
     bad = {i: m for i, m in phi.items()}
-    bad[1] = PolyMatrix(K.term(1), K.term(1), [[pxy("1"), pxy("0")], [pxy("0"), pxy("0")]])
+    bad[1] = PolyMatrix.from_rows(K.term(1), K.term(1), [[pxy("1"), pxy("0")], [pxy("0"), pxy("0")]])
     # d_1 o bad_1 = (x, 0) against id o d_1 = (x, y): the square at 1 fails
     # first, in entry (0, 1)
     with pytest.raises(NotChainMapError) as e:
@@ -215,10 +215,53 @@ def test_is_chain_map_witness():
     assert (e.value.position, e.value.row, e.value.col, e.value.witness) == (1, 0, 1, str(pxy("-y")))
 
 
+def _antidiagonal():
+    """[[0, x], [y, 0]] from S(-1)^2 to S^2: its first nonzero entry is
+    (0, 1) row by row and (1, 0) column by column."""
+    src = GradedFreeModule(S2, (-1, -1))
+    tgt = GradedFreeModule(S2, (0, 0))
+    return PolyMatrix.from_rows(src, tgt, [[pxy("0"), pxy("x")], [pxy("y"), pxy("0")]])
+
+
+def test_d_squared_witness_is_the_row_major_first_entry():
+    d1 = _antidiagonal()
+    d2 = PolyMatrix.identity(d1.source)
+    terms = {0: d1.target, 1: d1.source, 2: d2.source}
+    C = ChainComplex(S2, terms, {1: d1, 2: d2}, validate=False)
+    assert freecomplex.d_squared_witness(C) == (2, 0, 1, pxy("x"))
+    with pytest.raises(NotAComplexError) as e:
+        ChainComplex(S2, terms, {1: d1, 2: d2})
+    assert (e.value.position, e.value.row, e.value.col) == (2, 0, 1)
+
+
+def test_not_chain_map_witness_is_the_row_major_first_entry():
+    # phi_0 o d_1 - d_1 o phi_1 is -x times the swap: x at (0, 1) and (1, 0)
+    d1 = PolyMatrix.scalar(GradedFreeModule(S2, (-1, -1)), pxy("x"))
+    C = ChainComplex(S2, {0: d1.target, 1: d1.source}, {1: d1})
+    swap = [[pxy("0"), pxy("1")], [pxy("1"), pxy("0")]]
+    phi = {
+        0: PolyMatrix.from_rows(d1.target, d1.target, swap),
+        1: PolyMatrix.zero(d1.source, d1.source),
+    }
+    with pytest.raises(NotChainMapError) as e:
+        is_chain_map(phi, C, C)
+    witness = (e.value.position, e.value.row, e.value.col, e.value.witness)
+    assert witness == (1, 0, 1, str(pxy("-x")))
+
+
+def test_from_rows_stores_no_zero_entry():
+    m = _antidiagonal()
+    assert m.columns == ({1: pxy("y")}, {0: pxy("x")})
+    assert m.entries == ((pxy("0"), pxy("x")), (pxy("y"), pxy("0")))
+    zero = PolyMatrix.from_rows(m.source, m.target, [[pxy("0"), pxy("0")]] * 2)
+    assert zero.columns == ({}, {}) and zero.is_zero()
+    assert zero == PolyMatrix.zero(m.source, m.target)
+
+
 def test_graded_piece_polynomial_ring():
     src = GradedFreeModule(S2, (-1, -1))
     tgt = GradedFreeModule(S2, (0,))
-    d = PolyMatrix(src, tgt, [[pxy("x"), pxy("y")]])
+    d = PolyMatrix.from_rows(src, tgt, [[pxy("x"), pxy("y")]])
     piece = graded_piece(d, 1)
     # degree-1 source basis (e1, e2) maps to target basis {x, y}: identity
     assert piece.shape == (2, 2)
@@ -231,7 +274,7 @@ def test_graded_piece_multiplication_over_quotient():
     R = BaseRing(XY, F, buchberger([pxy("x^2"), pxy("y^2")]))
     src = GradedFreeModule(R, (-1,))
     tgt = GradedFreeModule(R, (0,))
-    m = PolyMatrix(src, tgt, [[pxy("x")]])
+    m = PolyMatrix.from_rows(src, tgt, [[pxy("x")]])
     piece = graded_piece(m, 2)
     # basis {x, y} -> {xy}: x*x = 0, x*y = xy
     assert piece.shape == (1, 2)
@@ -281,7 +324,7 @@ def _matrix(ring, src_twists, tgt_twists, rows):
     src = GradedFreeModule(ring, src_twists)
     tgt = GradedFreeModule(ring, tgt_twists)
     entries = [[parse_polynomial(e, ring.ctx, F) for e in row] for row in rows]
-    return PolyMatrix(src, tgt, entries)
+    return PolyMatrix.from_rows(src, tgt, entries)
 
 
 MIXED_3 = [

@@ -62,7 +62,7 @@ def test_solve_homotopy_on_syzygy_resolution():
     gens = [pxy("x^2"), pxy("x*y"), pxy("y^2")]
     target = GradedFreeModule(S2, (0,))
     source = GradedFreeModule(S2, (-2, -2, -2))
-    pres = PolyMatrix(source, target, [[g for g in gens]])
+    pres = PolyMatrix.from_rows(source, target, [[g for g in gens]])
     res = minimal_resolution(pres, 2, 8)
     assert [res.term(i).rank for i in range(3)] == [1, 3, 2]
     tau = solve_homotopy(res, pxy("x^2"))
@@ -101,6 +101,21 @@ def test_koszul_wedge_checks_each_homotopy_once(monkeypatch):
     system, lift = _system_c()
     assert calls == list(lift.g)
     assert system.c == 2
+
+
+def test_koszul_wedge_builds_one_koszul_complex(monkeypatch):
+    calls = []
+    real = koszul.koszul_complex
+
+    def counting(f, ring):
+        calls.append(tuple(f))
+        return real(f, ring)
+
+    for module in (koszul, homotopy):
+        monkeypatch.setattr(module, "koszul_complex", counting)
+    system, lift = _system_c()
+    assert system.c == 2
+    assert calls == [lift.f]
 
 
 def test_sigma_empty_index_is_identity():

@@ -126,26 +126,28 @@ def test_wedge_composition_is_wedge_of_product():
 
 
 def test_koszul_homotopy_examples():
-    taus = koszul_homotopy([pxy("x"), pxy("0")], [pxy("x"), pxy("y")], S2)
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    taus = koszul_homotopy([pxy("x"), pxy("0")], [pxy("x"), pxy("y")], K)
     # tau_0(1) = x e_1
     assert [row[0] for row in taus[0].entries] == [pxy("x"), pxy("0")]
     # identity checked at construction; spot-check d tau + tau d = x^2 on K_1
-    K = koszul_complex([pxy("x"), pxy("y")], S2)
     Ktw = K.twist(2)
     lhs = Ktw.diff(2).compose(taus[1]) + taus[0].compose(K.diff(1))
     assert lhs == PolyMatrix.scalar(K.term(1), pxy("x^2"))
 
 
 def test_koszul_homotopy_squares_to_zero():
-    taus = koszul_homotopy([pxy("x"), pxy("0")], [pxy("x"), pxy("y")], S2)
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    taus = koszul_homotopy([pxy("x"), pxy("0")], [pxy("x"), pxy("y")], K)
     square = taus[1].twisted(0).compose(taus[0].twisted(-2))
     assert square.is_zero()
 
 
 def test_koszul_homotopy_rejects_bad_lift():
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
     with pytest.raises(LiftIdentityError):
         koszul_homotopy(
-            [pxy("x"), pxy("0")], [pxy("x"), pxy("y")], S2, g=pxy("x^2 + y^2")
+            [pxy("x"), pxy("0")], [pxy("x"), pxy("y")], K, g=pxy("x^2 + y^2")
         )
 
 
@@ -218,8 +220,9 @@ def test_homotopies_anticommute():
     f = [p3("x^2"), p3("y^2"), p3("z^2")]
     g = [p3("x^3"), p3("y^3")]
     lift = LiftMatrix.from_lift(f, g)
-    t1 = koszul_homotopy([lift.A[i][0] for i in range(3)], f, S3)
-    t2 = koszul_homotopy([lift.A[i][1] for i in range(3)], f, S3)
+    K = koszul_complex(f, S3)
+    t1 = koszul_homotopy([lift.A[i][0] for i in range(3)], f, K)
+    t2 = koszul_homotopy([lift.A[i][1] for i in range(3)], f, K)
     for i in range(0, 2):
         a = t1[i + 1].twisted(3).compose(t2[i])
         b = t2[i + 1].twisted(3).compose(t1[i])

@@ -46,7 +46,7 @@ def _double_first_row_of_d2(C):
     d2 = C.diff(2)
     entries = [list(row) for row in d2.entries]
     entries[0] = [e.scale(2) for e in entries[0]]
-    diffs = {**C.diffs, 2: PolyMatrix(d2.source, d2.target, entries)}
+    diffs = {**C.diffs, 2: PolyMatrix.from_rows(d2.source, d2.target, entries)}
     broken = ChainComplex(C.ring, C.terms, diffs, validate=False)
     assert d_squared_witness(broken) is not None
     return broken

@@ -122,7 +122,7 @@ def test_sabotage_detected_with_witness():
             if sum(alpha_t) < sum(alpha):
                 entries[row][col] = R.zero()
     broken = dict(C.diffs)
-    broken[3] = PolyMatrix(C.term(3), C.term(2), entries)
+    broken[3] = PolyMatrix.from_rows(C.term(3), C.term(2), entries)
     damaged = ChainComplex(R, C.terms, broken, validate=False)
     rows = verify_resolution(ShamashResolution(damaged, res.labels, res.lift, R), dmax=6)
     name, passed, detail = rows[0]
@@ -184,7 +184,7 @@ def test_vertical_component_squares_to_zero():
             for row, (alpha_t, _) in enumerate(res.labels[i - 1]):
                 if sum(alpha_t) == sum(alpha):  # horizontal keeps the layer
                     entries[row][col] = R.zero()
-        return PolyMatrix(res.complex.term(i), res.complex.term(i - 1), entries)
+        return PolyMatrix.from_rows(res.complex.term(i), res.complex.term(i - 1), entries)
 
     for i in range(2, 5):
         assert vertical_only(i - 1).compose(vertical_only(i)).is_zero()
