@@ -148,7 +148,13 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="re-verify a persisted output document")
     p_verify.add_argument("output", help="output JSON file")
-    p_verify.add_argument("--dmax", type=int, default=None)
+    p_verify.add_argument(
+        "--dmax",
+        type=int,
+        default=None,
+        help="degree bound of an acyclicity sweep that falls back (no Artinian "
+        "regular quotient); default: the document's meta.dmax",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_betti = sub.add_parser("betti", help="print the Betti table of an output")

@@ -15,7 +15,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb
 from operator import add
 
@@ -42,7 +42,7 @@ class BaseRing:
     times basis monomial j of degree e, so a table never copies a row.
     """
 
-    __slots__ = ("ctx", "field", "modulus", "_rows", "_tables")
+    __slots__ = ("ctx", "field", "modulus", "_rows", "_tables", "_quotient")
 
     def __init__(self, ctx, field, modulus=None):
         self.ctx = ctx
@@ -50,6 +50,34 @@ class BaseRing:
         self.modulus = modulus  # GroebnerBasis of I, or None for S itself
         self._rows = {}
         self._tables = {}
+        self._quotient = None
+
+    def regular_quotient(self):
+        """(Rbar, killed, top), built once. Rbar = R/(x_n, ..., x_{n-k+1})
+        kills the longest run of last variables that divide no lead monomial
+        of the modulus: in grevlex each is then a nonzerodivisor modulo those
+        after it, and the reduced basis with them set to 0, plus them, is the
+        reduced basis of Rbar (Bayer-Stillman, Invent. Math. 87, 1987), which
+        `GroebnerBasis` certifies. killed names them; top is Rbar's top
+        degree, or None unless Rbar is Artinian. Rbar is R when k = 0."""
+        if self._quotient is None:
+            ctx, field = self.ctx, self.field
+            gens = self.modulus.generators if self.modulus else ()
+            leads = [g.leading_monomial() for g in gens]
+            keep = ctx.nvars
+            while keep and not any(l[keep - 1] for l in leads):
+                keep -= 1
+            ring = self
+            if keep < ctx.nvars:
+                cut = [{e: c for e, c in g.terms.items() if not any(e[keep:])} for g in gens]
+                gens = [Polynomial(ctx, field, t) for t in cut]
+                gens += [Polynomial.variable(ctx, field, v) for v in ctx.names[keep:]]
+                ring = BaseRing(ctx, field, _stored_basis(ctx, field, gens))
+            top = None  # Artinian iff every variable kept has a pure power lead
+            if all(any(l[v] and l[v] == sum(l) for l in leads) for v in range(keep)):
+                top = next(d for d in count() if not ring.dim_degree(d)) - 1
+            self._quotient = ring, ctx.names[keep:], top
+        return self._quotient
 
     def reduce(self, poly):
         if self.modulus is None:
@@ -379,7 +407,7 @@ class ChainComplex:
     return new complexes, so the rank store below never goes stale.
     """
 
-    __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks")
+    __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks", "_reduced")
 
     def __init__(self, ring, terms, diffs, validate=True):
         if not terms:
@@ -393,6 +421,7 @@ class ChainComplex:
                 self.terms[i] = GradedFreeModule(ring, ())
         self.diffs = dict(diffs)
         self._ranks = {}  # (i, d) -> rank of d_i in internal degree d
+        self._reduced = None  # the complex over ring.regular_quotient()
         if validate:
             self._validate()
 
@@ -420,17 +449,27 @@ class ChainComplex:
 
     def rank(self, i, d):
         """Rank of d_i in internal degree d; its graded piece is built at most
-        once per complex, and only the rank is kept. The rank at (i, d - 1)
-        carries over, building nothing, when `_same_piece` shows the pieces
-        equal, as past the regularity of a 1-dimensional R, where x_n is a
-        nonzerodivisor and normal forms commute with it (Bayer-Stillman 1987)."""
+        once per complex, and none is built when its source or target
+        vanishes. Only the rank is kept."""
         r = self._ranks.get((i, d))
         if r is None:
-            r = self._ranks.get((i, d - 1))
-            if r is None or not _same_piece(self.diff(i), d):
-                r = graded_piece(self.diff(i), d).rank()
+            m = self.diff(i)
+            r = 0
+            if m.source.degree_dim(d) and m.target.degree_dim(d):
+                r = graded_piece(m, d).rank()
             self._ranks[(i, d)] = r
         return r
+
+    def reduced(self):
+        """This complex over Rbar = `ring.regular_quotient()`, entries in
+        normal form there, built once with its own rank store; the complex
+        itself when Rbar is its ring."""
+        ring = self.ring.regular_quotient()[0]
+        if ring is self.ring:
+            return self
+        if self._reduced is None:
+            self._reduced = base_change(self, ring)
+        return self._reduced
 
     @property
     def window(self):
@@ -464,6 +503,8 @@ class ChainComplex:
         sub = ChainComplex(self.ring, terms, diffs, validate=False)
         # the same matrices sit at lo < i <= hi, so their stored ranks hold
         sub._ranks = {key: r for key, r in self._ranks.items() if lo < key[0] <= hi}
+        if self._reduced is not None:
+            sub._reduced = self._reduced.subwindow(lo, hi)
         return sub
 
     def __repr__(self):
@@ -471,6 +512,15 @@ class ChainComplex:
             str(self.term(i).rank) for i in range(self.lo, self.hi + 1)
         )
         return f"ChainComplex[{self.lo},{self.hi}]({ranks})"
+
+
+def base_change(complex_, ring, validate=False):
+    """complex_ over `ring`: the same twists, entries in normal form there."""
+    terms = {i: GradedFreeModule(ring, m.twists) for i, m in complex_.terms.items()}
+    diffs = {
+        i: PolyMatrix(terms[i], terms[i - 1], d.columns) for i, d in complex_.diffs.items()
+    }
+    return ChainComplex(ring, terms, diffs, validate=validate)
 
 
 def _first_nonzero(matrix):
@@ -533,24 +583,6 @@ def graded_piece(matrix, d):
     return FieldMatrix(offsets[-1], columns, p)
 
 
-def _same_piece(matrix, d):
-    """Whether graded_piece(matrix, d) equals graded_piece(matrix, d - 1).
-    A piece reads only the dims (row offsets, column counts) and the tables
-    of the entry terms, so it is enough that every dim, and then every table
-    (mu, e) of a nonzero column, equals its value one degree lower."""
-    ring = matrix.source.ring
-    dim = ring.dim_degree
-    if any(dim(d + t) != dim(d - 1 + t) for t in matrix.source.twists + matrix.target.twists):
-        return False
-    return all(
-        ring._table(mu, d + a) == ring._table(mu, d - 1 + a)
-        for a, column in zip(matrix.source.twists, matrix.columns)
-        if dim(d + a)
-        for entry in column.values()
-        for mu in entry.terms
-    )
-
-
 def _homology_dim(complex_, i, d, lo_zero=False, hi_zero=False):
     """dim H_i in internal degree d; missing boundary differentials are taken
     to be zero maps only when the corresponding *_zero flag says the complex
@@ -598,16 +630,35 @@ def induced_rank(phi_i, D, i, d):
     return stacked.rank() - rank_in
 
 
-def _first_homology(complex_, positions, degrees):
-    """First (i, d, dim) with dim H_i(complex_)_d != 0, sweeping `positions`
-    (each interior to the window) in order and the degrees within each;
-    None when all vanish."""
+def acyclicity_sweep(complex_, positions, dmax, quotient=True):
+    """Sweep H_i(complex_ (x) Rbar) at `positions`, interior to the window,
+    Rbar being `ring.regular_quotient()` (the ring itself without
+    `quotient`). H_i(F/xF) = 0 for a nonzerodivisor x of degree 1 makes x
+    onto on H_i(F), by the long exact sequence of 0 -> F(-1) -> F -> F/xF,
+    so H_i(F) = 0 in every degree (graded Nakayama). Position i is swept
+    from its lowest generator degree up to its highest plus Rbar's top
+    degree or, when Rbar is not Artinian, up to dmax. Returns the first
+    (i, d, dim) with nonzero homology or None, and the coverage
+    {"degrees": span swept, [] when none, "killed_variables": names}."""
+    _, killed, top = complex_.ring.regular_quotient() if quotient else (None, (), None)
+    ranges = {}
     for i in positions:
+        twists = complex_.term(i).twists
+        if twists:
+            end = dmax if top is None else top - min(twists)
+            ranges[i] = range(-max(twists), end + 1)
+    spans = [r for r in ranges.values() if r]
+    coverage = {
+        "degrees": [min(r[0] for r in spans), max(r[-1] for r in spans)] if spans else [],
+        "killed_variables": list(killed),
+    }
+    bar = complex_.reduced() if quotient else complex_
+    for i, degrees in ranges.items():
         for d in degrees:
-            dim = _homology_dim(complex_, i, d)
+            dim = _homology_dim(bar, i, d)
             if dim:
-                return i, d, dim
-    return None
+                return (i, d, dim), coverage
+    return None, coverage
 
 
 def _h0_dim(C, d):
@@ -653,30 +704,31 @@ def is_minimal(complex_):
     )
 
 
-def certify(complex_, dmax):
+def certify(complex_, dmax, quotient=True):
     """The rows (name, passed, detail) d_squared_zero, acyclicity and
-    minimality of complex_, and the internal degrees the acyclicity sweep
-    covers: from the lowest generator degree up to dmax, at every interior
-    position. A window with no interior position fails acyclicity."""
+    minimality of complex_, and the coverage of its `acyclicity_sweep` at
+    every interior position. d^2 and minimality are checked over the
+    complex's own ring. A window with no interior position, or a sweep that
+    covers no degree, fails acyclicity."""
     witness = d_squared_witness(complex_)
     d2_detail = "all products vanish"
     if witness is not None:
         d2_detail = "d^2 != 0 at position {}: entry ({},{}) = {}".format(*witness)
-    degrees = []
-    if complex_.hi - complex_.lo < 2:
+    positions = range(complex_.lo + 1, complex_.hi)
+    failure, coverage = acyclicity_sweep(complex_, positions, dmax, quotient)
+    if not positions:
         failure = "WindowEdge: window too narrow to certify interior homology"
-    else:
-        degrees = _content_degree_range(complex_, complex_.lo, complex_.hi, dmax)
-        failure = _first_homology(complex_, range(complex_.lo + 1, complex_.hi), degrees)
-        if failure is not None:
-            failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
+    elif not coverage["degrees"]:
+        failure = "the sweep covers no degree"
+    elif failure is not None:
+        failure = "H_{} nonzero in degree {} (dim {})".format(*failure)
     minimal = is_minimal(complex_)
     rows = [
         ("d_squared_zero", witness is None, d2_detail),
         ("acyclicity", failure is None, failure or "interior homology vanishes"),
         ("minimality", minimal, "no unit entries" if minimal else "unit entry present"),
     ]
-    return rows, degrees
+    return rows, coverage
 
 
 def is_chain_map(phi, C, D):
@@ -790,10 +842,17 @@ def ring_from_doc(doc):
         gens = [parse_polynomial(s, ctx, field) for s in doc["modulus"]]
         if not gens:
             raise ValueError("empty modulus")
-        # certified as stored, each element representing itself: no Buchberger
-        units = [[Polynomial.constant(ctx, field, int(g is h)) for h in gens] for g in gens]
-        modulus = GroebnerBasis(ctx, field, gens, units, gens, [g.total_degree() for g in gens])
+        if any(g.total_degree() == 0 for g in gens):
+            raise ValueError("modulus generates the unit ideal")
+        modulus = _stored_basis(ctx, field, gens)
     return BaseRing(ctx, field, modulus)
+
+
+def _stored_basis(ctx, field, gens):
+    """The GroebnerBasis of `gens` as given, each element representing
+    itself; its constructor certifies it, and no Buchberger runs."""
+    units = [[Polynomial.constant(ctx, field, int(g is h)) for h in gens] for g in gens]
+    return GroebnerBasis(ctx, field, gens, units, gens, [g.total_degree() for g in gens])
 
 
 def complex_to_doc(complex_):

@@ -92,6 +92,9 @@ def _heap_key(expo):
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in descending grevlex order."""
+    if not nvars:
+        return ((),) if d == 0 else ()
+
     def gen(prefix, remaining, slots):
         if slots == 1:
             yield prefix + (remaining,)
@@ -102,6 +105,14 @@ def monomials_of_degree(nvars, d):
     monos = list(gen((), d, nvars))
     monos.sort(key=grevlex_key, reverse=True)
     return tuple(monos)
+
+
+def _embed(mono, free, n):
+    """The exponent tuple in n variables with mono's exponents at `free`."""
+    out = [0] * n
+    for v, e in zip(free, mono):
+        out[v] = e
+    return tuple(out)
 
 
 def hilbert_dim_from_leads(leads, nvars, d):
@@ -260,13 +271,16 @@ class GroebnerBasis:
         cached = self._qbasis_cache.get(d)
         if cached is not None:
             return cached
-        leads = self.lead_monomials()
-        monos = [
-            m
-            for m in monomials_of_degree(self.ring.nvars, d)
-            if not any(monomial_divides(l, m) for l in leads)
-        ]
-        expected = hilbert_dim_from_leads(leads, self.ring.nvars, d)
+        leads, n = self.lead_monomials(), self.ring.nvars
+        # a variable that is itself a lead is in no standard monomial; leaving
+        # it out keeps grevlex order and the listing to the other variables
+        free = [v for v in range(n) if not any(l[v] == sum(l) == 1 for l in leads)]
+        if len(free) < n:
+            candidates = [_embed(m, free, n) for m in monomials_of_degree(len(free), d)]
+        else:
+            candidates = monomials_of_degree(n, d)
+        monos = [m for m in candidates if not any(monomial_divides(l, m) for l in leads)]
+        expected = hilbert_dim_from_leads(leads, n, d)
         if len(monos) != expected:
             raise SelfCheckError(
                 f"quotient basis in degree {d} has {len(monos)} monomials, "

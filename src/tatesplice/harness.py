@@ -225,11 +225,11 @@ def run_build(instance):
         minimized, tate.splice, provenance, tate.certificates, tate.meta
     )
     final.meta["mf_normalized"] = normalized
-    rows, degrees = certify(minimized, instance.max_internal_degree)
+    rows, coverage = certify(minimized, instance.max_internal_degree)
     for name, passed, detail in rows[:2]:
         if not passed:
             raise SelfCheckError(f"{name}: {detail}")
-    final.certificates["acyclicity"] = _acyclicity_certificate(minimized.window, degrees)
+    final.certificates["acyclicity"] = _acyclicity_certificate(minimized.window, coverage)
     final.certificates["minimal_after_reduction"] = {"passed": rows[2][1]}
     if normalized:
         final.certificates["two_periodic"] = {"passed": is_two_periodic(minimized)}
@@ -296,7 +296,7 @@ def run_verify(doc, dmax=None):
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    rows, degrees = certify(complex_, dmax)
+    rows, coverage = certify(complex_, dmax)
     minimal_ok = rows[2][1]
 
     expected = _betti_section(TateResolution(complex_, 0, None, {}, {}))
@@ -310,11 +310,11 @@ def run_verify(doc, dmax=None):
         )
     )
 
-    # the swept degrees depend on dmax, so they are only comparable to the
-    # certificate's under the document's own bound
-    if dmax != _claim(doc, "meta", "dmax"):
-        degrees = None
-    mismatch = _document_mismatch(doc, complex_, minimal_ok, degrees)
+    # dmax bounds only a sweep that falls back (its ring has no Artinian
+    # regular quotient); such degrees compare only under the document's bound
+    if dmax != _claim(doc, "meta", "dmax") and complex_.ring.regular_quotient()[2] is None:
+        coverage = None
+    mismatch = _document_mismatch(doc, complex_, minimal_ok, coverage)
     rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
     return all(passed for _, passed, _ in rows), rows
 
@@ -332,10 +332,10 @@ def _claim(doc, *path):
     return doc
 
 
-def _document_mismatch(doc, complex_, minimal, degrees):
+def _document_mismatch(doc, complex_, minimal, coverage):
     """The first claim of `doc` that its `tate` complex contradicts, or
-    None. `minimal` is whether the complex has no unit entry; `degrees` are
-    the acyclicity sweep's, or None when they are not to be compared."""
+    None. `minimal` is whether the complex has no unit entry; `coverage` is
+    the acyclicity sweep's, or None when it is not to be compared."""
     f, g = _claim(doc, "instance", "f"), _claim(doc, "instance", "g")
     if not (isinstance(f, list) and isinstance(g, list)):
         return "instance.f and instance.g must be lists"
@@ -347,10 +347,10 @@ def _document_mismatch(doc, complex_, minimal, degrees):
     expected = {("mcm", key): value for key, value in mcm.items()}
     expected[("meta", "window")] = window
     expected[("instance", "window")] = window
-    if degrees is None:
+    if coverage is None:
         expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
     else:
-        expected[("certificates", "acyclicity")] = _acyclicity_certificate(window, degrees)
+        expected[("certificates", "acyclicity")] = _acyclicity_certificate(window, coverage)
     expected[("certificates", "minimal_after_reduction")] = {"passed": minimal}
     recomputed = ["chain_map", "acyclicity", "h0_iso", "minimal_after_reduction"]
     if _claim(doc, "certificates", "two_periodic") is not _ABSENT:

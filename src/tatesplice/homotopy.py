@@ -13,11 +13,10 @@ from itertools import combinations
 
 from .errors import LiftIdentityError, NoSolutionError
 from .freecomplex import (
-    ChainComplex,
     DegreeLayout,
-    GradedFreeModule,
     PolyMatrix,
     _h0_iso_table,
+    base_change,
     check_homotopy_identity,
     graded_piece,
     is_chain_map,
@@ -103,14 +102,20 @@ def solve_homotopy(K, g):
 
 
 def _solve_through(through, rhs):
-    """X with through o X == rhs, solved per column; None if inconsistent."""
-    columns = []
-    for twist, column in zip(rhs.source.twists, rhs.columns):
-        A = graded_piece(through, -twist)
-        x = A.solve(DegreeLayout(rhs.target, -twist).coordinates(column))
-        if x is None:
+    """X with through o X == rhs; None if inconsistent. The columns of rhs
+    with the same twist share one graded piece and one solve."""
+    columns = list(rhs.columns)
+    for twist in dict.fromkeys(rhs.source.twists):
+        cols = [c for c, t in enumerate(rhs.source.twists) if t == twist]
+        target = DegreeLayout(rhs.target, -twist)
+        xs = graded_piece(through, -twist).solve_matrix(
+            [target.coordinates(columns[c]) for c in cols]
+        )
+        if xs is None:
             return None
-        columns.append(DegreeLayout(through.source, -twist).element(x))
+        source = DegreeLayout(through.source, -twist)
+        for c, x in zip(cols, xs):
+            columns[c] = source.element(x)
     return PolyMatrix(rhs.source, through.source, columns)
 
 
@@ -163,7 +168,7 @@ def sigma_c_chain_map(system, ring_R, dmax):
     D = sum(g.total_degree() for g in system.g_list)
     f_top = K.hi
 
-    RK = _base_change(K, ring_R)
+    RK = base_change(K, ring_R, validate=True)
     target = RK.shift(-c).twist(D)
     sigma = {}
     for i in range(RK.lo, RK.hi + 1):
@@ -179,18 +184,6 @@ def sigma_c_chain_map(system, ring_R, dmax):
     # 0 of the target lies outside its window (dim 0) when c exceeds K.hi
     iso_table = _h0_iso_table(RK, target, sigma, range(dmax + 1))
     return sigma, target, iso_table
-
-
-def _base_change(K, ring_R):
-    """R (x) K: the same twists with entries reduced modulo the defining ideal."""
-    terms = {
-        i: GradedFreeModule(ring_R, K.term(i).twists)
-        for i in range(K.lo, K.hi + 1)
-    }
-    diffs = {}
-    for i, d in K.diffs.items():
-        diffs[i] = PolyMatrix(terms[i], terms[i - 1], d.columns)
-    return ChainComplex(ring_R, terms, diffs, validate=True)
 
 
 def tor_identity_check(g_list, ring_M, dmax, slot=None):

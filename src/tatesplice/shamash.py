@@ -53,7 +53,10 @@ def verify_resolution(resolution, dmax, ring_M=None):
     row comparing the Hilbert function of H_0 with that of ring_M = S/(f)
     (computed when omitted) in internal degrees 0..dmax."""
     C = resolution.complex
-    rows, _ = certify(C, dmax)
+    # over R, not its regular quotient: H_0 = M is nonzero, so the resolution
+    # tensored with Rbar has homology Tor_1(M, Rbar) wherever a killed
+    # variable is a zerodivisor on M
+    rows, _ = certify(C, dmax, quotient=False)
     if ring_M is None:
         ring_M = BaseRing(
             resolution.ring.ctx, resolution.ring.field, buchberger(list(resolution.lift.f))

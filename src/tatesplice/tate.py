@@ -21,9 +21,9 @@ from .freecomplex import (
     GradedFreeModule,
     PolyMatrix,
     _content_degree_range,
-    _first_homology,
     _h0_dim,
     _h0_iso_table,
+    acyclicity_sweep,
     graded_piece,
     is_minimal,
     mapping_cone,
@@ -95,15 +95,11 @@ def expand_phi(resolution):
     return phi, target
 
 
-def _acyclicity_certificate(window, degrees):
-    """The acyclicity certificate of a passing sweep over `degrees` of a
-    complex on `window`."""
+def _acyclicity_certificate(window, coverage):
+    """The acyclicity certificate of a passing sweep of a complex on
+    `window` with the coverage of `acyclicity_sweep`."""
     lo, hi = window
-    return {
-        "passed": True,
-        "window": [lo + 1, hi - 1],
-        "degrees": [degrees[0], degrees[-1]] if degrees else [],
-    }
+    return {"passed": True, "window": [lo + 1, hi - 1], **coverage}
 
 
 def _splice(C, D, phi, window, dmax):
@@ -115,12 +111,12 @@ def _splice(C, D, phi, window, dmax):
     The cone cone_i = C_i (+) D_{i+1} gives the exact segment
     H_0(cone) -> H_0(C) -> H_0(D) -> H_{-1}(cone) with phi_* in the middle
     (Weibel, An Introduction to Homological Algebra, 1.5). The assembled cone
-    is swept before it is cut to the window, at positions -1 and 0 as well as
-    the window interior, so a passing sweep certifies phi_* an isomorphism in
-    every H_0 degree (the sweep's degrees start at or below those of C_0 and
-    D_0 and end at dmax): each row of the table reads (h, h, h) with
-    h = dim H_0(C)_d. Where the sweep fails, the table is computed so that a
-    broken H_0 isomorphism is still reported as such."""
+    is swept (`acyclicity_sweep`) before it is cut to the window, at
+    positions -1 and 0 as well as the window interior, so a passing sweep
+    certifies phi_* an isomorphism in every degree: each row of the table,
+    up to dmax, reads (h, h, h) with h = dim H_0(C)_d. The window keeps the
+    ranks the sweep stored. Where the sweep fails, the table is computed so
+    that a broken H_0 isomorphism is still reported as such."""
     lo, hi = window
     top = max(hi, 1)
     cone, layout = mapping_cone(phi, C, D)
@@ -131,8 +127,7 @@ def _splice(C, D, phi, window, dmax):
         )
     h0_degrees = _content_degree_range(C, 0, 0, dmax) + _content_degree_range(D, 0, 0, dmax)
     h0_degrees = sorted(set(h0_degrees))
-    degrees = _content_degree_range(cone, min(lo, -1), top, dmax)
-    failure = _first_homology(cone, range(min(lo + 1, -1), top), degrees)
+    failure, coverage = acyclicity_sweep(cone, range(min(lo + 1, -1), top), dmax)
     if failure is not None:
         _h0_iso_table(C, D, phi, h0_degrees)
         raise AcyclicityError(*failure)
@@ -140,7 +135,7 @@ def _splice(C, D, phi, window, dmax):
 
     certificates = {
         "chain_map": {"passed": True},
-        "acyclicity": _acyclicity_certificate(window, degrees),
+        "acyclicity": _acyclicity_certificate(window, coverage),
         "h0_iso": {
             "passed": True,
             "table": {str(d): [_h0_dim(C, d)] * 3 for d in h0_degrees},

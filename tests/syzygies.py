@@ -1,20 +1,20 @@
-"""Graded syzygy computation by exact linear algebra, degree by degree.
+"""Test helper: graded syzygies by exact linear algebra, degree by degree.
 
-Independent of the splice machinery; used to cross-check MCM presentations
-through the classical double-syzygy-dual construction and to manufacture
-small minimal resolutions for homotopy tests.
+Independent of the splice machinery; the tests use it to cross-check MCM
+presentations through the classical double-syzygy-dual construction and to
+manufacture small minimal resolutions for the homotopy tests.
 """
 
 from __future__ import annotations
 
-from .freecomplex import (
+from tatesplice.freecomplex import (
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
     PolyMatrix,
     graded_piece,
 )
-from .linalg import FieldMatrix
+from tatesplice.linalg import FieldMatrix
 
 
 def graded_kernel_generators(matrix, dmax):

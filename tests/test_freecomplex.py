@@ -144,7 +144,6 @@ def test_subwindow_keeps_the_stored_ranks_of_its_differentials():
 
 
 def test_koszul_ranks_over_S_equal_built_pieces():
-    # over S every degree has a larger basis, so no rank carries over
     K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], S3)
     for i in range(1, 4):
         for d in range(-1, 8):
@@ -169,12 +168,9 @@ def test_rank_builds_the_piece_when_only_the_dims_repeat(monkeypatch):
     monkeypatch.setattr(freecomplex, "graded_piece", lambda m, d: built.append(d) or build(m, d))
     assert C.rank(1, 3) == build(m, 3).rank()
     assert built == [3]
-    # the tables of x repeat from degree 2 on: its rank at d = 4 is carried
-    x = one_by_one(R, parse_polynomial("x", XYZ, F7), -1, 0)[2]
-    X = ChainComplex(R, {0: tgt, 1: src}, {1: x})
-    assert X.rank(1, 3) == 3
+    # in degree 0 the source R(-1) vanishes: rank 0, and no piece is built
     built.clear()
-    assert X.rank(1, 4) == 3 and built == []
+    assert C.rank(1, 0) == 0 and built == []
 
 
 def test_mapping_cone_zero_map_is_direct_sum():
@@ -412,3 +408,60 @@ def test_serialization_bit_exact_roundtrip():
     K2 = complex_from_doc(json.loads(text))
     assert json.dumps(complex_to_doc(K2), sort_keys=True) == text
     assert K2.diff(1).entries == K.diff(1).entries
+
+
+def _rank_one_complex(ring, twists, entries=None):
+    """R(twists[i]) at positions lo, lo + 1, ...; d_i multiplies by
+    entries[i], or is zero without entries."""
+    lo = -(len(twists) // 2)
+    terms = {lo + k: GradedFreeModule(ring, (t,)) for k, t in enumerate(twists)}
+    diffs = {
+        i: PolyMatrix.from_rows(terms[i], terms[i - 1], [[e]])
+        for i, e in (entries or {}).items()
+    }
+    return ChainComplex(ring, terms, diffs)
+
+
+def _acyclicity(complex_, dmax):
+    rows, coverage = freecomplex.certify(complex_, dmax)
+    return next(row for row in rows if row[0] == "acyclicity")[1:], coverage
+
+
+def test_certify_fails_the_vacuous_complex():
+    # R(-5) at -1, 0 and 1 with zero maps over the Artinian F_7[x,y]/(x^2, y^2):
+    # H_0 sits in degree 5, above dmax = 4, and is still found
+    F7 = PrimeField(7)
+    R = BaseRing(XY, F7, buchberger([parse_polynomial(g, XY, F7) for g in ("x^2", "y^2")]))
+    C = _rank_one_complex(R, (-5, -5, -5))
+    (passed, detail), coverage = _acyclicity(C, 4)
+    assert not passed and detail == "H_0 nonzero in degree 5 (dim 1)"
+    assert coverage == {"degrees": [5, 7], "killed_variables": []}
+
+
+# F_2[x,y]/(x^2 y + x y^2): the grevlex lead x^2 y has y in it, so no
+# variable is killed, and R is not Artinian
+F2 = PrimeField(2)
+HYP = BaseRing(XY, F2, buchberger([parse_polynomial("x^2*y + x*y^2", XY, F2)]))
+
+
+def test_certify_fails_a_sweep_that_covers_no_degree():
+    # without an Artinian quotient the sweep stops at dmax, below every generator
+    C = _rank_one_complex(HYP, (-5, -5, -5))
+    (passed, detail), coverage = _acyclicity(C, 4)
+    assert not passed and detail == "the sweep covers no degree"
+    assert coverage == {"degrees": [], "killed_variables": []}
+
+
+def test_certify_falls_back_to_dmax_without_a_regular_variable():
+    # ... -> R -x-> R -(xy + y^2)-> R -x-> R: a matrix factorization of the
+    # modulus, exact over R
+    x, b = (parse_polynomial(e, XY, F2) for e in ("x", "x*y + y^2"))
+    C = _rank_one_complex(HYP, (1, 0, -2, -3, -5), {-1: x, 0: b, 1: x, 2: b})
+    (passed, _), coverage = _acyclicity(C, 8)
+    assert passed
+    assert HYP.regular_quotient() == (HYP, (), None)
+    # from degree 0, the generator of position -1, up to dmax
+    assert coverage == {"degrees": [0, 8], "killed_variables": []}
+    # a broken link shows up below dmax
+    broken = _rank_one_complex(HYP, (1, 0, -2, -3, -5), {-1: x, 0: b, 1: x})
+    assert not _acyclicity(broken, 8)[0][0]

@@ -155,6 +155,16 @@ def test_quotient_degree_basis():
     assert gb.quotient_degree_basis(0).monomials == ((0, 0),)
 
 
+@pytest.mark.parametrize("gens", [["x^3", "z", "y^2 + x*y"], ["y", "x", "z"], ["x^2 - y*z", "z"]])
+def test_quotient_basis_lists_only_variables_that_are_not_leads(gens):
+    # the same monomials, in the same grevlex order, as filtering all of S_d
+    gb = buchberger([poly(g) for g in gens])
+    leads = gb.lead_monomials()
+    for d in range(7):
+        full = [m for m in monomials_of_degree(3, d) if not any(monomial_divides(l, m) for l in leads)]
+        assert gb.quotient_degree_basis(d).monomials == tuple(full)
+
+
 def test_hilbert_dim_from_leads_matches_enumeration():
     gb = buchberger([poly("x^2 - y*z"), poly("y^2 - x*z")])
     leads = gb.lead_monomials()

@@ -67,11 +67,14 @@ def test_run_build_instance_t(build_t):
     ranks = [sum(build_t["betti"][str(i)].values()) for i in range(-4, 6)]
     assert ranks == [4, 3, 2, 1, 1, 2, 3, 4, 5, 6]
     assert all(v.get("passed") for v in build_t["certificates"].values())
-    # swept from the lowest generator degree, at position -4, up to dmax
+    # R = F[x,y]/(x^2, y^2) is Artinian, so no variable is killed: swept
+    # from the lowest interior generator degree, -4 at position -3, up to
+    # the highest, 4 at position 4, plus R's top degree 2
     assert build_t["certificates"]["acyclicity"] == {
         "passed": True,
         "window": [-3, 4],
-        "degrees": [-5, 10],
+        "degrees": [-4, 6],
+        "killed_variables": [],
     }
     assert build_t["mcm"]["generator_count"] == 1
     assert build_t["mcm"]["matrix"] == [["x", "y"]]
@@ -141,12 +144,12 @@ def test_run_build_deterministic_bytes(inst_t):
 # sha256 of dump_output for each rung; a change that alters an output
 # document must say why and update its digest here.
 OUTPUT_SHA256 = {
-    "t": "bb2d8681065caf77a577403b16e5604b4464f7cab24f4adb241b5f3b1cd7ee2a",
-    "h": "845feb8f8888a08883cd5191e9696ba8f2bbbc576c857a6699236a99bfdb645e",
-    "c": "cfbe76ac23da0d40f955bf6fa521951a74a04681e6015ad858e85a48c5f63173",
-    "41": "5832372b89dc3f7c85b3f7a7a087b47ae64cabff588f2de45aff2256cfc0ebc5",
-    "52": "c8bbf282eab456fefd0cbf72841be22699c9e30f84382971e27cd25a629b07bc",
-    "52w": "78a27998185cad6d90914a4dbb22bb250ba4fec659dcfc2465d332048c4398e1",
+    "t": "eac09e4e6ae933f09b5b3d18d1c1d6140f7ef4c5f8c91c975f7d3cc9f3cf8b2b",
+    "h": "e2dedcd24020b95dc3ca11dc4fd525583a7dd031ceb78d3ceedd462727d96f4c",
+    "c": "aefbeac7782db7f518156170fda5ab027e3c2c741b3ae017d43f00676599daf2",
+    "41": "33edb5dbdedd8b487e794b1fc09ddc7bcb29a9d6cd447fd6925d7e8313dc326f",
+    "52": "2037fdf9162f3b9738786ac26197129c4cdfa3a055090f82451530831f3c07e7",
+    "52w": "3686aed376526132df254c84780e50f89ffa1db12bff4343c1b57093aa32907f",
 }
 
 
@@ -317,7 +320,13 @@ def test_run_verify_certifies_stored_basis(monkeypatch):
     calls = _count_buchberger(monkeypatch)
     ok, _ = run_verify(doc)
     assert ok
-    assert calls == [doc["tate"]["ring"]["modulus"]]
+    # and the basis of R/(x5), also certified: the stored one with x5 set to
+    # 0, then x5 itself
+    modulus = doc["tate"]["ring"]["modulus"]
+    assert doc["certificates"]["acyclicity"]["killed_variables"] == ["x5"]
+    assert calls[0] == modulus and len(calls) == 2
+    assert len(calls[1]) == len(modulus) + 1 and calls[1][-1] == "x5"
+    assert not any("x5" in g for g in calls[1][:-1])
 
 
 @pytest.mark.parametrize(
@@ -331,8 +340,10 @@ def test_run_verify_certifies_stored_basis(monkeypatch):
         ["x*y + z^2", "x*z", "y*z"],
         # leads x^2 and x*y share x; S = -y^3 does not reduce
         ["x^2 - y^2", "x*y"],
+        # R = 0: no regular quotient to sweep over
+        ["1"],
     ],
-    ids=["not_reduced", "empty", "inhomogeneous", "equal_lcms", "shared_variable"],
+    ids=["not_reduced", "empty", "inhomogeneous", "equal_lcms", "shared_variable", "unit"],
 )
 def test_cli_verify_rejects_bad_modulus(tmp_path, capsys, build_c, modulus):
     doc = json.loads(dump_output(build_c))
@@ -350,8 +361,8 @@ def test_run_build_piece_count(inst_c, build_c, monkeypatch):
 
 
 def test_run_build_piece_count_generic(monkeypatch):
-    # past the regularity of R the sweep's pieces repeat from degree to
-    # degree, and each repeat takes the rank stored one degree below
+    # R/(x5) is Artinian with top degree 5, so each position is swept over a
+    # few degrees only
     keys = _record_pieces(monkeypatch)
     run_build(ProblemInstance.from_doc(_generic_doc(1)))
     assert len(keys) <= 37
@@ -375,19 +386,14 @@ def _built_cones(monkeypatch, instance):
 @pytest.mark.parametrize("rung", ["c", "generic"])
 def test_stored_cone_ranks_equal_built_pieces(rung, inst_c, monkeypatch):
     instance = inst_c.instance if rung == "c" else ProblemInstance.from_doc(_generic_doc(1))
-    requests = _record_pieces(monkeypatch)
     cones = _built_cones(monkeypatch, instance)
-    built = set(requests)
-    carried = 0
     assert cones
     for cone in cones:
-        assert cone._ranks
-        for (i, d), r in cone._ranks.items():
-            m = cone.diff(i)
-            carried += (m.source.twists, m.target.twists, m.entries, d) not in built
-            assert r == freecomplex.graded_piece(m, d).rank(), (i, d)
-    # both rings have dimension 1, and some ranks came from the degree below
-    assert carried
+        # both rings have dimension 1: the sweep ran over R/(last variable)
+        bar = cone.reduced()
+        assert bar is not cone and bar._ranks
+        for (i, d), r in bar._ranks.items():
+            assert r == freecomplex.graded_piece(bar.diff(i), d).rank(), (i, d)
 
 
 def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
@@ -396,6 +402,7 @@ def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
     keys = _record_pieces(monkeypatch)
     assert run_build(inst_52.instance) == build_52
     assert len(keys) <= 30
+    assert len(keys) == len(set(keys))
 
 
 def test_rung_52w_certified_and_acyclic(build_52w):
@@ -558,6 +565,53 @@ def _verify_exit_code(tmp_path, doc):
     opath = tmp_path / "bad.out.json"
     opath.write_text(json.dumps(doc))
     return cli_module.main(["verify", str(opath)])
+
+
+def _zero_top_column(doc):
+    """A copy of an output document whose top differential has its first
+    nonzero column zeroed; d^2 stays zero."""
+    doc = json.loads(dump_output(doc))
+    rows = doc["tate"]["diffs"][str(doc["tate"]["window"][1])]
+    col = min(c for row in rows for c, e in enumerate(row) if e != "0")
+    for row in rows:
+        row[col] = "0"
+    return doc
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52"])
+def test_zeroed_top_column_fails_acyclicity(rung, request):
+    doc = _zero_top_column(request.getfixturevalue(f"build_{rung}"))
+    C = freecomplex.complex_from_doc(doc["tate"])  # raises unless d^2 = 0
+    dmax = doc["meta"]["dmax"]
+    rows = {name: (ok, detail) for name, ok, detail in freecomplex.certify(C, dmax)[0]}
+    # the sweep over R up to dmax, as acyclicity was certified before
+    old = {name: ok for name, ok, _ in freecomplex.certify(C, dmax, quotient=False)[0]}
+    assert rows["d_squared_zero"][0]
+    assert not rows["acyclicity"][0]
+    # only on 41 did the old sweep miss it: the new H_2 sits above dmax = 5
+    assert old["acyclicity"] == (rung == "41")
+    if rung == "41":
+        assert rows["acyclicity"][1].startswith("H_2 nonzero in degree 6 ")
+
+
+def test_cli_verify_fails_homology_above_dmax(tmp_path, capsys, build_41):
+    assert _verify_exit_code(tmp_path, _zero_top_column(build_41)) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["acyclicity", "FAIL"]
+    ]
+
+
+def test_cli_verify_compares_degrees_under_any_dmax(tmp_path, build_c):
+    # R/(z) is Artinian, so the sweep does not fall back to dmax and its
+    # degrees are compared whatever --dmax says
+    doc = json.loads(dump_output(build_c))
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert cli_module.main(["verify", str(path), "--dmax", "3"]) == 0
+    doc["certificates"]["acyclicity"]["degrees"] = [7, 8]
+    path.write_text(json.dumps(doc))
+    assert cli_module.main(["verify", str(path), "--dmax", "3"]) == 3
 
 
 def test_cli_verify_document_without_tate(tmp_path, capsys):
@@ -730,6 +784,7 @@ def _set(doc, path, value):
         ("build_h", ("certificates", "two_periodic", "passed"), False),
         ("build_c", ("certificates", "acyclicity", "degrees"), [7, 8]),
         ("build_c", ("certificates", "acyclicity", "degrees"), DELETE),
+        ("build_c", ("certificates", "acyclicity", "killed_variables"), []),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )

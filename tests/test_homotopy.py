@@ -16,7 +16,8 @@ from tatesplice.homotopy import (
     tor_identity_check,
 )
 from tatesplice.koszul import LiftMatrix, alpha_element, koszul_complex, wedge_map
-from tatesplice.syzygies import minimal_resolution
+
+from syzygies import minimal_resolution
 
 F = PrimeField(32003)
 XY = VariableContext(["x", "y"])

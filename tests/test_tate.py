@@ -2,6 +2,7 @@
 
 import pytest
 
+from tatesplice import homotopy as homotopy_module
 from tatesplice import tate as tate_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import H0IsoError, LiftError, WindowTooSmallError
@@ -23,7 +24,6 @@ from tatesplice.koszul import (
     wedge_map,
 )
 from tatesplice.shamash import es_resolution
-from tatesplice.syzygies import dual_module_presentation, minimal_resolution
 from tatesplice.tate import (
     TateResolution,
     betti_dual_match,
@@ -41,6 +41,8 @@ from tatesplice.tate import (
     _h0_iso_table,
     _splice,
 )
+
+from syzygies import dual_module_presentation, minimal_resolution
 
 F = PrimeField(32003)
 XY = VariableContext(["x", "y"])
@@ -303,6 +305,19 @@ def test_general_splice_duality_instance_c(inst_c, splice_c):
         assert sorted(tate.complex.term(i).twists) == sorted(
             tate_direct.complex.term(i).twists
         )
+
+
+def test_general_splice_solves_each_twist_once(splice_c, monkeypatch):
+    # phi_1 solves through the three columns of phi_0 o d_1, all of one
+    # twist: one graded piece and one solve for them together
+    res, _ = splice_c
+    built = []
+    build = homotopy_module.graded_piece
+    monkeypatch.setattr(
+        homotopy_module, "graded_piece", lambda m, d: built.append(d) or build(m, d)
+    )
+    general_splice(res.complex, res.complex, 1, window=(-3, 4), dmax=10)
+    assert len(built) == 1
 
 
 def test_general_splice_rejects_free_module(inst_t):
