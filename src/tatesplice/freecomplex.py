@@ -287,7 +287,8 @@ class PolyMatrix:
         columns = [{} for _ in range(source.rank)]
         for r, row in enumerate(rows):
             for c, e in enumerate(row):
-                columns[c][r] = e
+                if not e.is_zero():
+                    columns[c][r] = e
         return cls(source, target, columns, reduce)
 
     @classmethod
@@ -876,11 +877,13 @@ def complex_from_doc(doc, validate=True):
     terms = {
         int(i): GradedFreeModule(ring, twists) for i, twists in doc["terms"].items()
     }
-    diffs = {}
+    diffs, zero = {}, ring.zero()
     for i_str, rows in doc["diffs"].items():
         i = int(i_str)
+        # most entries of the dense rows are the string "0": skip its parse
         entries = [
-            [parse_polynomial(s, ring.ctx, ring.field) for s in row] for row in rows
+            [zero if s == "0" else parse_polynomial(s, ring.ctx, ring.field) for s in row]
+            for row in rows
         ]
         diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries)
     return ChainComplex(ring, terms, diffs, validate=validate)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import comb
 
 from .arith import (
@@ -148,12 +149,9 @@ def lead_ideal_dimension(leads, nvars):
     supports = [frozenset(i for i, e in enumerate(mono) if e) for mono in leads]
     if any(not s for s in supports):
         return -1
-    for size in range(nvars, -1, -1):
-        for mask in range(1 << nvars):
-            if bin(mask).count("1") != size:
-                continue
-            subset = {i for i in range(nvars) if mask >> i & 1}
-            if all(not s <= subset for s in supports):
+    for size in range(nvars, 0, -1):
+        for subset in map(set, combinations(range(nvars), size)):
+            if not any(s <= subset for s in supports):
                 return size
     return 0
 
@@ -199,17 +197,14 @@ class GroebnerBasis:
         for g, rep in zip(self.generators, self.representations):
             if g.leading_coefficient() != 1:
                 raise SelfCheckError("basis element not monic")
-            acc = Polynomial.zero(self.ring, self.field)
-            for q, orig in zip(rep, self.originals):
-                acc = acc + q * orig
-            if acc != g:
+            if not _minus_products(g, zip(rep, self.originals)).is_zero():
                 raise SelfCheckError("representation identity fails")
         for i, g in enumerate(self.generators):
             # a lead divides no term of g but lead(g), which only its own divides
             if any(sum(monomial_divides(l, e) for l in leads) != (e == leads[i]) for e in g.terms):
                 raise SelfCheckError("basis not fully inter-reduced")
         for i, j in _criterion_pairs(leads):
-            s, _ = _spoly(self.generators[i], (), self.generators[j], ())
+            s = _spoly(self.generators[i], self.generators[j])[0]
             if not self.normal_form(s).is_zero():
                 raise SelfCheckError("S-pair does not reduce to zero")
 
@@ -313,21 +308,37 @@ def _criterion_pairs(leads):
                 yield i, j
 
 
-def _spoly(f, rep_f, g, rep_g):
-    """The S-polynomial of f and g, and its representation from theirs."""
+def _spoly(f, g):
+    """The S-polynomial u_f * f - u_g * g of f and g, with u_f and u_g."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lf, lg)
     uf, ug = monomial_div(lcm, lf), monomial_div(lcm, lg)
-    s = f.term_mul(uf) - g.term_mul(ug)
-    rep = [a.term_mul(uf) - b.term_mul(ug) for a, b in zip(rep_f, rep_g)]
-    return s, rep
+    return f.term_mul(uf) - g.term_mul(ug), uf, ug
+
+
+def _minus_products(acc, products):
+    """acc - sum(q * b for q, b in products), formed in one term dict; a zero
+    q adds no work."""
+    terms = dict(acc.terms)
+    for q, b in products:
+        for e1, c1 in q.terms.items():
+            for e2, c2 in b.terms.items():
+                e = monomial_mul(e1, e2)
+                terms[e] = terms.get(e, 0) - c1 * c2
+    return Polynomial(acc.ring, acc.field, terms)
 
 
 def buchberger(gens):
     """Reduced Gröbner basis in grevlex with the normal selection strategy.
 
-    Pairs are processed by (lcm total degree, pair index); output is
-    deterministic for a fixed input order.
+    Each element joining the basis updates the pairs as Gebauer and Moller
+    do (J. Symbolic Comput. 6, 1988), with t its lead: an old pair whose
+    lcm t divides, equal to neither of its lcms with t, goes (B); a new pair
+    goes when another new pair's lcm properly divides its lcm (M); of the
+    new pairs with one lcm only the first stays, and none if one of them has
+    coprime leads (F). The pair of least (lcm total degree, (i, j)) is
+    reduced next, so the output is deterministic for a fixed input order.
+    Representations are formed only for remainders that join the basis.
     """
     gens = list(gens)
     if not gens:
@@ -338,45 +349,44 @@ def buchberger(gens):
             raise InhomogeneousInputError("mixed contexts in generating set")
     _require_homogeneous(gens)
 
-    def unit_vector(i, scale=1):
-        return [
-            Polynomial.constant(ring, field, scale) if j == i else Polynomial.zero(ring, field)
-            for j in range(len(gens))
-        ]
-
-    basis = []  # (monic poly, representation over gens)
-    pairs = []  # heap of (lcm total degree, (i, j)); keys are unique
+    basis, leads = [], []  # (monic poly, representation over gens); its lead
+    pairs = {}  # (i, j) -> lcm of leads i and j
 
     def add_element(poly, rep):
         inv = field.inv(poly.leading_coefficient())
-        poly = poly.scale(inv)
-        rep = [r.scale(inv) for r in rep]
-        k = len(basis)
-        basis.append((poly, rep))
-        lead = poly.leading_monomial()
-        for i in range(k):
-            lcm = monomial_lcm(basis[i][0].leading_monomial(), lead)
-            heappush(pairs, (sum(lcm), (i, k)))
+        k, t = len(basis), poly.leading_monomial()
+        for (i, j), m in list(pairs.items()):
+            if monomial_divides(t, m) and m not in (
+                monomial_lcm(leads[i], t), monomial_lcm(leads[j], t)
+            ):
+                del pairs[i, j]
+        new = {}
+        for i, l in enumerate(leads):
+            new.setdefault(monomial_lcm(l, t), []).append(i)
+        for m, idx in new.items():
+            if not any(o != m and monomial_divides(o, m) for o in new) and not any(
+                m == monomial_mul(leads[i], t) for i in idx
+            ):
+                pairs[idx[0], k] = m
+        basis.append((poly.scale(inv), [r.scale(inv) for r in rep]))
+        leads.append(t)
 
+    zero, one = Polynomial.zero(ring, field), Polynomial.constant(ring, field, 1)
     for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        add_element(g, unit_vector(i))
+        if not g.is_zero():
+            add_element(g, [one if j == i else zero for j in range(len(gens))])
 
     while pairs:
-        _, (i, j) = heappop(pairs)
-        fi, fj = basis[i][0], basis[j][0]
-        li, lj = fi.leading_monomial(), fj.leading_monomial()
-        if monomial_lcm(li, lj) == monomial_mul(li, lj):
-            continue  # coprime lead terms: S-pair reduces to zero
-        s, rep_s = _spoly(fi, basis[i][1], fj, basis[j][1])
+        i, j = min(pairs, key=lambda ij: (sum(pairs[ij]), ij))
+        del pairs[i, j]
+        (fi, rep_i), (fj, rep_j) = basis[i], basis[j]
+        s, ui, uj = _spoly(fi, fj)
         quots, rem = divide_tracking(s, [b[0] for b in basis])
         if rem.is_zero():
             continue
         rep = [
-            acc - sum((q * basis[k][1][idx] for k, q in enumerate(quots)),
-                      Polynomial.zero(ring, field))
-            for idx, acc in enumerate(rep_s)
+            _minus_products(a.term_mul(ui) - b.term_mul(uj), zip(quots, (r[n] for _, r in basis)))
+            for n, (a, b) in enumerate(zip(rep_i, rep_j))
         ]
         add_element(rem, rep)
 
@@ -393,12 +403,11 @@ def buchberger(gens):
     # inter-reduce tails against the rest, updating representations
     reduced = []
     for idx, (poly, rep) in enumerate(kept):
-        others = [kept[k][0] for k in range(len(kept)) if k != idx]
-        other_reps = [kept[k][1] for k in range(len(kept)) if k != idx]
-        quots, rem = divide_tracking(poly, others)
-        new_rep = list(rep)
-        for q, orep in zip(quots, other_reps):
-            new_rep = [a - q * b for a, b in zip(new_rep, orep)]
+        others = kept[:idx] + kept[idx + 1:]
+        quots, rem = divide_tracking(poly, [o[0] for o in others])
+        new_rep = [
+            _minus_products(a, zip(quots, (r[n] for _, r in others))) for n, a in enumerate(rep)
+        ]
         inv = field.inv(rem.leading_coefficient())
         reduced.append((rem.scale(inv), [r.scale(inv) for r in new_rep]))
 

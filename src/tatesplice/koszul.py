@@ -275,8 +275,11 @@ class LiftMatrix:
         return ExteriorVector(self.n, 1, coeffs, self.g_degrees[j])
 
 
-def _minor(entries, rows, cols):
-    """Exact determinant of the submatrix by Laplace expansion."""
+def _minor(entries, rows, cols, memo):
+    """Exact determinant of the submatrix by Laplace expansion along its first
+    row; `memo` holds each sub-minor by (rows, cols), so each is formed once."""
+    if (rows, cols) in memo:
+        return memo[rows, cols]
     if not rows:
         ring, field = None, None
         for row in entries:
@@ -296,11 +299,12 @@ def _minor(entries, rows, cols):
         if e.is_zero():
             continue
         rest_cols = cols[:idx] + cols[idx + 1 :]
-        sub = _minor(entries, rest_rows, rest_cols)
+        sub = _minor(entries, rest_rows, rest_cols, memo)
         term = e * sub
         if idx % 2:
             term = -term
         acc = acc + term
+    memo[rows, cols] = acc
     return acc
 
 
@@ -308,9 +312,9 @@ def alpha_element(lift):
     """alpha = Lambda^c A (e_1 ^ ... ^ e_c) in Lambda^c S^n: the coefficient
     of e'_T is the maximal minor of A on the rows T."""
     n, c = lift.n, lift.c
-    cols = tuple(range(c))
+    cols, memo = tuple(range(c)), {}
     coeffs = {
-        subset: _minor(lift.A, tuple(i - 1 for i in subset), cols)
+        subset: _minor(lift.A, tuple(i - 1 for i in subset), cols, memo)
         for subset in ExteriorBasis(n, c).subsets
     }
     return ExteriorVector(n, c, coeffs, sum(lift.g_degrees))

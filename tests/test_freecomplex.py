@@ -410,6 +410,21 @@ def test_serialization_bit_exact_roundtrip():
     assert K2.diff(1).entries == K.diff(1).entries
 
 
+def test_complex_from_doc_parses_only_nonzero_entries(monkeypatch):
+    K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], S3)
+    doc = json.loads(json.dumps(complex_to_doc(K)))
+    entries = [s for rows in doc["diffs"].values() for row in rows for s in row]
+    parse, parsed = freecomplex.parse_polynomial, []
+    monkeypatch.setattr(
+        freecomplex, "parse_polynomial", lambda s, *a: parsed.append(s) or parse(s, *a)
+    )
+    K2 = complex_from_doc(doc)
+    assert "0" in entries and "0" not in parsed
+    assert len(parsed) == sum(s != "0" for s in entries)
+    for i in map(int, doc["diffs"]):
+        assert K2.diff(i).columns == K.diff(i).columns
+
+
 def _rank_one_complex(ring, twists, entries=None):
     """R(twists[i]) at positions lo, lo + 1, ...; d_i multiplies by
     entries[i], or is zero without entries."""

@@ -22,6 +22,7 @@ from tatesplice.groebner import (
     divide_tracking,
     hilbert_dim_from_leads,
     is_regular_sequence,
+    lead_ideal_dimension,
     lift_through,
     monomials_of_degree,
 )
@@ -352,3 +353,47 @@ def test_nf_row_long_chain_without_recursion():
     d = 3 * sys.getrecursionlimit()
     assert gb.nf_row((d, 0)) == (0, 1)
     assert gb.normal_form(pxy(f"x^{d}")) == pxy(f"y^{d}")
+
+
+def _macaulay_rank(gens, d):
+    """dim (gens)_d: the F_p rank of the products m * g over all monomials m
+    with deg(m * g) == d, by dense elimination."""
+    ctx, field = gens[0].ring, gens[0].field
+    monos = monomials_of_degree(ctx.nvars, d)
+    col = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in gens:
+        for m in monomials_of_degree(ctx.nvars, d - g.total_degree()):
+            row = [0] * len(monos)
+            for e, c in g.term_mul(m).terms.items():
+                row[col[e]] = c
+            rows.append(row)
+    return _oracle_rank(rows, field.p) if rows else 0
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_buchberger_basis_spans_the_ideal(data):
+    """In each degree up to one past the basis's top degree, the standard
+    monomials of the computed leads count S_d / (g)_d, with (g)_d read off
+    the Macaulay matrix of the input: an independent check that the pruned
+    pair loop still returns a Groebner basis of (g). Over F_7 sparse forms
+    make dependent leads and repeated lcms common."""
+    field = PrimeField(data.draw(st.sampled_from((7, 32003))))
+    gens = [
+        _random_form(data, CONTEXTS[3], field, data.draw(st.integers(1, 3)), 6)
+        for _ in range(data.draw(st.integers(2, 4)))
+    ]
+    gb = buchberger(gens)
+    leads = gb.lead_monomials()
+    for d in range(max(sum(l) for l in leads) + 2):
+        standard = hilbert_dim_from_leads(leads, 3, d)
+        assert len(monomials_of_degree(3, d)) - standard == _macaulay_rank(gens, d)
+
+
+def test_lead_ideal_dimension_of_squares_in_16_variables():
+    n = 16
+    squares = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
+    assert lead_ideal_dimension(squares, n) == 0
+    assert lead_ideal_dimension(squares[:2], n) == 14
+    assert lead_ideal_dimension([(0,) * n], n) == -1

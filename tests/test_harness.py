@@ -34,11 +34,16 @@ F = PrimeField(32003)
 INSTANCE_FILES = sorted((Path(__file__).parent.parent / "instances").glob("*.json"))
 
 
+# the package's parent directory, for child interpreters started by the tests
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tatesplice.__file__)))
+
+
 def cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "tatesplice.cli", *args],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         **kw,
     )
 
@@ -360,6 +365,17 @@ def test_run_build_piece_count(inst_c, build_c, monkeypatch):
     assert len(keys) <= 87
 
 
+def test_buchberger_divisions_on_generic(monkeypatch):
+    # the Gebauer-Moller update leaves 32 of the S-pairs to reduce, and
+    # inter-reduction divides each of the 13 basis elements once
+    g = list(InstanceData(ProblemInstance.from_doc(_generic_doc(1))).g)
+    divide = groebner.divide_tracking
+    calls = []
+    monkeypatch.setattr(groebner, "divide_tracking", lambda f, d: calls.append(f) or divide(f, d))
+    assert len(groebner.buchberger(g).generators) == 13
+    assert len(calls) <= 45
+
+
 def test_run_build_piece_count_generic(monkeypatch):
     # R/(x5) is Artinian with top degree 5, so each position is swept over a
     # few degrees only
@@ -425,12 +441,11 @@ def test_import_leaves_scipy_out(module):
     """Importing the package must not pull in `module`: the package uses
     only the standard library, and the module would add start-up time and
     resident memory to every run."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tatesplice.__file__)))
     r = subprocess.run(
         [sys.executable, "-c", f"import sys, tatesplice; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
-        env=env,
+        env=SRC_ENV,
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"

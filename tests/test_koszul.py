@@ -8,6 +8,7 @@ import pytest
 from tatesplice.arith import Polynomial, PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import LiftIdentityError, SelfCheckError
 from tatesplice.freecomplex import BaseRing, PolyMatrix, _homology_dim
+from tatesplice.groebner import buchberger
 from tatesplice.koszul import (
     ExteriorBasis,
     ExteriorVector,
@@ -149,6 +150,19 @@ def test_koszul_homotopy_rejects_bad_lift():
         koszul_homotopy(
             [pxy("x"), pxy("0")], [pxy("x"), pxy("y")], K, g=pxy("x^2 + y^2")
         )
+
+
+def test_from_lift_through_a_basis_larger_than_f():
+    # the leads x^2 and x*y of f share x, so (f) has the third basis element
+    # y^2*z - x*z^2, and the lift re-expands its quotients through the
+    # representation buchberger built for it
+    f = [p3("x^2 - y*z"), p3("x*y - z^2")]
+    h = p3("y^2*z - x*z^2")
+    g = [h, p3("x + y") * h + p3("x*z") * f[0], p3("y") * h - p3("z^2") * f[1]]
+    assert len(buchberger(f).generators) == 3
+    lift = LiftMatrix.from_lift(f, g)
+    for j, gj in enumerate(g):
+        assert sum((lift.A[i][j] * fi for i, fi in enumerate(f)), Polynomial.zero(XYZ, F)) == gj
 
 
 def test_alpha_diag():
