@@ -41,7 +41,6 @@ from .homotopy import (
 )
 from .shamash import ShamashResolution, es_resolution, verify_resolution
 from .tate import (
-    McmPresentation,
     TateResolution,
     general_splice,
     mcm_generator_count,
@@ -60,7 +59,6 @@ __all__ = [
     "GroebnerBasis",
     "HomotopySystem",
     "LiftMatrix",
-    "McmPresentation",
     "Polynomial",
     "PolyMatrix",
     "PrimeField",

@@ -853,7 +853,7 @@ def _stored_basis(ctx, field, gens):
     """The GroebnerBasis of `gens` as given, each element representing
     itself; its constructor certifies it, and no Buchberger runs."""
     units = [[Polynomial.constant(ctx, field, int(g is h)) for h in gens] for g in gens]
-    return GroebnerBasis(ctx, field, gens, units, gens, [g.total_degree() for g in gens])
+    return GroebnerBasis(ctx, field, gens, units, gens)
 
 
 def complex_to_doc(complex_):

@@ -175,17 +175,18 @@ class GroebnerBasis:
 
     Every generator records a vector over the original input sequence.
     Construction certifies the basis, computed or given: monic, homogeneous,
-    inter-reduced generators, generator == sum(rep_i * original_i), and every
-    S-pair reducing to zero. `nf_row` is the one memoized normal-form kernel.
+    inter-reduced generators, generator == sum(rep_i * original_i), every
+    S-pair reducing to zero, and every original reducing to zero, so the
+    basis generates exactly the ideal of the originals. `nf_row` is the one
+    memoized normal-form kernel.
     """
 
-    def __init__(self, ring, field, generators, representations, originals, ideal_degrees):
+    def __init__(self, ring, field, generators, representations, originals):
         self.ring = ring
         self.field = field
         self.generators = tuple(generators)
         self.representations = tuple(tuple(r) for r in representations)
         self.originals = tuple(originals)
-        self.ideal_degrees = tuple(ideal_degrees)
         self._leads = [(g.leading_monomial(), g.terms) for g in self.generators]
         self._rows = {}
         self._qbasis_cache = {}
@@ -207,6 +208,8 @@ class GroebnerBasis:
             s = _spoly(self.generators[i], self.generators[j])[0]
             if not self.normal_form(s).is_zero():
                 raise SelfCheckError("S-pair does not reduce to zero")
+        if not all(self.is_member(o) for o in self.originals):
+            raise SelfCheckError("an original is not in the ideal of the basis")
 
     def lead_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
@@ -418,7 +421,6 @@ def buchberger(gens):
         [poly for poly, _ in reduced],
         [rep for _, rep in reduced],
         gens,
-        [g.total_degree() for g in gens],
     )
 
 

@@ -27,13 +27,12 @@ from .groebner import _regular_basis, divide_tracking
 from .koszul import LiftMatrix
 from .shamash import MAX_LENGTH, es_resolution
 from .tate import (
+    betti,
     is_two_periodic,
-    mcm_generator_count,
     mcm_presentation,
     minimize,
     normalize_matrix_factorization,
     tate_splice,
-    TateResolution,
     _acyclicity_certificate,
 )
 
@@ -199,17 +198,11 @@ def run_build(instance):
     `dump_output` for byte-identical files.
     """
     data = InstanceData(instance)
-    lo, hi = instance.window
+    dmax = instance.max_internal_degree
     length = _resolution_length(instance.window, len(data.f) - len(data.g))
     resolution = es_resolution(data.lift, data.ring_R, length)
-    tate = tate_splice(
-        resolution,
-        window=(lo, hi),
-        dmax=instance.max_internal_degree,
-    )
-    minimized, provenance = minimize(
-        tate.complex, splice=tate.splice, labels=tate.provenance
-    )
+    tate = tate_splice(resolution, window=instance.window, dmax=dmax)
+    minimized, provenance = minimize(tate.complex, labels=tate.provenance)
     normalized = False
     if len(data.g) == 1:
         # exact g*identity products need the terms to pair up across the
@@ -221,52 +214,44 @@ def run_build(instance):
             normalized = True
         except ValueError:
             pass
-    final = TateResolution(
-        minimized, tate.splice, provenance, tate.certificates, tate.meta
-    )
-    final.meta["mf_normalized"] = normalized
-    rows, coverage = certify(minimized, instance.max_internal_degree)
+    rows, certificates = _window_certificates(minimized, dmax, normalized)
     for name, passed, detail in rows[:2]:
         if not passed:
             raise SelfCheckError(f"{name}: {detail}")
-    final.certificates["acyclicity"] = _acyclicity_certificate(minimized.window, coverage)
-    final.certificates["minimal_after_reduction"] = {"passed": rows[2][1]}
-    if normalized:
-        final.certificates["two_periodic"] = {"passed": is_two_periodic(minimized)}
-    doc = {
+    return {
         "format": FORMAT,
         "instance": instance.to_doc(),
-        "tate": complex_to_doc(final.complex),
-        "splice": final.splice,
-        "meta": final.meta,
-        "betti": _betti_section(final),
-        "provenance": {str(i): v for i, v in final.provenance.items()},
-        "certificates": final.certificates,
-        "mcm": _mcm_section(final, len(data.f), len(data.g)),
+        "tate": complex_to_doc(minimized),
+        "splice": 0,
+        "meta": {**tate.meta, "mf_normalized": normalized},
+        "betti": _betti_section(minimized),
+        "provenance": {str(i): v for i, v in provenance.items()},
+        "certificates": {**tate.certificates, **certificates},
+        "mcm": mcm_presentation(minimized, len(data.f), len(data.g)),
     }
-    return doc
 
 
-def _betti_section(tate):
+def _window_certificates(complex_, dmax, periodic):
+    """`certify`'s rows for an emitted window, and the certificates that the
+    window alone determines: acyclicity, minimal_after_reduction and, when
+    `periodic`, two_periodic. run_build writes them over the splice's;
+    run_verify compares a document's with them."""
+    rows, coverage = certify(complex_, dmax)
+    certificates = {
+        "acyclicity": _acyclicity_certificate(complex_.window, coverage),
+        "minimal_after_reduction": {"passed": rows[2][1]},
+    }
+    if periodic:
+        certificates["two_periodic"] = {"passed": is_two_periodic(complex_)}
+    return rows, certificates
+
+
+def _betti_section(complex_):
     """The `betti` section of an output document: position -> {twist: count}
-    of `tate`, keys as strings."""
+    of `complex_`, keys as strings."""
     return {
         str(i): {str(t): n for t, n in counts.items()}
-        for i, counts in tate.betti().items()
-    }
-
-
-def _mcm_section(tate, n, c):
-    """The `mcm` section of an output document: the 1 -> 0 differential of
-    `tate` and its source, and the closed-form count for n = len(f),
-    c = len(g)."""
-    pres = mcm_presentation(tate)
-    return {
-        "generator_count": pres.generator_count,
-        "twists": list(pres.twists),
-        "matrix": [[str(e) for e in row] for row in pres.matrix.entries],
-        "minimal": pres.minimal,
-        "formula_count": mcm_generator_count(n, c),
+        for i, counts in betti(complex_).items()
     }
 
 
@@ -290,18 +275,18 @@ def run_verify(doc, dmax=None):
         complex_ = complex_from_doc(doc["tate"], validate=False)
         if dmax is None:
             dmax = doc["meta"]["dmax"]
-        betti = doc["betti"]
-        if type(dmax) is not int or not isinstance(betti, dict):
+        claimed = doc["betti"]
+        if type(dmax) is not int or not isinstance(claimed, dict):
             raise TypeError("meta.dmax must be an integer and betti an object")
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    rows, coverage = certify(complex_, dmax)
-    minimal_ok = rows[2][1]
+    periodic = _claim(doc, "certificates", "two_periodic") is not _ABSENT
+    rows, certificates = _window_certificates(complex_, dmax, periodic)
 
-    expected = _betti_section(TateResolution(complex_, 0, None, {}, {}))
-    positions = list(expected) + [i for i in betti if i not in expected]
-    differs = next((i for i in positions if betti.get(i) != expected.get(i)), None)
+    expected = _betti_section(complex_)
+    positions = list(expected) + [i for i in claimed if i not in expected]
+    differs = next((i for i in positions if claimed.get(i) != expected.get(i)), None)
     rows.append(
         (
             "betti_table",
@@ -313,8 +298,8 @@ def run_verify(doc, dmax=None):
     # dmax bounds only a sweep that falls back (its ring has no Artinian
     # regular quotient); such degrees compare only under the document's bound
     if dmax != _claim(doc, "meta", "dmax") and complex_.ring.regular_quotient()[2] is None:
-        coverage = None
-    mismatch = _document_mismatch(doc, complex_, minimal_ok, coverage)
+        del certificates["acyclicity"]
+    mismatch = _document_mismatch(doc, complex_, certificates)
     rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
     return all(passed for _, passed, _ in rows), rows
 
@@ -332,33 +317,25 @@ def _claim(doc, *path):
     return doc
 
 
-def _document_mismatch(doc, complex_, minimal, coverage):
+def _document_mismatch(doc, complex_, certificates):
     """The first claim of `doc` that its `tate` complex contradicts, or
-    None. `minimal` is whether the complex has no unit entry; `coverage` is
-    the acyclicity sweep's, or None when it is not to be compared."""
+    None. `certificates` are the window's own (`_window_certificates`),
+    without acyclicity when its sweep is not to be compared."""
     f, g = _claim(doc, "instance", "f"), _claim(doc, "instance", "g")
     if not (isinstance(f, list) and isinstance(g, list)):
         return "instance.f and instance.g must be lists"
     try:
-        mcm = _mcm_section(TateResolution(complex_, 0, None, {}, {}), len(f), len(g))
+        mcm = mcm_presentation(complex_, len(f), len(g))
     except (ValueError, WindowTooSmallError) as exc:
         return f"mcm cannot be recomputed: {exc}"
     window = [complex_.lo, complex_.hi]
     expected = {("mcm", key): value for key, value in mcm.items()}
     expected[("meta", "window")] = window
     expected[("instance", "window")] = window
-    if coverage is None:
-        expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
-    else:
-        expected[("certificates", "acyclicity")] = _acyclicity_certificate(window, coverage)
-    expected[("certificates", "minimal_after_reduction")] = {"passed": minimal}
-    recomputed = ["chain_map", "acyclicity", "h0_iso", "minimal_after_reduction"]
-    if _claim(doc, "certificates", "two_periodic") is not _ABSENT:
-        expected[("certificates", "two_periodic")] = {
-            "passed": is_two_periodic(complex_)
-        }
-        recomputed.append("two_periodic")
-    for name in recomputed:
+    expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
+    for name, value in certificates.items():
+        expected[("certificates", name)] = value
+    for name in ("chain_map", "acyclicity", "h0_iso", *certificates):
         expected[("certificates", name, "passed")] = True
     for path, value in expected.items():
         if _claim(doc, *path) != value:

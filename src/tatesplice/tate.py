@@ -9,8 +9,10 @@ as-is (the alternating sign accounted in the dual's (-1)^i placement).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from math import comb
+from typing import NamedTuple
 
 from .arith import Polynomial
 from .errors import AcyclicityError, LiftError, WindowTooSmallError
@@ -34,38 +36,18 @@ from .koszul import alpha_element, beta_matrix, wedge_map
 from .linalg import FieldMatrix
 
 
-class TateResolution:
-    """Spliced window with splice position, provenance, and certificates."""
+class TateResolution(NamedTuple):
+    """A spliced window with its provenance labels, certificates and meta."""
 
-    def __init__(self, complex_, splice, provenance, certificates, meta):
-        self.complex = complex_
-        self.splice = splice
-        self.provenance = provenance
-        self.certificates = dict(certificates)
-        self.meta = dict(meta)
-
-    def betti(self):
-        """Graded Betti numbers: position -> {twist: count}."""
-        C = self.complex
-        return {i: _twist_counts(C.term(i).twists) for i in range(C.lo, C.hi + 1)}
-
-    @property
-    def passed(self):
-        return all(
-            cert.get("passed", False) if isinstance(cert, dict) else bool(cert)
-            for cert in self.certificates.values()
-        )
+    complex: ChainComplex
+    provenance: dict
+    certificates: dict
+    meta: dict
 
 
-class McmPresentation:
-    """The degree 1 -> 0 differential of a minimized Tate resolution."""
-
-    def __init__(self, matrix, generator_count, twists, minimal, labels=None):
-        self.matrix = matrix
-        self.generator_count = generator_count
-        self.twists = tuple(twists)
-        self.minimal = minimal
-        self.labels = labels
+def betti(complex_):
+    """Graded Betti numbers: position -> {twist: count}."""
+    return {i: Counter(complex_.term(i).twists) for i in range(complex_.lo, complex_.hi + 1)}
 
 
 def expand_phi(resolution):
@@ -177,7 +159,7 @@ def tate_splice(resolution, window, dmax):
         "dmax": dmax,
         "route": "tate_splice",
     }
-    return TateResolution(cone, 0, provenance, certificates, meta)
+    return TateResolution(cone, provenance, certificates, meta)
 
 
 def general_splice(F, G, m, window, dmax):
@@ -232,17 +214,15 @@ def general_splice(F, G, m, window, dmax):
         "dmax": dmax,
         "route": "general_splice",
     }
-    return TateResolution(cone, 0, provenance, certificates, meta)
+    return TateResolution(cone, provenance, certificates, meta)
 
 
 def betti_dual_match(tate_m, tate_dual, m, offset):
     """Graded Betti numbers of the minimized window of one splice, read
     backwards with twists negated and shifted, against the minimized dual
     splice: entry (j, t) of the dual must equal entry (m-1-j, offset-t)."""
-    A = minimize(tate_m.complex, splice=tate_m.splice)
-    B = minimize(tate_dual.complex, splice=tate_dual.splice)
-    asym = {i: _twist_counts(A.term(i).twists) for i in range(A.lo, A.hi + 1)}
-    bsym = {j: _twist_counts(B.term(j).twists) for j in range(B.lo, B.hi + 1)}
+    A, B = minimize(tate_m.complex), minimize(tate_dual.complex)
+    asym, bsym = betti(A), betti(B)
     for j in range(B.lo + 1, B.hi):
         i = m - 1 - j
         if i <= A.lo or i >= A.hi:
@@ -251,13 +231,6 @@ def betti_dual_match(tate_m, tate_dual, m, offset):
         if bsym[j] != expected:
             return False
     return True
-
-
-def _twist_counts(twists):
-    counts = {}
-    for t in twists:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
 
 
 def _match_h0_offset(F, T0, dmax):
@@ -291,7 +264,7 @@ def _bottom_class_map(F, T):
     raise LiftError("no nonzero class available for phi_0")
 
 
-def minimize(complex_, splice=0, labels=None):
+def minimize(complex_, labels=None):
     """Split off unit entries until none remain.
 
     A unit pivot at (r, k) of d_i removes generator k of term_i and
@@ -299,7 +272,7 @@ def minimize(complex_, splice=0, labels=None):
     correction, d_{i+1} loses row k, d_{i-1} loses column r. Each
     cancellation is a homotopy equivalence (Gaussian elimination: Bar-Natan,
     Fast Khovanov homology computations, 2007, Lemma 4.2), so homology is
-    unchanged. Pivots are scanned from the splice outward, leftmost column
+    unchanged. Pivots are scanned from position 0 outward, leftmost column
     first, until no degree-0 entry is left. A complex with no unit entry is
     returned as it is, with the same labels.
     """
@@ -308,7 +281,7 @@ def minimize(complex_, splice=0, labels=None):
     lo, hi = complex_.lo, complex_.hi
     twists = {i: list(complex_.term(i).twists) for i in range(lo, hi + 1)}
     mats = {i: list(map(dict, complex_.diff(i).columns)) for i in range(lo + 1, hi + 1)}
-    order = sorted(range(lo + 1, hi + 1), key=lambda i: (abs(i - splice), i))
+    order = sorted(range(lo + 1, hi + 1), key=abs)
 
     def find_unit():
         for i in order:
@@ -366,20 +339,22 @@ def minimize(complex_, splice=0, labels=None):
     return out
 
 
-def mcm_presentation(tate):
-    """Presentation of the essential MCM approximation: the 1 -> 0
-    differential of the minimized Tate resolution."""
-    C = tate.complex
-    if not (C.lo <= 0 and C.hi >= 1):
+def mcm_presentation(complex_, n, c):
+    """The `mcm` section of an output document: the 1 -> 0 differential of
+    a minimized Tate window, which presents the essential MCM approximation,
+    its source twists, and the closed-form count for n = len(f), c = len(g)."""
+    if not (complex_.lo <= 0 and complex_.hi >= 1):
         raise WindowTooSmallError(
-            f"window {C.window} does not contain positions 0 and 1"
+            f"window {complex_.window} does not contain positions 0 and 1"
         )
-    matrix = C.diff(1)
-    minimal = all(e.total_degree() > 0 for col in matrix.columns for e in col.values())
-    labels = tate.provenance.get(0) if tate.provenance else None
-    return McmPresentation(
-        matrix, C.term(0).rank, C.term(0).twists, minimal, labels
-    )
+    matrix = complex_.diff(1)
+    return {
+        "generator_count": complex_.term(0).rank,
+        "twists": list(complex_.term(0).twists),
+        "matrix": [[str(e) for e in row] for row in matrix.entries],
+        "minimal": all(e.total_degree() > 0 for col in matrix.columns for e in col.values()),
+        "formula_count": mcm_generator_count(n, c),
+    }
 
 
 def mcm_generator_count(n, c):

@@ -2,30 +2,16 @@
 
 import pytest
 
-from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.freecomplex import BaseRing
-from tatesplice.groebner import buchberger
-from tatesplice.harness import ProblemInstance, run_build
-from tatesplice.koszul import LiftMatrix
+from tatesplice.harness import InstanceData, ProblemInstance, run_build
 
 P = 32003
 
 
-class Bundle:
-    """Parsed data for one instance: rings, sequences, lift matrix."""
-
-    def __init__(self, variables, f_strs, g_strs, window, dmax):
-        self.field = PrimeField(P)
-        self.ctx = VariableContext(variables)
-        self.f = [parse_polynomial(s, self.ctx, self.field) for s in f_strs]
-        self.g = [parse_polynomial(s, self.ctx, self.field) for s in g_strs]
-        self.ring_S = BaseRing(self.ctx, self.field)
-        self.gb_J = buchberger(self.f)
-        self.gb_I = buchberger(self.g)
-        self.ring_R = BaseRing(self.ctx, self.field, self.gb_I)
-        self.ring_M = BaseRing(self.ctx, self.field, self.gb_J)
-        self.lift = LiftMatrix.from_lift(self.f, self.g, self.gb_J)
-        self.instance = ProblemInstance(
+def ingest(variables, f_strs, g_strs, window, dmax):
+    """The production ingestion of one instance over F_32003: sequences,
+    Gröbner bases, the rings S, R and M, and the lift matrix."""
+    return InstanceData(
+        ProblemInstance(
             field_char=P,
             variables=list(variables),
             f=list(f_strs),
@@ -33,29 +19,30 @@ class Bundle:
             window=window,
             max_internal_degree=dmax,
         )
+    )
 
 
 @pytest.fixture(scope="session")
 def inst_t():
     """f = (x, y), g = (x^2, y^2), M = k: the socle-splice example."""
-    return Bundle(["x", "y"], ["x", "y"], ["x^2", "y^2"], (-4, 5), 10)
+    return ingest(["x", "y"], ["x", "y"], ["x^2", "y^2"], (-4, 5), 10)
 
 
 @pytest.fixture(scope="session")
 def inst_c():
     """f = (x^2, y^2, z^2), g = (x^3, y^3): codimensions 3 and 2."""
-    return Bundle(["x", "y", "z"], ["x^2", "y^2", "z^2"], ["x^3", "y^3"], (-4, 6), 12)
+    return ingest(["x", "y", "z"], ["x^2", "y^2", "z^2"], ["x^3", "y^3"], (-4, 6), 12)
 
 
 @pytest.fixture(scope="session")
 def inst_h():
     """Hypersurface degeneration: f = (x, y), g = x^2 + y^2."""
-    return Bundle(["x", "y"], ["x", "y"], ["x^2 + y^2"], (-4, 5), 10)
+    return ingest(["x", "y"], ["x", "y"], ["x^2 + y^2"], (-4, 5), 10)
 
 
 @pytest.fixture(scope="session")
 def inst_52():
-    return Bundle(
+    return ingest(
         ["x1", "x2", "x3", "x4", "x5"],
         ["x1^2", "x2^2", "x3^2", "x4^2", "x5^2"],
         ["x1^3", "x2^3"],
@@ -68,7 +55,7 @@ def inst_52():
 def inst_52w():
     """Rung 52 widened to window [-2, 3], dmax 6: graded pieces up to
     9429 x 4530, very sparse."""
-    return Bundle(
+    return ingest(
         ["x1", "x2", "x3", "x4", "x5"],
         ["x1^2", "x2^2", "x3^2", "x4^2", "x5^2"],
         ["x1^3", "x2^3"],
@@ -79,7 +66,7 @@ def inst_52w():
 
 @pytest.fixture(scope="session")
 def inst_41():
-    return Bundle(
+    return ingest(
         ["x1", "x2", "x3", "x4"],
         ["x1^2", "x2^2", "x3^2", "x4^2"],
         ["x1^3"],

@@ -15,8 +15,9 @@ from tatesplice.arith import (
     monomial_divides,
     parse_polynomial,
 )
-from tatesplice.errors import InhomogeneousInputError, NotInIdealError
+from tatesplice.errors import InhomogeneousInputError, NotInIdealError, SelfCheckError
 from tatesplice.groebner import (
+    GroebnerBasis,
     _hilbert_numerator,
     buchberger,
     divide_tracking,
@@ -200,6 +201,14 @@ def test_representations_certified():
         for q, orig in zip(rep, gb.originals):
             acc = acc + q * orig
         assert acc == g
+
+
+def test_basis_of_a_smaller_ideal_fails_its_certificate():
+    # x = 1*x + 0*(x + y) holds and (x) has no S-pair, but x + y is not in (x)
+    x, xy = pxy("x"), pxy("x + y")
+    one, zero = Polynomial.constant(XY, F, 1), Polynomial.zero(XY, F)
+    with pytest.raises(SelfCheckError, match="not in the ideal"):
+        GroebnerBasis(XY, F, [x], [[one, zero]], [x, xy])
 
 
 # --- the division kernel and the Hilbert count against plain references ------

@@ -100,9 +100,9 @@ def _count_buchberger(monkeypatch):
     calls = []
     real = groebner.GroebnerBasis.__init__
 
-    def counting(self, ring, field, generators, representations, originals, degrees):
+    def counting(self, ring, field, generators, representations, originals):
         calls.append([str(g) for g in originals])
-        real(self, ring, field, generators, representations, originals, degrees)
+        real(self, ring, field, generators, representations, originals)
 
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", counting)
     return calls
@@ -434,6 +434,26 @@ def test_rung_52w_certified_and_acyclic(build_52w):
     for i, d in ((-1, -2), (0, 0), (1, 2), (2, 4)):
         assert C.term(i).degree_dim(d) > 0
         assert oracle_homology(C, i, d) == 0
+
+
+def test_run_build_splits_unit_entries():
+    """g_1 = f_1 puts unit entries in the splice, so minimize cancels them
+    inside the pipeline; the emitted window is minimal, verifies, and its
+    interior homology vanishes by the dense oracle too, up to dmax."""
+    inst = ProblemInstance(
+        field_char=32003, variables=["x", "y"], f=["x", "y"], g=["x", "y^2"],
+        window=(-3, 4), max_internal_degree=8,
+    )
+    doc = run_build(inst)
+    assert not doc["certificates"]["minimal"]["passed"]
+    assert doc["certificates"]["minimal_after_reduction"]["passed"]
+    ok, rows = run_verify(json.loads(dump_output(doc)))
+    assert ok, rows
+    C = freecomplex.complex_from_doc(doc["tate"], validate=False)
+    low = min(-t for i in range(C.lo, C.hi + 1) for t in C.term(i).twists)
+    for i in range(C.lo + 1, C.hi):
+        for d in range(low, 9):
+            assert freecomplex._homology_dim(C, i, d) == oracle_homology(C, i, d)
 
 
 @pytest.mark.parametrize("module", ("scipy", "numpy"))

@@ -63,8 +63,8 @@ def test_cli_build_certifies_the_emitted_complex(
     """Build certifies the complex it writes, not the cone it came from."""
     minimize = harness.minimize
 
-    def damaged_minimize(complex_, splice=0, labels=None):
-        out, labels = minimize(complex_, splice=splice, labels=labels)
+    def damaged_minimize(complex_, labels=None):
+        out, labels = minimize(complex_, labels=labels)
         return damage(out), labels
 
     monkeypatch.setattr(harness, "minimize", damaged_minimize)

@@ -25,7 +25,7 @@ from tatesplice.koszul import (
 )
 from tatesplice.shamash import es_resolution
 from tatesplice.tate import (
-    TateResolution,
+    betti,
     betti_dual_match,
     expand_phi,
     general_splice,
@@ -239,20 +239,20 @@ def test_tate_splice_instance_t(splice_t):
     _, tate = splice_t
     ranks = [tate.complex.term(i).rank for i in range(-4, 6)]
     assert ranks == [4, 3, 2, 1, 1, 2, 3, 4, 5, 6]
-    assert tate.passed
+    assert all(cert["passed"] for cert in tate.certificates.values())
     # splice entry: the socle generator det A = xy
     assert tate.complex.diff(0).entries == ((pxy("x*y"),),)
     # lower half carries generator degree i at position i, upper its mirror
-    betti = tate.betti()
+    table = betti(tate.complex)
     for i in range(0, 6):
-        assert betti[i] == {-i: i + 1}
+        assert table[i] == {-i: i + 1}
     for j in range(0, 4):
-        assert betti[-1 - j] == {j + 2: j + 1}
+        assert table[-1 - j] == {j + 2: j + 1}
 
 
 def test_tate_splice_instance_c(splice_c):
     _, tate = splice_c
-    assert tate.passed
+    assert all(cert["passed"] for cert in tate.certificates.values())
     assert tate.certificates["minimal"]["passed"]  # x^3 in m*(x^2)
     assert tate.complex.term(0).rank == 2
 
@@ -392,21 +392,19 @@ def test_minimize_nonminimal_splice_matches_direct_build():
 
 def test_mcm_presentation_instance_t(splice_t):
     _, tate = splice_t
-    minimized, labels = minimize(tate.complex, labels=tate.provenance)
-    final = TateResolution(minimized, 0, labels, tate.certificates, tate.meta)
-    pres = mcm_presentation(final)
-    assert pres.generator_count == 1
-    assert pres.minimal
-    assert pres.matrix.entries == ((pxy("x"), pxy("y")),)
-    assert pres.twists == (0,)
+    pres = mcm_presentation(minimize(tate.complex), 2, 2)
+    assert pres["generator_count"] == 1
+    assert pres["minimal"]
+    assert pres["matrix"] == [["x", "y"]]
+    assert pres["twists"] == [0]
+    assert pres["formula_count"] == 1
 
 
 def test_mcm_presentation_window_too_small(splice_t):
     _, tate = splice_t
     small = tate.complex.subwindow(-4, 0)
-    clipped = TateResolution(small, 0, {}, {}, {})
     with pytest.raises(WindowTooSmallError):
-        mcm_presentation(clipped)
+        mcm_presentation(small, 2, 2)
 
 
 def test_mcm_generator_count_formula():

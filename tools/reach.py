@@ -1,0 +1,78 @@
+"""Count the lines of src/ that a build and a verify never run.
+
+    python3 tools/reach.py
+
+Runs `run_build`, then `run_verify` on the written document, for the five
+ladder rungs and generic seed 1 of bench/workloads.py, under
+`python -m trace --count --missing` with its cover files in a temporary
+directory, and prints the unrun lines (marked `>>>>>>` by trace) per module
+of the package. `cli` is not imported, so it is not counted.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workloads():
+    """bench/workloads.py loaded as a module, without bench/ on the path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_pipelines():
+    """Build and verify every instance; raise if a verify fails."""
+    from tatesplice.harness import ProblemInstance, dump_output, run_build, run_verify
+
+    workloads = _workloads()
+    docs = workloads.instances("ladder", 1) + workloads.instances("generic", 1)
+    for label, doc in docs:
+        out = dump_output(run_build(ProblemInstance.from_doc(doc)))
+        ok, _ = run_verify(json.loads(out))
+        if not ok:
+            raise SystemExit(f"{label}: verify failed")
+
+
+def unrun_lines(coverdir):
+    """{module: unrun line count} from the package's .cover files."""
+    counts = {}
+    for path in sorted(Path(coverdir).glob("tatesplice.*.cover")):
+        lines = path.read_text().splitlines()
+        counts[path.stem] = sum(line.startswith(">>>>>>") for line in lines)
+    return counts
+
+
+def main():
+    if sys.argv[1:] == ["--run"]:
+        run_pipelines()
+        return 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as coverdir:
+        subprocess.run(
+            [
+                sys.executable, "-m", "trace", "--count", "--missing",
+                f"--coverdir={coverdir}", f"--ignore-dir={sys.base_prefix}",
+                f"--ignore-dir={sys.prefix}", __file__, "--run",
+            ],
+            env=env,
+            check=True,
+        )
+        counts = unrun_lines(coverdir)
+    for module, n in counts.items():
+        print(f"{module:<24} {n:>5}")
+    print(f"{'total':<24} {sum(counts.values()):>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
