@@ -209,16 +209,12 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                v = (terms.get(e, 0) + c1 * c2) % p
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        # the constructor takes each coefficient mod p once and drops zeros
         return Polynomial(self.ring, self.field, terms)
 
     def scale(self, scalar):

@@ -243,7 +243,9 @@ class PolyMatrix:
     """Degree-compatible polynomial matrix between graded free modules.
 
     Only nonzero entries are stored: `columns[c]` maps row r to entry (r, c),
-    rows ascending. Over a quotient ring every entry is stored in normal form.
+    rows ascending. Over a quotient ring every entry is stored in normal form,
+    so `scale`, `transpose`, `twisted`, `__add__` and `block_matrix`, whose
+    entries are F-linear combinations of such entries, skip the reduction.
     """
 
     __slots__ = ("source", "target", "columns")
@@ -268,7 +270,7 @@ class PolyMatrix:
                 if not 0 <= r < target.rank:
                     raise ValueError(f"row {r} outside target rank {target.rank}")
                 want = target.twists[r] - source.twists[c]
-                if not e.is_homogeneous() or e.total_degree() != want:
+                if any(sum(m) != want for m in e.terms):
                     raise DegreeMismatchError(
                         f"entry ({r},{c}) = {e} must be homogeneous of degree {want}"
                     )
@@ -325,13 +327,19 @@ class PolyMatrix:
         """self o other (apply other first)."""
         if other.target != self.source:
             raise ValueError("composition shape/twist mismatch")
+        ctx, field = self.source.ring.ctx, self.source.ring.field
         cols = []
         for other_col in other.columns:
+            # one term dict per entry (r, c) sums every product a * b into it
             col = {}
             for k, b in other_col.items():
                 for r, a in self.columns[k].items():
-                    col[r] = col[r] + a * b if r in col else a * b
-            cols.append(col)
+                    acc = col.setdefault(r, {})
+                    for e1, c1 in a.terms.items():
+                        for e2, c2 in b.terms.items():
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + c1 * c2
+            cols.append({r: Polynomial(ctx, field, acc) for r, acc in col.items()})
         return PolyMatrix(other.source, self.target, cols)
 
     def transpose(self):
@@ -356,7 +364,7 @@ class PolyMatrix:
             for r, b in other_col.items():
                 col[r] = col[r] + b if r in col else b
             cols.append(col)
-        return PolyMatrix(self.source, self.target, cols)
+        return PolyMatrix(self.source, self.target, cols, reduce=False)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -398,7 +406,7 @@ def block_matrix(col_modules, row_modules, blocks):
             raise ValueError(f"block ({i},{j}) has wrong shape or twists")
         for c, col in enumerate(blk.columns):
             columns[col_off[j] + c].update((row_off[i] + r, e) for r, e in col.items())
-    return PolyMatrix(source, target, columns)
+    return PolyMatrix(source, target, columns, reduce=False)
 
 
 class ChainComplex:
@@ -877,13 +885,12 @@ def complex_from_doc(doc, validate=True):
     terms = {
         int(i): GradedFreeModule(ring, twists) for i, twists in doc["terms"].items()
     }
-    diffs, zero = {}, ring.zero()
+    # each distinct entry string is parsed once; most entries of the dense rows are "0"
+    diffs, parsed = {}, {"0": ring.zero()}
     for i_str, rows in doc["diffs"].items():
         i = int(i_str)
-        # most entries of the dense rows are the string "0": skip its parse
-        entries = [
-            [zero if s == "0" else parse_polynomial(s, ring.ctx, ring.field) for s in row]
-            for row in rows
-        ]
+        for s in (s for row in rows for s in row if s not in parsed):
+            parsed[s] = parse_polynomial(s, ring.ctx, ring.field)
+        entries = [[parsed[s] for s in row] for row in rows]
         diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries)
     return ChainComplex(ring, terms, diffs, validate=validate)

@@ -187,7 +187,10 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.representations = tuple(tuple(r) for r in representations)
         self.originals = tuple(originals)
-        self._leads = [(g.leading_monomial(), g.terms) for g in self.generators]
+        self._leads = [  # (lead, tail terms) of each generator
+            (lm, [(t, c) for t, c in g.terms.items() if t != lm])
+            for g, lm in zip(self.generators, self.lead_monomials())
+        ]
         self._rows = {}
         self._qbasis_cache = {}
         self._certify()
@@ -230,9 +233,9 @@ class GroebnerBasis:
             if m in index:
                 rows[stack.pop()] = (index[m], 1)
                 continue
-            lead, terms = next(lt for lt in self._leads if monomial_divides(lt[0], m))
+            lead, tail = next(lt for lt in self._leads if monomial_divides(lt[0], m))
             q = monomial_div(m, lead)
-            parts = [(monomial_mul(q, t), c) for t, c in terms.items() if t != lead]
+            parts = [(monomial_mul(q, t), c) for t, c in tail]
             missing = [u for u, _ in parts if u not in rows]
             if missing:
                 stack += missing
@@ -241,21 +244,22 @@ class GroebnerBasis:
             for u, c in parts:
                 it = iter(rows[u])
                 for j, v in zip(it, it):
-                    acc[j] = (acc.get(j, 0) - c * v) % p
-            rows[stack.pop()] = tuple(x for j, v in acc.items() if v for x in (j, v))
+                    acc[j] = acc.get(j, 0) - c * v
+            rows[stack.pop()] = tuple(x for j, v in acc.items() if v % p for x in (j, v % p))
         return rows[mono]
 
     def normal_form(self, poly):
-        """Remainder modulo the basis: the sum of coeff * nf_row(mono) over
-        the terms of poly, read back through each degree's quotient basis."""
-        p, out, bases = self.field.p, {}, {}
+        """Remainder modulo the basis: poly itself when every term is a
+        standard monomial, else the sum of coeff * nf_row(mono) over the
+        terms of poly, read back through each degree's quotient basis."""
+        bases = {d: self.quotient_degree_basis(d) for d in {sum(e) for e in poly.terms}}
+        if all(e in bases[sum(e)].index for e in poly.terms):
+            return poly
+        out = {}
         for expo, coeff in poly.terms.items():
-            d = sum(expo)
-            if d not in bases:
-                bases[d] = self.quotient_degree_basis(d).monomials
-            monos, it = bases[d], iter(self.nf_row(expo))
+            monos, it = bases[sum(expo)].monomials, iter(self.nf_row(expo))
             for j, v in zip(it, it):
-                out[monos[j]] = (out.get(monos[j], 0) + coeff * v) % p
+                out[monos[j]] = out.get(monos[j], 0) + coeff * v
         return Polynomial(self.ring, self.field, out)
 
     def is_member(self, poly):

@@ -205,15 +205,7 @@ def run_build(instance):
     minimized, provenance = minimize(tate.complex, labels=tate.provenance)
     normalized = False
     if len(data.g) == 1:
-        # exact g*identity products need the terms to pair up across the
-        # window; possible iff the whole window is already periodic
-        try:
-            minimized = normalize_matrix_factorization(
-                minimized, data.g[0], data.ring_S
-            )
-            normalized = True
-        except ValueError:
-            pass
+        minimized, normalized = _normalized(minimized, data.g[0])
     rows, certificates = _window_certificates(minimized, dmax, normalized)
     for name, passed, detail in rows[:2]:
         if not passed:
@@ -229,6 +221,16 @@ def run_build(instance):
         "certificates": {**tate.certificates, **certificates},
         "mcm": mcm_presentation(minimized, len(data.f), len(data.g)),
     }
+
+
+def _normalized(window, g):
+    """(window normalized as a matrix factorization of g, True), or (window, False)
+    when its terms do not pair up as one across the whole window."""
+    ring_S = BaseRing(window.ring.ctx, window.ring.field)
+    try:
+        return normalize_matrix_factorization(window, g, ring_S), True
+    except ValueError:
+        return window, False
 
 
 def _window_certificates(complex_, dmax, periodic):
@@ -281,7 +283,8 @@ def run_verify(doc, dmax=None):
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    periodic = _claim(doc, "certificates", "two_periodic") is not _ABSENT
+    # recompute two_periodic where normalization is claimed; the claim is checked below
+    periodic = _claim(doc, "meta", "mf_normalized") is True
     rows, certificates = _window_certificates(complex_, dmax, periodic)
 
     expected = _betti_section(complex_)
@@ -333,12 +336,23 @@ def _document_mismatch(doc, complex_, certificates):
     expected[("meta", "window")] = window
     expected[("instance", "window")] = window
     expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
+    # build normalizes a hypersurface window when it can and then certifies two_periodic,
+    # which a true flag recomputes; a false flag on a periodic window is tried
+    claimed, modulus = _claim(doc, "meta", "mf_normalized"), complex_.ring.modulus
+    expected[("meta", "mf_normalized")] = len(g) == 1 and (
+        claimed is True
+        or modulus is not None
+        and is_two_periodic(complex_)
+        and _normalized(complex_, modulus.generators[0])[1]
+    )
+    expected[("certificates", "two_periodic")] = _ABSENT
     for name, value in certificates.items():
         expected[("certificates", name)] = value
     for name in ("chain_map", "acyclicity", "h0_iso", *certificates):
         expected[("certificates", name, "passed")] = True
     for path, value in expected.items():
-        if _claim(doc, *path) != value:
+        claim = _claim(doc, *path)
+        if type(claim) is not type(value) or claim != value:
             return f"{'.'.join(path)} disagrees with the tate complex"
     return None
 

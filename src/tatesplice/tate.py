@@ -32,7 +32,7 @@ from .freecomplex import (
 )
 from .groebner import divide_tracking
 from .homotopy import _solve_through
-from .koszul import alpha_element, beta_matrix, wedge_map
+from .koszul import ExteriorVector, alpha_element, beta_matrix, wedge_map
 from .linalg import FieldMatrix
 
 
@@ -54,8 +54,11 @@ def expand_phi(resolution):
     """Lift phi' through the projection onto the Koszul layer: the full map
     phi = pi* o phi' o pi on the divided-power resolution, zero on every
     layer with divided-power degree > 0. Returns (phi, target complex)."""
-    alpha = alpha_element(resolution.lift)
     F = resolution.complex
+    alpha = alpha_element(resolution.lift)
+    # the minors in normal form over F's ring once, not once per wedge column
+    coeffs = {t: F.ring.reduce(e) for t, e in alpha.coeffs.items()}
+    alpha = ExteriorVector(alpha.n, alpha.k, coeffs, alpha.degree)
     n, c = alpha.n, alpha.k
     m = n - c
     f_degrees = resolution.lift.f_degrees

@@ -3,9 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tatesplice import freecomplex
-from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
+from tatesplice.arith import Polynomial, PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import (
     DegreeMismatchError,
     NotAComplexError,
@@ -26,7 +27,7 @@ from tatesplice.freecomplex import (
     is_chain_map,
     mapping_cone,
 )
-from tatesplice.groebner import buchberger
+from tatesplice.groebner import buchberger, divide_tracking, monomials_of_degree
 from tatesplice.harness import _oracle_basis, _oracle_matrix, oracle_homology
 from tatesplice.koszul import koszul_complex
 
@@ -410,6 +411,72 @@ def test_serialization_bit_exact_roundtrip():
     assert K2.diff(1).entries == K.diff(1).entries
 
 
+def _form(data, ctx, field, d, max_terms=4):
+    """A random homogeneous form of degree d (zero when d < 0)."""
+    terms = {}
+    if d >= 0:
+        monos = monomials_of_degree(ctx.nvars, d)
+        for _ in range(data.draw(st.integers(0, max_terms))):
+            terms[data.draw(st.sampled_from(monos))] = data.draw(st.integers(1, field.p - 1))
+    return Polynomial(ctx, field, terms)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_compose_and_normal_form_match_plain_arithmetic(data):
+    """Over S/(g), g a basis from `buchberger` in 2 or 3 variables over F_7
+    or F_32003: entry (r, c) of A o B is the normal form of sum_k a_rk * b_kc
+    formed with Polynomial arithmetic; normal_form agrees with the division
+    remainder, returns its argument exactly when every term is standard,
+    and is additive."""
+    field = PrimeField(data.draw(st.sampled_from((7, 32003))))
+    ctx = data.draw(st.sampled_from((XY, XYZ)))
+    gens = [
+        _form(data, ctx, field, data.draw(st.integers(1, 3)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    # a nonzero modulus: x^2 when every drawn form is zero
+    x2 = Polynomial.monomial(ctx, field, (2,) + (0,) * (ctx.nvars - 1))
+    gb = buchberger([g for g in gens if not g.is_zero()] or [x2])
+    ring = BaseRing(ctx, field, gb)
+    mods = []
+    for _ in range(3):
+        rank = data.draw(st.integers(1, 3))
+        mods.append(GradedFreeModule(ring, [data.draw(st.integers(-3, 0)) for _ in range(rank)]))
+
+    def matrix(source, target):
+        columns = [
+            {r: _form(data, ctx, field, t - s) for r, t in enumerate(target.twists)}
+            for s in source.twists
+        ]
+        return PolyMatrix(source, target, columns)
+
+    B, A = matrix(mods[0], mods[1]), matrix(mods[1], mods[2])
+    AB, zero = A.compose(B), ring.zero()
+    for c in range(mods[0].rank):
+        for r in range(mods[2].rank):
+            total = zero
+            for k in range(mods[1].rank):
+                total = total + A.columns[k].get(r, zero) * B.columns[c].get(k, zero)
+            assert AB.columns[c].get(r, zero) == gb.normal_form(total)
+        assert list(AB.columns[c]) == sorted(AB.columns[c])
+
+    d = data.draw(st.integers(0, 4))
+    p, q = _form(data, ctx, field, d, 8), _form(data, ctx, field, d, 8)
+    nf = gb.normal_form(p)
+    assert nf == divide_tracking(p, gb.generators)[1]
+    standard = all(e in gb.quotient_degree_basis(d).index for e in p.terms)
+    assert (nf is p) == standard
+    assert gb.normal_form(nf) is nf
+    assert gb.normal_form(p + q) == nf + gb.normal_form(q)
+
+
+def test_emitted_window_entries_are_normal_forms(build_c):
+    C = complex_from_doc(build_c["tate"])
+    entries = [e for i in C.diffs for col in C.diff(i).columns for e in col.values()]
+    assert entries and all(C.ring.reduce(e) is e for e in entries)
+
+
 def test_complex_from_doc_parses_only_nonzero_entries(monkeypatch):
     K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], S3)
     doc = json.loads(json.dumps(complex_to_doc(K)))
@@ -419,8 +486,11 @@ def test_complex_from_doc_parses_only_nonzero_entries(monkeypatch):
         freecomplex, "parse_polynomial", lambda s, *a: parsed.append(s) or parse(s, *a)
     )
     K2 = complex_from_doc(doc)
+    nonzero = [s for s in entries if s != "0"]
+    # each distinct nonzero string is parsed once, and "0" never
     assert "0" in entries and "0" not in parsed
-    assert len(parsed) == sum(s != "0" for s in entries)
+    assert len(nonzero) > len(set(nonzero))
+    assert sorted(parsed) == sorted(set(nonzero))
     for i in map(int, doc["diffs"]):
         assert K2.diff(i).columns == K.diff(i).columns
 

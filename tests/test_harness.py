@@ -834,6 +834,58 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
     ]
 
 
+@pytest.mark.parametrize(
+    "build, edits",
+    [
+        ("build_h", [(("certificates", "two_periodic"), DELETE)]),
+        (
+            "build_h",
+            [(("certificates", "two_periodic"), DELETE), (("meta", "mf_normalized"), False)],
+        ),
+        ("build_h", [(("meta", "mf_normalized"), "yes")]),
+        ("build_h", [(("meta", "mf_normalized"), 1)]),
+        # a window that is not 2-periodic cannot claim normalization
+        (
+            "build_t",
+            [
+                (("meta", "mf_normalized"), True),
+                (("certificates", "two_periodic"), {"passed": True}),
+            ],
+        ),
+        ("build_t", [(("certificates", "two_periodic"), {"passed": False})]),
+    ],
+    ids=[
+        "no_certificate",
+        "no_certificate_flag_false",
+        "flag_yes",
+        "flag_one",
+        "t_flag_true",
+        "t_certificate",
+    ],
+)
+def test_cli_verify_checks_mf_normalized_claim(tmp_path, capsys, request, build, edits):
+    doc = json.loads(dump_output(request.getfixturevalue(build)))
+    for path, value in edits:
+        _set(doc, path, value)
+    assert _verify_exit_code(tmp_path, doc) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["document", "FAIL"]
+    ]
+
+
+def test_cli_verify_repeated_malformed_entry(tmp_path, capsys, build_t):
+    # entries are parsed once per distinct string; the first "x^" still raises
+    doc = json.loads(dump_output(build_t))
+    rows = doc["tate"]["diffs"][sorted(doc["tate"]["diffs"])[0]]
+    rows[0][0] = rows[-1][-1] = "x^"
+    assert sum(s == "x^" for row in rows for s in row) == 2
+    assert _verify_exit_code(tmp_path, doc) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_verify_rejects_extra_betti_position(tmp_path, capsys, build_c):
     doc = json.loads(dump_output(build_c))
     doc["betti"]["99"] = {"0": 1}
