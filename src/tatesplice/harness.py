@@ -225,7 +225,7 @@ def run_build(instance):
 
 def _normalized(window, g):
     """(window normalized as a matrix factorization of g, True), or (window, False)
-    when its terms do not pair up as one across the whole window."""
+    when `normalize_matrix_factorization` cannot normalize it."""
     ring_S = BaseRing(window.ring.ctx, window.ring.field)
     try:
         return normalize_matrix_factorization(window, g, ring_S), True
