@@ -33,7 +33,6 @@ from .tate import (
     minimize,
     normalize_matrix_factorization,
     tate_splice,
-    _acyclicity_certificate,
 )
 
 FORMAT = "tatesplice/1"
@@ -233,17 +232,18 @@ def _normalized(window, g):
         return window, False
 
 
-def _window_certificates(complex_, dmax, periodic):
+def _window_certificates(complex_, dmax, normalized):
     """`certify`'s rows for an emitted window, and the certificates that the
     window alone determines: acyclicity, minimal_after_reduction and, when
-    `periodic`, two_periodic. run_build writes them over the splice's;
+    `normalized`, two_periodic. run_build adds them to the splice's;
     run_verify compares a document's with them."""
     rows, coverage = certify(complex_, dmax)
+    lo, hi = complex_.window
     certificates = {
-        "acyclicity": _acyclicity_certificate(complex_.window, coverage),
+        "acyclicity": {"passed": True, "window": [lo + 1, hi - 1], **coverage},
         "minimal_after_reduction": {"passed": rows[2][1]},
     }
-    if periodic:
+    if normalized:
         certificates["two_periodic"] = {"passed": is_two_periodic(complex_)}
     return rows, certificates
 
@@ -265,11 +265,14 @@ def run_verify(doc, dmax=None):
     """Recompute d^2 = 0, interior acyclicity, minimality and the Betti table
     from the `tate` complex of a persisted document, and check that the rest
     of the document agrees with it (the `document` row): the `mcm` section,
-    the windows, and certificates that recompute or must have passed.
-    Returns (ok, rows) with one (check, passed, detail) per row. Raises
-    DocumentError when `tate`, `meta` or `betti` is missing or malformed."""
-    if doc.get("format") != FORMAT:
-        return False, [("format", False, f"unknown format {doc.get('format')!r}")]
+    the windows, `meta.dmax`, `meta.mf_normalized` (decided from the window,
+    as build decides it), and certificates that recompute or must have
+    passed. Returns (ok, rows) with one (check, passed, detail) per row. Raises
+    DocumentError when `doc` is not an object of the known `format`, or when
+    `tate`, `meta`, `betti` or `instance` is missing or malformed."""
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != FORMAT:
+        raise DocumentError(f"unknown format {found!r}")
     missing = [key for key in ("tate", "meta", "betti") if key not in doc]
     if missing:
         raise DocumentError(f"document is missing {', '.join(missing)}")
@@ -280,12 +283,20 @@ def run_verify(doc, dmax=None):
         claimed = doc["betti"]
         if type(dmax) is not int or not isinstance(claimed, dict):
             raise TypeError("meta.dmax must be an integer and betti an object")
+        instance = ProblemInstance.from_doc(doc["instance"])
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
-    # recompute two_periodic where normalization is claimed; the claim is checked below
-    periodic = _claim(doc, "meta", "mf_normalized") is True
-    rows, certificates = _window_certificates(complex_, dmax, periodic)
+    # build's decision: a hypersurface window is normalized when it can be;
+    # normalizing forces 2-periodicity, so only a periodic window is tried
+    modulus = complex_.ring.modulus
+    normalized = (
+        len(instance.g) == 1
+        and modulus is not None
+        and is_two_periodic(complex_)
+        and _normalized(complex_, modulus.generators[0])[1]
+    )
+    rows, certificates = _window_certificates(complex_, dmax, normalized)
 
     expected = _betti_section(complex_)
     positions = list(expected) + [i for i in claimed if i not in expected]
@@ -302,7 +313,7 @@ def run_verify(doc, dmax=None):
     # regular quotient); such degrees compare only under the document's bound
     if dmax != _claim(doc, "meta", "dmax") and complex_.ring.regular_quotient()[2] is None:
         del certificates["acyclicity"]
-    mismatch = _document_mismatch(doc, complex_, certificates)
+    mismatch = _document_mismatch(doc, complex_, instance, normalized, certificates)
     rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
     return all(passed for _, passed, _ in rows), rows
 
@@ -320,31 +331,22 @@ def _claim(doc, *path):
     return doc
 
 
-def _document_mismatch(doc, complex_, certificates):
-    """The first claim of `doc` that its `tate` complex contradicts, or
-    None. `certificates` are the window's own (`_window_certificates`),
+def _document_mismatch(doc, complex_, instance, normalized, certificates):
+    """The first claim of `doc` that its `tate` complex and `instance`
+    contradict, or None. `normalized` is build's normalization decision on
+    the window; `certificates` are the window's own (`_window_certificates`),
     without acyclicity when its sweep is not to be compared."""
-    f, g = _claim(doc, "instance", "f"), _claim(doc, "instance", "g")
-    if not (isinstance(f, list) and isinstance(g, list)):
-        return "instance.f and instance.g must be lists"
     try:
-        mcm = mcm_presentation(complex_, len(f), len(g))
+        mcm = mcm_presentation(complex_, len(instance.f), len(instance.g))
     except (ValueError, WindowTooSmallError) as exc:
         return f"mcm cannot be recomputed: {exc}"
     window = [complex_.lo, complex_.hi]
     expected = {("mcm", key): value for key, value in mcm.items()}
     expected[("meta", "window")] = window
+    expected[("meta", "dmax")] = instance.max_internal_degree
+    expected[("meta", "mf_normalized")] = normalized
     expected[("instance", "window")] = window
     expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
-    # build normalizes a hypersurface window when it can and then certifies two_periodic,
-    # which a true flag recomputes; a false flag on a periodic window is tried
-    claimed, modulus = _claim(doc, "meta", "mf_normalized"), complex_.ring.modulus
-    expected[("meta", "mf_normalized")] = len(g) == 1 and (
-        claimed is True
-        or modulus is not None
-        and is_two_periodic(complex_)
-        and _normalized(complex_, modulus.generators[0])[1]
-    )
     expected[("certificates", "two_periodic")] = _ABSENT
     for name, value in certificates.items():
         expected[("certificates", name)] = value

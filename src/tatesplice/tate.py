@@ -80,13 +80,6 @@ def expand_phi(resolution):
     return phi, target
 
 
-def _acyclicity_certificate(window, coverage):
-    """The acyclicity certificate of a passing sweep of a complex on
-    `window` with the coverage of `acyclicity_sweep`."""
-    lo, hi = window
-    return {"passed": True, "window": [lo + 1, hi - 1], **coverage}
-
-
 def _splice(C, D, phi, window, dmax):
     """Shared cone + certificate machinery for both splice entry points.
 
@@ -101,7 +94,8 @@ def _splice(C, D, phi, window, dmax):
     certifies phi_* an isomorphism in every degree: each row of the table,
     up to dmax, reads (h, h, h) with h = dim H_0(C)_d. The window keeps the
     ranks the sweep stored. Where the sweep fails, the table is computed so
-    that a broken H_0 isomorphism is still reported as such."""
+    that a broken H_0 isomorphism is still reported as such. The certificates
+    are chain_map, h0_iso and minimal; acyclicity is the emitted window's."""
     lo, hi = window
     top = max(hi, 1)
     cone, layout = mapping_cone(phi, C, D)
@@ -112,7 +106,7 @@ def _splice(C, D, phi, window, dmax):
         )
     h0_degrees = _content_degree_range(C, 0, 0, dmax) + _content_degree_range(D, 0, 0, dmax)
     h0_degrees = sorted(set(h0_degrees))
-    failure, coverage = acyclicity_sweep(cone, range(min(lo + 1, -1), top), dmax)
+    failure, _ = acyclicity_sweep(cone, range(min(lo + 1, -1), top), dmax)
     if failure is not None:
         _h0_iso_table(C, D, phi, h0_degrees)
         raise AcyclicityError(*failure)
@@ -120,7 +114,6 @@ def _splice(C, D, phi, window, dmax):
 
     certificates = {
         "chain_map": {"passed": True},
-        "acyclicity": _acyclicity_certificate(window, coverage),
         "h0_iso": {
             "passed": True,
             "table": {str(d): [_h0_dim(C, d)] * 3 for d in h0_degrees},
@@ -135,8 +128,8 @@ def tate_splice(resolution, window, dmax):
     resolution and the wedge-with-alpha comparison map.
 
     Certificates recorded (all recomputed, nothing trusted): the chain-map
-    property of phi, total acyclicity on the window interior, the degreewise
-    H_0 isomorphism, and entrywise minimality.
+    property of phi, the degreewise H_0 isomorphism, and entrywise
+    minimality. Total acyclicity is swept here too; a failing sweep raises.
     """
     F = resolution.complex
     lift = resolution.lift

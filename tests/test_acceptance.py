@@ -163,10 +163,10 @@ def test_criterion_7(inst_t, inst_c):
         length = max(window[1], m - 1 - window[0]) + 1
         res = es_resolution(bundle.lift, bundle.ring_R, length)
         tate = tate_splice(res, window=window, dmax=dmax)
+        # F = G: S/(f) is self-dual up to shift and twist, so the splice is
+        # its own dual and its Betti table reads the same backwards
         dual = general_splice(res.complex, res.complex, m, window=window, dmax=dmax)
-        # the splice from the other side: G and F swapped
-        other = general_splice(res.complex, res.complex, m, window=window, dmax=dmax)
-        assert betti_dual_match(dual, other, m, dual.meta["twist_offset"])
+        assert betti_dual_match(dual, dual, m, dual.meta["twist_offset"])
         assert betti_dual_match(tate, dual, m, dual.meta["twist_offset"])
 
 

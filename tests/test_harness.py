@@ -689,6 +689,28 @@ def test_cli_verify_meta_without_dmax(tmp_path, capsys, build_t):
     assert "dmax" in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("format",), "tatesplice/0"),
+        (None, [1, 2]),
+        (("instance", "window"), [0, 1]),
+    ],
+    ids=["unknown_format", "document_not_an_object", "instance_window_without_interior"],
+)
+def test_cli_verify_unreadable_document(tmp_path, capsys, build_t, path, value):
+    # path None: the whole document is `value`
+    doc = value
+    if path is not None:
+        doc = json.loads(dump_output(build_t))
+        _set(doc, path, value)
+    assert _verify_exit_code(tmp_path, doc) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (path or ("format",))[-1] in captured.err
+
+
 def _build_exit_code(tmp_path, doc):
     ipath = tmp_path / "instance.json"
     ipath.write_text(json.dumps(doc))
@@ -820,6 +842,7 @@ def _set(doc, path, value):
         ("build_c", ("certificates", "acyclicity", "degrees"), [7, 8]),
         ("build_c", ("certificates", "acyclicity", "degrees"), DELETE),
         ("build_c", ("certificates", "acyclicity", "killed_variables"), []),
+        ("build_c", ("meta", "dmax"), 11),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -853,6 +876,15 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
             ],
         ),
         ("build_t", [(("certificates", "two_periodic"), {"passed": False})]),
+        # [0, 2] leaves is_two_periodic nothing to compare, and rung 41's
+        # window there still does not normalize
+        (
+            "build_41_short",
+            [
+                (("meta", "mf_normalized"), True),
+                (("certificates", "two_periodic"), {"passed": True}),
+            ],
+        ),
     ],
     ids=[
         "no_certificate",
@@ -861,6 +893,7 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
         "flag_one",
         "t_flag_true",
         "t_certificate",
+        "41_short_flag_true",
     ],
 )
 def test_cli_verify_checks_mf_normalized_claim(tmp_path, capsys, request, build, edits):
@@ -872,6 +905,12 @@ def test_cli_verify_checks_mf_normalized_claim(tmp_path, capsys, request, build,
     assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
         ["document", "FAIL"]
     ]
+
+
+@pytest.fixture(scope="module")
+def build_41_short(inst_41):
+    """Rung 41 built on window [0, 2]."""
+    return run_build(ProblemInstance.from_doc({**inst_41.instance.to_doc(), "window": [0, 2]}))
 
 
 def test_cli_verify_repeated_malformed_entry(tmp_path, capsys, build_t):
@@ -897,14 +936,16 @@ def test_cli_verify_rejects_extra_betti_position(tmp_path, capsys, build_c):
     assert "position 99" in out
 
 
-@pytest.mark.parametrize("rung", ["52", "41"])
+@pytest.mark.parametrize("rung", ["52", "41", "h"])
 def test_cli_build_window_starting_at_zero(tmp_path, capsys, request, rung):
-    # H_0 of the upper half is read below its truncated end, not at it
+    # H_0 of the upper half is read below its truncated end, not at it; h
+    # normalizes on [0, 2], where is_two_periodic compares nothing
     doc = {**request.getfixturevalue(f"inst_{rung}").instance.to_doc(), "window": [0, 2]}
     ipath, opath = tmp_path / "instance.json", tmp_path / "out.json"
     ipath.write_text(json.dumps(doc))
     assert cli_module.main(["build", str(ipath), "-o", str(opath)]) == 0
     assert cli_module.main(["verify", str(opath)]) == 0
     assert capsys.readouterr().err == ""
-    mcm = json.loads(opath.read_text())["mcm"]
-    assert mcm["generator_count"] == mcm["formula_count"]
+    out = json.loads(opath.read_text())
+    assert out["mcm"]["generator_count"] == out["mcm"]["formula_count"]
+    assert out["meta"]["mf_normalized"] is (rung == "h")
