@@ -1,7 +1,9 @@
 """Command-line interface: build, verify, betti, mcm, count-formula.
 
 Exit codes: 0 success with all certificates passing; 2 instance validation
-failure; 3 certificate failure; 4 I/O or parse failure.
+failure; 3 certificate failure; 4 I/O or parse failure. Each error type in
+`errors` carries its code, so `main` handles every one in one place; a
+malformed instance document raises ValueError, which exits 2.
 """
 
 from __future__ import annotations
@@ -10,20 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    AcyclicityError,
-    ContainmentError,
-    DocumentError,
-    H0IsoError,
-    InhomogeneousInputError,
-    LiftIdentityError,
-    NotChainMapError,
-    NotInIdealError,
-    NotRegularError,
-    PolynomialSyntaxError,
-    SelfCheckError,
-    WindowTooSmallError,
-)
+from . import errors
 from .harness import (
     ProblemInstance,
     betti_text,
@@ -36,55 +25,24 @@ from .harness import (
 )
 from .tate import mcm_generator_count
 
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CERTIFICATE = 3
-EXIT_IO = 4
-
-_VALIDATION_ERRORS = (
-    ContainmentError,
-    InhomogeneousInputError,
-    LiftIdentityError,
-    NotInIdealError,
-    NotRegularError,
-    ValueError,
-)
-_CERTIFICATE_ERRORS = (
-    AcyclicityError,
-    H0IsoError,
-    NotChainMapError,
-    SelfCheckError,
-    WindowTooSmallError,
-)
-
 
 def _load_json(path):
+    """The parsed JSON file; DocumentError when it cannot be opened, is not
+    text or JSON (both ValueError), or nests too deep (RecursionError)."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise errors.DocumentError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_build(args):
     doc = _load_json(args.instance)
     try:
-        instance = ProblemInstance.from_doc(doc)
+        out = run_build(ProblemInstance.from_doc(doc))
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        out = run_build(instance)
-    except PolynomialSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _CERTIFICATE_ERRORS as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return errors.EXIT_VALIDATION
     text = dump_output(out)
     if args.output:
         with open(args.output, "w") as fh:
@@ -92,29 +50,18 @@ def _cmd_build(args):
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return errors.EXIT_OK
 
 
 def _cmd_verify(args):
-    doc = _load_json(args.output)
-    try:
-        ok, rows = run_verify(doc, dmax=args.dmax)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ok, rows = run_verify(_load_json(args.output), dmax=args.dmax)
     sys.stdout.write(report_text(rows))
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    return errors.EXIT_OK if ok else errors.EXIT_CERTIFICATE
 
 
 def _print_section(path, key, render):
-    doc = _load_json(path)
-    try:
-        text = render_section(doc, key, render)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    sys.stdout.write(text)
-    return EXIT_OK
+    sys.stdout.write(render_section(_load_json(path), key, render))
+    return errors.EXIT_OK
 
 
 def _cmd_betti(args):
@@ -130,8 +77,8 @@ def _cmd_count_formula(args):
         print(mcm_generator_count(args.n, args.c))
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        return errors.EXIT_VALIDATION
+    return errors.EXIT_OK
 
 
 def main(argv=None):
@@ -173,7 +120,11 @@ def main(argv=None):
     p_count.set_defaults(func=_cmd_count_formula)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except errors.TateSpliceError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,32 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exit codes: the
+command line prints `label: message` of an error as one stderr line and exits
+with its `exit_code`, which a subclass inherits unless it overrides it."""
+
+EXIT_OK = 0
+EXIT_VALIDATION = 2
+EXIT_CERTIFICATE = 3
+EXIT_IO = 4
 
 
 class TateSpliceError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = EXIT_CERTIFICATE
+    label = "certificate failure"
+
+
+class InvalidInstanceError(TateSpliceError):
+    """Base class for instances that fail validation."""
+
+    exit_code = EXIT_VALIDATION
+    label = "validation error"
+
 
 class PolynomialSyntaxError(TateSpliceError):
     """Malformed polynomial text; carries the byte offset of the defect."""
+
+    exit_code = EXIT_IO
+    label = "parse error"
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte {offset})")
@@ -28,11 +48,11 @@ class ContextMismatchError(TateSpliceError):
     """Operands live over different variable contexts or fields."""
 
 
-class InhomogeneousInputError(TateSpliceError):
+class InhomogeneousInputError(InvalidInstanceError):
     """An operation that requires homogeneous input received a mixed-degree polynomial."""
 
 
-class NotInIdealError(TateSpliceError):
+class NotInIdealError(InvalidInstanceError):
     """Membership certificate failed: the element has a nonzero normal form."""
 
 
@@ -75,15 +95,15 @@ class NoSolutionError(TateSpliceError):
     """A homotopy/lifting linear system is inconsistent (or the window is too short)."""
 
 
-class LiftIdentityError(TateSpliceError):
+class LiftIdentityError(InvalidInstanceError):
     """The identity g = sum(a_i * f_i) behind a homotopy or lift matrix fails."""
 
 
-class ContainmentError(TateSpliceError):
+class ContainmentError(InvalidInstanceError):
     """The ideal (g) is not contained in (f)."""
 
 
-class NotRegularError(TateSpliceError):
+class NotRegularError(InvalidInstanceError):
     """A sequence required to be regular is not."""
 
 
@@ -116,8 +136,11 @@ class LiftError(TateSpliceError):
 
 
 class DocumentError(TateSpliceError):
-    """A persisted output document lacks, or malforms, a section that
-    verification reads."""
+    """A file cannot be read, or a persisted output document lacks, or
+    malforms, a section that verification reads."""
+
+    exit_code = EXIT_IO
+    label = "error"
 
 
 class SelfCheckError(TateSpliceError):

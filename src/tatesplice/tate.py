@@ -30,7 +30,7 @@ from .freecomplex import (
     is_minimal,
     mapping_cone,
 )
-from .groebner import divide_tracking
+from .groebner import divide_tracking, hilbert_dim_from_leads
 from .homotopy import _solve_through
 from .koszul import ExteriorVector, alpha_element, beta_matrix, wedge_map
 from .linalg import FieldMatrix
@@ -80,8 +80,9 @@ def expand_phi(resolution):
     return phi, target
 
 
-def _splice(C, D, phi, window, dmax):
-    """Shared cone + certificate machinery for both splice entry points.
+def _splice(C, D, phi, h0, window, dmax):
+    """Shared cone + certificate machinery for both splice entry points;
+    h0(d) is dim H_0(C)_d.
 
     `mapping_cone` raises NotChainMapError unless phi is a chain map, so the
     chain-map certificate records a check that has passed.
@@ -92,7 +93,7 @@ def _splice(C, D, phi, window, dmax):
     is swept (`acyclicity_sweep`) before it is cut to the window, at
     positions -1 and 0 as well as the window interior, so a passing sweep
     certifies phi_* an isomorphism in every degree: each row of the table,
-    up to dmax, reads (h, h, h) with h = dim H_0(C)_d. The window keeps the
+    up to dmax, reads (h, h, h) with h = h0(d). The window keeps the
     ranks the sweep stored. Where the sweep fails, the table is computed so
     that a broken H_0 isomorphism is still reported as such. The certificates
     are chain_map, h0_iso and minimal; acyclicity is the emitted window's."""
@@ -116,7 +117,7 @@ def _splice(C, D, phi, window, dmax):
         "chain_map": {"passed": True},
         "h0_iso": {
             "passed": True,
-            "table": {str(d): [_h0_dim(C, d)] * 3 for d in h0_degrees},
+            "table": {str(d): [h0(d)] * 3 for d in h0_degrees},
         },
         "minimal": {"passed": is_minimal(cone)},
     }
@@ -135,7 +136,14 @@ def tate_splice(resolution, window, dmax):
     lift = resolution.lift
     m = lift.n - lift.c
     phi, target = expand_phi(resolution)
-    cone, layout, certificates = _splice(F, target, phi, window, dmax)
+    # H_0(F) = S/(f) with f regular (`InstanceData` checks it), so its
+    # Hilbert function is that of the monomial ideal (x_i^deg f_i)
+    nvars = F.ring.ctx.nvars
+    powers = [
+        tuple(e if v == i else 0 for v in range(nvars)) for i, e in enumerate(lift.f_degrees)
+    ]
+    h0 = partial(hilbert_dim_from_leads, powers, nvars)
+    cone, layout, certificates = _splice(F, target, phi, h0, window, dmax)
 
     provenance = {}
     for i in range(cone.lo, cone.hi + 1):
@@ -192,7 +200,7 @@ def general_splice(F, G, m, window, dmax):
     for i in range(top + 1, F.hi + 1):
         phi[i] = PolyMatrix.zero(F.term(i), T.term(i))
 
-    cone, layout, certificates = _splice(F, T, phi, window, dmax)
+    cone, layout, certificates = _splice(F, T, phi, partial(_h0_dim, F), window, dmax)
 
     provenance = {
         i: [{"half": "lower", "index": k} for k in range(layout.get(i, 0))]

@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tatesplice
 from tatesplice import cli as cli_module
@@ -16,7 +18,7 @@ from tatesplice import freecomplex, groebner
 from tatesplice import harness as harness_module
 from tatesplice import tate as tate_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import ContainmentError, NotRegularError
+from tatesplice.errors import ContainmentError, NotRegularError, TateSpliceError
 from tatesplice.freecomplex import BaseRing
 from tatesplice.harness import (
     InstanceData,
@@ -949,3 +951,157 @@ def test_cli_build_window_starting_at_zero(tmp_path, capsys, request, rung):
     out = json.loads(opath.read_text())
     assert out["mcm"]["generator_count"] == out["mcm"]["formula_count"]
     assert out["meta"]["mf_normalized"] is (rung == "h")
+
+
+@pytest.mark.parametrize("verb", ["build", "verify", "betti", "mcm"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{\x00}\x00", b"[" * 100000 + b"]" * 100000],
+    ids=["utf16_bom", "deep_nesting"],
+)
+def test_cli_unreadable_file(tmp_path, capsys, verb, content):
+    # not UTF-8 text (UnicodeDecodeError), and nested past the recursion
+    # limit (RecursionError)
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    assert cli_module.main([verb, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def _error_types(cls):
+    """cls and every subclass of it, depth first."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+# exit code and stderr prefix of a failure raised by the pipeline, by type;
+# a new error type fails the contract test until it is listed here
+_INVALID = (2, "validation error: ")
+_CERTIFICATE = (3, "certificate failure: ")
+_PARSE = (4, "parse error: ")
+EXIT_CONTRACT = {
+    "ValueError": _INVALID,
+    "TateSpliceError": _CERTIFICATE,
+    "InvalidInstanceError": _INVALID,
+    "PolynomialSyntaxError": _PARSE,
+    "UnknownVariableError": _PARSE,
+    "NegativeExponentError": _PARSE,
+    "ContextMismatchError": _CERTIFICATE,
+    "InhomogeneousInputError": _INVALID,
+    "NotInIdealError": _INVALID,
+    "DegreeMismatchError": _CERTIFICATE,
+    "NotAComplexError": _CERTIFICATE,
+    "NotChainMapError": _CERTIFICATE,
+    "WindowEdgeError": _CERTIFICATE,
+    "NoSolutionError": _CERTIFICATE,
+    "LiftIdentityError": _INVALID,
+    "ContainmentError": _INVALID,
+    "NotRegularError": _INVALID,
+    "AcyclicityError": _CERTIFICATE,
+    "H0IsoError": _CERTIFICATE,
+    "WindowTooSmallError": _CERTIFICATE,
+    "LiftError": _CERTIFICATE,
+    "DocumentError": (4, "error: "),
+    "SelfCheckError": _CERTIFICATE,
+}
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError, *_error_types(TateSpliceError)], ids=lambda cls: cls.__name__
+)
+def test_cli_build_exit_code_of_every_error_type(tmp_path, capsys, monkeypatch, inst_t, error):
+    def failing(instance):
+        # BaseException.__new__ sets the message without the subclass's
+        # own constructor arguments
+        raise error.__new__(error, "injected")
+
+    monkeypatch.setattr(cli_module, "run_build", failing)
+    code, prefix = EXIT_CONTRACT[error.__name__]
+    assert _build_exit_code(tmp_path, inst_t.instance.to_doc()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}injected\n"
+
+
+_VARIABLES = ("x", "y", "z")
+
+# field-level corruptions of an instance document
+_CORRUPTIONS = [
+    ("field_char", 6),
+    ("field_char", 2**61 - 1),
+    ("variables", ["x", "x"]),
+    ("f", []),
+    ("f", ["x^"]),
+    ("g", ["w"]),
+    ("g", ["x^-1"]),
+    ("g", ["x^2 + y"]),
+    ("A", [["x"]]),
+    ("window", [1]),
+    ("window", [0, 1]),
+    ("max_internal_degree", "4"),
+    ("extra", 1),
+]
+
+
+@st.composite
+def _fuzzed_instances(draw):
+    """Instance documents in 2 or 3 variables over F_7 or F_32003: f and g of
+    monomials and binomials of degree <= 3, g mostly in (f), a window inside
+    [-3, 4], dmax <= 6, and sometimes one corrupted field."""
+    p = draw(st.sampled_from([7, 32003]))
+    variables = _VARIABLES[: draw(st.integers(2, 3))]
+
+    def form(d):
+        monomials = ["*".join(m) or "1" for m in combinations_with_replacement(variables, d)]
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=2, unique=True))
+        return " + ".join(f"{draw(st.integers(1, p - 1))}*{m}" for m in terms)
+
+    f_degrees = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(1, len(variables))))]
+    f = [form(d) for d in f_degrees]
+    g = []
+    for _ in range(draw(st.integers(1, len(f)))):
+        # hypothesis draws 3 first: d = 2 = deg f_i makes g_j a constant
+        # times f_i, which often leaves M free over R and the window empty
+        d = 3 - draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            g.append(form(d))
+        else:  # in (f): a sum of multiples of some f_i
+            used = draw(st.sets(st.integers(0, len(f) - 1), min_size=1))
+            g.append(" + ".join(f"({form(d - f_degrees[i])})*({f[i]})" for i in sorted(used)))
+    lo = draw(st.integers(-3, 0))
+    doc = {
+        "field_char": p,
+        "variables": list(variables),
+        "f": f,
+        "g": g,
+        "window": [lo, draw(st.integers(max(1, lo + 2), 4))],
+        "max_internal_degree": draw(st.integers(0, 6)),
+    }
+    corruption = draw(st.none() | st.sampled_from(_CORRUPTIONS))
+    if corruption is not None:
+        doc[corruption[0]] = corruption[1]
+    return doc
+
+
+@given(_fuzzed_instances())
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_fuzzed_instances_exit_with_documented_codes(tmp_path, capsys, doc):
+    ipath, opath = tmp_path / "instance.json", tmp_path / "out.json"
+    ipath.write_text(json.dumps(doc))
+    code = cli_module.main(["build", str(ipath), "-o", str(opath)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        assert cli_module.main(["verify", str(opath)]) == 0, capsys.readouterr().out

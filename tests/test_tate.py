@@ -1,5 +1,7 @@
 """Splices, certificates, minimization, MCM extraction, duality."""
 
+from functools import partial
+
 import pytest
 
 from tatesplice import homotopy as homotopy_module
@@ -12,6 +14,7 @@ from tatesplice.freecomplex import (
     GradedFreeModule,
     PolyMatrix,
     _content_degree_range,
+    _h0_dim,
     block_matrix,
 )
 from tatesplice.harness import run_build
@@ -168,17 +171,23 @@ def test_derived_h0_table_equals_computed_table(rung, request):
 
 
 def test_h0_table_computed_only_after_a_failed_sweep(inst_t, inst_c, inst_52, monkeypatch):
-    calls = []
-    real = tate_module._h0_iso_table
+    calls, dims = [], []
+    real, real_dim = tate_module._h0_iso_table, tate_module._h0_dim
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_dim(*args):
+        dims.append(args)
+        return real_dim(*args)
+
     monkeypatch.setattr(tate_module, "_h0_iso_table", counting)
+    # a passing build reads H_0 off the Hilbert series of S/(f)
+    monkeypatch.setattr(tate_module, "_h0_dim", counting_dim)
     run_build(inst_c.instance)  # window [-4, 6]
     run_build(inst_52.instance)  # window [-1, 2]
-    assert calls == []
+    assert calls == [] and dims == []
     with pytest.raises(H0IsoError):
         _zero_phi_splice(inst_t, (-1, 2), monkeypatch)
     assert len(calls) == 1
@@ -213,7 +222,7 @@ def test_splice_sweep_sees_h0_not_onto_on_a_window_from_minus_one():
     # cone shows it (in degree 5)
     K, KK, into, _ = _koszul_and_sum(-1)
     with pytest.raises(H0IsoError) as e:
-        _splice(K, KK, into, (-1, 2), dmax=6)
+        _splice(K, KK, into, partial(_h0_dim, K), (-1, 2), dmax=6)
     assert e.value.degree == 5
 
 
@@ -223,7 +232,7 @@ def test_splice_sweep_sees_h0_not_injective_on_a_window_ending_at_zero():
     K, KK, _, onto = _koszul_and_sum(0)
     K = ChainComplex(S2, {-2: GradedFreeModule(S2, ()), **K.terms}, K.diffs)
     with pytest.raises(H0IsoError) as e:
-        _splice(KK, K, onto, (-3, 0), dmax=6)
+        _splice(KK, K, onto, partial(_h0_dim, KK), (-3, 0), dmax=6)
     assert e.value.degree == 5
 
 
