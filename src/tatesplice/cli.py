@@ -1,4 +1,5 @@
-"""Command-line interface: build, verify, betti, mcm, count-formula.
+"""Command-line interface: build, verify, betti, mcm, count-formula. `verify`
+takes the output document alone: every bound it needs is read from it.
 
 Exit codes: 0 success with all certificates passing; 2 instance validation
 failure; 3 certificate failure; 4 I/O or parse failure. Each error type in
@@ -54,7 +55,7 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
-    ok, rows = run_verify(_load_json(args.output), dmax=args.dmax)
+    ok, rows = run_verify(_load_json(args.output))
     sys.stdout.write(report_text(rows))
     return errors.EXIT_OK if ok else errors.EXIT_CERTIFICATE
 
@@ -95,13 +96,6 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="re-verify a persisted output document")
     p_verify.add_argument("output", help="output JSON file")
-    p_verify.add_argument(
-        "--dmax",
-        type=int,
-        default=None,
-        help="degree bound of an acyclicity sweep that falls back (no Artinian "
-        "regular quotient); default: the document's meta.dmax",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_betti = sub.add_parser("betti", help="print the Betti table of an output")

@@ -880,11 +880,16 @@ def complex_to_doc(complex_):
 
 
 def complex_from_doc(doc, validate=True):
+    """The complex `complex_to_doc` wrote; ValueError unless every twist is an
+    int (a bool is not) and the window is the least and greatest position."""
     ring = ring_from_doc(doc["ring"])
-    lo, hi = doc["window"]
-    terms = {
-        int(i): GradedFreeModule(ring, twists) for i, twists in doc["terms"].items()
-    }
+    terms = {}
+    for i, twists in doc["terms"].items():
+        if any(type(t) is not int for t in twists):
+            raise ValueError(f"twists at position {i} must be integers, got {twists!r}")
+        terms[int(i)] = GradedFreeModule(ring, twists)
+    if doc["window"] != [min(terms), max(terms)] or any(type(v) is not int for v in doc["window"]):
+        raise ValueError(f"window {doc['window']!r} is not the least and greatest term position")
     # each distinct entry string is parsed once; most entries of the dense rows are "0"
     diffs, parsed = {}, {"0": ring.zero()}
     for i_str, rows in doc["diffs"].items():

@@ -16,8 +16,10 @@ from .arith import PrimeField, VariableContext, monomial_divides, parse_polynomi
 from .errors import (
     ContainmentError,
     DocumentError,
+    InvalidInstanceError,
     NotInIdealError,
     NotRegularError,
+    PolynomialSyntaxError,
     SelfCheckError,
     TateSpliceError,
     WindowTooSmallError,
@@ -33,6 +35,7 @@ from .tate import (
     minimize,
     normalize_matrix_factorization,
     tate_splice,
+    window_meta,
 )
 
 FORMAT = "tatesplice/1"
@@ -202,23 +205,25 @@ def run_build(instance):
     resolution = es_resolution(data.lift, data.ring_R, length)
     tate = tate_splice(resolution, window=instance.window, dmax=dmax)
     minimized, provenance = minimize(tate.complex, labels=tate.provenance)
+    # a minimal complete resolution with a zero term is zero
+    if not any(minimized.term(i).rank for i in range(minimized.lo + 1, minimized.hi)):
+        raise InvalidInstanceError(
+            "S/(f) has finite projective dimension over R: its essential MCM approximation is zero"
+        )
     normalized = False
     if len(data.g) == 1:
         minimized, normalized = _normalized(minimized, data.g[0])
-    rows, certificates = _window_certificates(minimized, dmax, normalized)
+    rows, sections = _derived_sections(
+        instance, minimized, normalized, data.lift.f_degrees, data.lift.g_degrees
+    )
     for name, passed, detail in rows[:2]:
         if not passed:
             raise SelfCheckError(f"{name}: {detail}")
     return {
-        "format": FORMAT,
-        "instance": instance.to_doc(),
+        **sections,
         "tate": complex_to_doc(minimized),
-        "splice": 0,
-        "meta": {**tate.meta, "mf_normalized": normalized},
-        "betti": _betti_section(minimized),
         "provenance": {str(i): v for i, v in provenance.items()},
-        "certificates": {**tate.certificates, **certificates},
-        "mcm": mcm_presentation(minimized, len(data.f), len(data.g)),
+        "certificates": {**tate.certificates, **sections["certificates"]},
     }
 
 
@@ -232,11 +237,12 @@ def _normalized(window, g):
         return window, False
 
 
-def _window_certificates(complex_, dmax, normalized):
-    """`certify`'s rows for an emitted window, and the certificates that the
-    window alone determines: acyclicity, minimal_after_reduction and, when
-    `normalized`, two_periodic. run_build adds them to the splice's;
-    run_verify compares a document's with them."""
+def _derived_sections(instance, complex_, normalized, f_degrees, g_degrees):
+    """`certify`'s rows for an emitted window `complex_`, and every output
+    section that it and the instance (with the degrees of f and g) determine:
+    format, instance, splice, meta, betti, mcm, and the certificates
+    acyclicity, minimal_after_reduction and, if `normalized`, two_periodic."""
+    dmax = instance.max_internal_degree
     rows, coverage = certify(complex_, dmax)
     lo, hi = complex_.window
     certificates = {
@@ -245,15 +251,16 @@ def _window_certificates(complex_, dmax, normalized):
     }
     if normalized:
         certificates["two_periodic"] = {"passed": is_two_periodic(complex_)}
-    return rows, certificates
-
-
-def _betti_section(complex_):
-    """The `betti` section of an output document: position -> {twist: count}
-    of `complex_`, keys as strings."""
-    return {
-        str(i): {str(t): n for t, n in counts.items()}
-        for i, counts in betti(complex_).items()
+    offset = sum(g_degrees) - sum(f_degrees)
+    m = len(f_degrees) - len(g_degrees)
+    return rows, {
+        "format": FORMAT,
+        "instance": {**instance.to_doc(), "window": [lo, hi]},
+        "splice": 0,
+        "meta": window_meta("tate_splice", m, offset, [lo, hi], dmax, normalized),
+        "betti": {str(i): {str(t): n for t, n in c.items()} for i, c in betti(complex_).items()},
+        "certificates": certificates,
+        "mcm": mcm_presentation(complex_, len(f_degrees), len(g_degrees)),
     }
 
 
@@ -261,15 +268,16 @@ def dump_output(doc):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def run_verify(doc, dmax=None):
+def run_verify(doc):
     """Recompute d^2 = 0, interior acyclicity, minimality and the Betti table
-    from the `tate` complex of a persisted document, and check that the rest
-    of the document agrees with it (the `document` row): the `mcm` section,
-    the windows, `meta.dmax`, `meta.mf_normalized` (decided from the window,
-    as build decides it), and certificates that recompute or must have
-    passed. Returns (ok, rows) with one (check, passed, detail) per row. Raises
-    DocumentError when `doc` is not an object of the known `format`, or when
-    `tate`, `meta`, `betti` or `instance` is missing or malformed."""
+    from the `tate` complex of a persisted document, and every other section
+    that it and the `instance` determine (`_derived_sections`); the `document`
+    row names the first that differs. Of the splice's own certificates,
+    chain_map and h0_iso must have passed and minimal must be a bool;
+    provenance and the H_0 table are not compared. Returns (ok, rows), one
+    (check, passed, detail) per row. Raises DocumentError when `doc` is not an
+    object of the known `format`, or `tate`, `meta`, `betti` or `instance` is
+    missing or malformed."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != FORMAT:
         raise DocumentError(f"unknown format {found!r}")
@@ -278,12 +286,10 @@ def run_verify(doc, dmax=None):
         raise DocumentError(f"document is missing {', '.join(missing)}")
     try:
         complex_ = complex_from_doc(doc["tate"], validate=False)
-        if dmax is None:
-            dmax = doc["meta"]["dmax"]
-        claimed = doc["betti"]
-        if type(dmax) is not int or not isinstance(claimed, dict):
+        if type(doc["meta"]["dmax"]) is not int or not isinstance(doc["betti"], dict):
             raise TypeError("meta.dmax must be an integer and betti an object")
         instance = ProblemInstance.from_doc(doc["instance"])
+        degrees = _instance_degrees(instance)
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
@@ -296,67 +302,60 @@ def run_verify(doc, dmax=None):
         and is_two_periodic(complex_)
         and _normalized(complex_, modulus.generators[0])[1]
     )
-    rows, certificates = _window_certificates(complex_, dmax, normalized)
+    try:
+        rows, sections = _derived_sections(instance, complex_, normalized, *degrees)
+    except (ValueError, WindowTooSmallError) as exc:  # mcm: no positions 0 and 1, or c > n
+        raise DocumentError(f"malformed document: {exc}") from exc
 
-    expected = _betti_section(complex_)
-    positions = list(expected) + [i for i in claimed if i not in expected]
-    differs = next((i for i in positions if claimed.get(i) != expected.get(i)), None)
-    rows.append(
-        (
-            "betti_table",
-            differs is None,
-            "matches recomputation" if differs is None else f"mismatch at position {differs}",
-        )
-    )
-
-    # dmax bounds only a sweep that falls back (its ring has no Artinian
-    # regular quotient); such degrees compare only under the document's bound
-    if dmax != _claim(doc, "meta", "dmax") and complex_.ring.regular_quotient()[2] is None:
-        del certificates["acyclicity"]
-    mismatch = _document_mismatch(doc, complex_, instance, normalized, certificates)
-    rows.append(("document", mismatch is None, mismatch or "agrees with tate"))
+    differs = _first_difference(doc["betti"], sections.pop("betti"))
+    detail = "matches recomputation" if differs is None else f"mismatch at position {differs}"
+    rows.append(("betti_table", differs is None, detail))
+    # tate is the source, provenance is not derived, and betti has its own row
+    claimed = {k: v for k, v in doc.items() if k not in ("tate", "provenance", "betti")}
+    sections["certificates"].update(_splice_certificates(doc.get("certificates")))
+    differs = _first_difference(claimed, sections)
+    detail = "agrees with tate" if differs is None else f"{differs} differs from its recomputation"
+    rows.append(("document", differs is None, detail))
     return all(passed for _, passed, _ in rows), rows
 
 
-_ABSENT = object()
-
-
-def _claim(doc, *path):
-    """doc[path[0]][path[1]]...; _ABSENT when a key is missing or a section
-    on the way is not an object."""
-    for key in path:
-        if not isinstance(doc, dict) or key not in doc:
-            return _ABSENT
-        doc = doc[key]
-    return doc
-
-
-def _document_mismatch(doc, complex_, instance, normalized, certificates):
-    """The first claim of `doc` that its `tate` complex and `instance`
-    contradict, or None. `normalized` is build's normalization decision on
-    the window; `certificates` are the window's own (`_window_certificates`),
-    without acyclicity when its sweep is not to be compared."""
+def _instance_degrees(instance):
+    """[degrees of f, degrees of g], parsed in the instance's variables and
+    field with no Gröbner basis; ValueError unless each is a nonzero form."""
+    field, ctx = PrimeField(instance.field_char), VariableContext(instance.variables)
     try:
-        mcm = mcm_presentation(complex_, len(instance.f), len(instance.g))
-    except (ValueError, WindowTooSmallError) as exc:
-        return f"mcm cannot be recomputed: {exc}"
-    window = [complex_.lo, complex_.hi]
-    expected = {("mcm", key): value for key, value in mcm.items()}
-    expected[("meta", "window")] = window
-    expected[("meta", "dmax")] = instance.max_internal_degree
-    expected[("meta", "mf_normalized")] = normalized
-    expected[("instance", "window")] = window
-    expected[("certificates", "acyclicity", "window")] = [window[0] + 1, window[1] - 1]
-    expected[("certificates", "two_periodic")] = _ABSENT
-    for name, value in certificates.items():
-        expected[("certificates", name)] = value
-    for name in ("chain_map", "acyclicity", "h0_iso", *certificates):
-        expected[("certificates", name, "passed")] = True
-    for path, value in expected.items():
-        claim = _claim(doc, *path)
-        if type(claim) is not type(value) or claim != value:
-            return f"{'.'.join(path)} disagrees with the tate complex"
-    return None
+        forms = [[parse_polynomial(s, ctx, field) for s in fs] for fs in (instance.f, instance.g)]
+    except PolynomialSyntaxError as exc:
+        raise ValueError(f"f and g must parse in variables {instance.variables}: {exc}") from exc
+    if not all(p.is_homogeneous() and not p.is_zero() for seq in forms for p in seq):
+        raise ValueError("f and g must consist of nonzero forms")
+    return [[p.total_degree() for p in seq] for seq in forms]
+
+
+def _splice_certificates(claimed):
+    """The splice's own certificates as a document must state them: chain_map
+    and h0_iso passed, minimal a bool, and the H_0 table as `claimed`."""
+    claimed = claimed if isinstance(claimed, dict) else {}
+    h0_iso, minimal = claimed.get("h0_iso"), claimed.get("minimal")
+    table = {"table": h0_iso["table"]} if isinstance(h0_iso, dict) and "table" in h0_iso else {}
+    passed = minimal.get("passed") if isinstance(minimal, dict) else None
+    return {
+        "chain_map": {"passed": True},
+        "h0_iso": {"passed": True, **table},
+        "minimal": {"passed": passed if type(passed) is bool else True},
+    }
+
+
+def _first_difference(claimed, expected):
+    """The first key, `expected`'s first, whose values in the two objects
+    differ as canonical JSON (sorted keys, so true and 1 differ; a missing key
+    differs from any value), or None."""
+
+    def canonical(section, key):
+        return json.dumps(section[key], sort_keys=True) if key in section else None
+
+    keys = [*expected, *(key for key in claimed if key not in expected)]
+    return next((k for k in keys if canonical(claimed, k) != canonical(expected, k)), None)
 
 
 def report_text(rows):

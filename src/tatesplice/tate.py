@@ -50,6 +50,20 @@ def betti(complex_):
     return {i: Counter(complex_.term(i).twists) for i in range(complex_.lo, complex_.hi + 1)}
 
 
+def window_meta(route, m, twist_offset, window, dmax, mf_normalized=False):
+    """The `meta` section of a Tate window: its route, m = len(f) - len(g), the
+    upper half's twist, [lo, hi], dmax, and whether it was normalized."""
+    return {
+        "splice": 0,
+        "m": m,
+        "twist_offset": twist_offset,
+        "window": list(window),
+        "dmax": dmax,
+        "route": route,
+        "mf_normalized": mf_normalized,
+    }
+
+
 def expand_phi(resolution):
     """Lift phi' through the projection onto the Koszul layer: the full map
     phi = pi* o phi' o pi on the divided-power resolution, zero on every
@@ -155,14 +169,7 @@ def tate_splice(resolution, window, dmax):
             {"half": "upper", "power": list(a), "subset": list(t)} for a, t in upper
         ]
 
-    meta = {
-        "splice": 0,
-        "m": m,
-        "twist_offset": sum(lift.g_degrees) - sum(lift.f_degrees),
-        "window": list(window),
-        "dmax": dmax,
-        "route": "tate_splice",
-    }
+    meta = window_meta("tate_splice", m, sum(lift.g_degrees) - sum(lift.f_degrees), window, dmax)
     return TateResolution(cone, provenance, certificates, meta)
 
 
@@ -210,14 +217,7 @@ def general_splice(F, G, m, window, dmax):
         ]
         for i in range(cone.lo, cone.hi + 1)
     }
-    meta = {
-        "splice": 0,
-        "m": m,
-        "twist_offset": offset,
-        "window": list(window),
-        "dmax": dmax,
-        "route": "general_splice",
-    }
+    meta = window_meta("general_splice", m, offset, window, dmax)
     return TateResolution(cone, provenance, certificates, meta)
 
 

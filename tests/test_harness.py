@@ -639,18 +639,6 @@ def test_cli_verify_fails_homology_above_dmax(tmp_path, capsys, build_41):
     ]
 
 
-def test_cli_verify_compares_degrees_under_any_dmax(tmp_path, build_c):
-    # R/(z) is Artinian, so the sweep does not fall back to dmax and its
-    # degrees are compared whatever --dmax says
-    doc = json.loads(dump_output(build_c))
-    path = tmp_path / "out.json"
-    path.write_text(json.dumps(doc))
-    assert cli_module.main(["verify", str(path), "--dmax", "3"]) == 0
-    doc["certificates"]["acyclicity"]["degrees"] = [7, 8]
-    path.write_text(json.dumps(doc))
-    assert cli_module.main(["verify", str(path), "--dmax", "3"]) == 3
-
-
 def test_cli_verify_document_without_tate(tmp_path, capsys):
     doc = {"format": "tatesplice/1", "meta": {"dmax": 4}}
     assert _verify_exit_code(tmp_path, doc) == 4
@@ -697,8 +685,26 @@ def test_cli_verify_meta_without_dmax(tmp_path, capsys, build_t):
         (("format",), "tatesplice/0"),
         (None, [1, 2]),
         (("instance", "window"), [0, 1]),
+        (("instance", "f"), ["x^", "y"]),
+        (("instance", "variables"), ["a", "b"]),
+        (("tate", "window"), [5, -4]),
+        (("tate", "window"), "ab"),
+        (("tate", "terms", "1"), ["-1", -1]),
+        (("tate", "terms", "1"), [-1.0, -1]),
+        (("tate", "terms", "0"), [False]),
     ],
-    ids=["unknown_format", "document_not_an_object", "instance_window_without_interior"],
+    ids=[
+        "unknown_format",
+        "document_not_an_object",
+        "instance_window_without_interior",
+        "instance_f_unparsable",
+        "instance_f_in_foreign_variables",
+        "tate_window_reversed",
+        "tate_window_string",
+        "twist_string",
+        "twist_float",
+        "twist_bool",
+    ],
 )
 def test_cli_verify_unreadable_document(tmp_path, capsys, build_t, path, value):
     # path None: the whole document is `value`
@@ -845,6 +851,17 @@ def _set(doc, path, value):
         ("build_c", ("certificates", "acyclicity", "degrees"), DELETE),
         ("build_c", ("certificates", "acyclicity", "killed_variables"), []),
         ("build_c", ("meta", "dmax"), 11),
+        ("build_c", ("meta", "m"), 7),
+        ("build_c", ("meta", "twist_offset"), -3),
+        ("build_c", ("meta", "route"), "general_splice"),
+        ("build_c", ("meta", "splice"), 5),
+        ("build_c", ("splice",), 5),
+        ("build_c", ("meta", "extra"), 1),
+        ("build_c", ("mcm", "extra"), 1),
+        ("build_c", ("certificates", "bogus"), {"passed": True}),
+        ("build_c", ("certificates", "minimal"), "yes"),
+        # deg f moves the twist of the upper half
+        ("build_t", ("instance", "f"), ["x^2", "y"]),
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -857,6 +874,69 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
     assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
         ["document", "FAIL"]
     ]
+
+
+def test_cli_verify_compares_windows_with_the_emitted_one(tmp_path, capsys, build_c):
+    # the instance and meta windows agree with each other, not with tate's
+    doc = json.loads(dump_output(build_c))
+    doc["instance"]["window"] = doc["meta"]["window"] = [-4, 7]
+    assert _verify_exit_code(tmp_path, doc) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["document", "FAIL"]
+    ]
+
+
+def test_cli_verify_fallback_sweep(tmp_path, capsys):
+    # R/(z) is not Artinian: the sweep kills z only, then runs up to
+    # max_internal_degree, and verify compares its degrees with that bound
+    doc = {
+        "field_char": 32003,
+        "variables": ["x", "y", "z"],
+        "f": ["x", "y"],
+        "g": ["y^2 + x*z"],
+        "window": [-2, 3],
+        "max_internal_degree": 4,
+    }
+    ipath, opath = tmp_path / "instance.json", tmp_path / "out.json"
+    ipath.write_text(json.dumps(doc))
+    assert cli_module.main(["build", str(ipath), "-o", str(opath)]) == 0
+    assert cli_module.main(["verify", str(opath)]) == 0
+    out = json.loads(opath.read_text())
+    acyclicity = out["certificates"]["acyclicity"]
+    assert acyclicity["killed_variables"] == ["z"]
+    assert acyclicity["degrees"] == [-1, doc["max_internal_degree"]]
+    acyclicity["degrees"] = [-1, 5]
+    opath.write_text(json.dumps(out))
+    capsys.readouterr()
+    assert cli_module.main(["verify", str(opath)]) == 3
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
+        ["document", "FAIL"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [(["2*x*y"], ["4*x*y"]), (["2*x^2", "4*y"], ["x^2"])],
+    ids=["free", "finite_projective_dimension"],
+)
+def test_cli_build_rejects_finite_projective_dimension(tmp_path, capsys, f, g):
+    # the lift has a unit entry, and minimization cancels every interior
+    # generator: the essential MCM approximation is zero
+    doc = {
+        "field_char": 7,
+        "variables": ["x", "y"],
+        "f": f,
+        "g": g,
+        "window": [-2, 3],
+        "max_internal_degree": 4,
+    }
+    assert _build_exit_code(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
+    assert "finite projective dimension" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1105,3 +1185,39 @@ def test_cli_fuzzed_instances_exit_with_documented_codes(tmp_path, capsys, doc):
     else:
         assert err == ""
         assert cli_module.main(["verify", str(opath)]) == 0, capsys.readouterr().out
+
+
+def _edit_path(data, doc):
+    """A key path into `doc`, drawn one level at a time: any key (or list
+    index) at any depth, stopping at a leaf or by choice."""
+    path, node = [], doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        path.append(key)
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            return path, child
+        node = child
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_fuzzed_documents_exit_with_documented_codes(tmp_path, capsys, build_t, build_h, data):
+    builds = {"t": build_t, "h": build_h}
+    doc = json.loads(dump_output(builds[data.draw(st.sampled_from(sorted(builds)))]))
+    path, old = _edit_path(data, doc)
+    _set(doc, path, data.draw(st.sampled_from([v for v in (DELETE, None, [], {}) if v != old])))
+    code = _verify_exit_code(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4)
+    if code == 4:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    if code == 0:
+        # only what verify does not recompute may change
+        assert path[0] == "provenance" or path[:3] == ["certificates", "h0_iso", "table"], path
