@@ -124,6 +124,17 @@ def monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _add_product(terms, a, b, sign=1):
+    """Add sign * a * b for term dicts a and b into `terms`, which it returns
+    with coefficients unreduced: polynomials, the parser and `compose` use it."""
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return terms
+
+
 class Polynomial:
     """Sparse polynomial over F_p: a map from exponent tuples to nonzero scalars."""
 
@@ -209,13 +220,8 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = monomial_mul(e1, e2)
-                terms[e] = terms.get(e, 0) + c1 * c2
         # the constructor takes each coefficient mod p once and drops zeros
-        return Polynomial(self.ring, self.field, terms)
+        return Polynomial(self.ring, self.field, _add_product({}, self.terms, other.terms))
 
     def scale(self, scalar):
         s = scalar % self.field.p
@@ -228,14 +234,6 @@ class Polynomial:
             self.field,
             {monomial_mul(e, expo): c * coeff for e, c in self.terms.items()},
         )
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.ring, self.field, 1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # --- term access ---------------------------------------------------
     def sorted_terms(self):
@@ -336,10 +334,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the grammar: sums of products of powers of atoms."""
+    """Recursive descent over the grammar: sums of products of powers of atoms.
+    Values are term dicts {expo: coeff} until the one Polynomial at the end."""
 
     def __init__(self, text, ctx, field):
-        self.text = text
         self.ctx = ctx
         self.field = field
         self.tokens = _tokenize(text)
@@ -366,48 +364,56 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise PolynomialSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return result
+        return Polynomial(self.ctx, self.field, result)
 
     def expression(self):
-        sign = 1
         tok = self.peek()
         if tok[0] in "+-":
             self.advance()
-            sign = -1 if tok[0] == "-" else 1
-        result = self.term().scale(sign)
+        result = self.term()
+        if tok[0] == "-":
+            result = {e: -c for e, c in result.items()}
         while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
+            sign = -1 if self.advance()[0] == "-" else 1
+            for e, c in self.term().items():
+                result[e] = result.get(e, 0) + sign * c
         return result
 
     def term(self):
-        result = self.power()
+        factors = self.power()
         while self.peek()[0] == "*":
             self.advance()
-            result = result * self.power()
+            factors += self.power()
+        result = factors[0]
+        for factor in factors[1:]:
+            result = _add_product({}, result, factor)
         return result
 
     def power(self):
+        """The factors of a power: a power of one term is one term, with its
+        exponents scaled, and a power of a sum is that many copies of it."""
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.peek()
             if tok[0] == "-":
                 raise NegativeExponentError(tok[2])
-            tok = self.expect("int")
-            base = base ** int(tok[1])
-        return base
+            n = int(self.expect("int")[1])
+            if len(base) == 1:
+                ((e, c),) = base.items()
+                return [{tuple(k * n for k in e): pow(c, n, self.field.p)}]
+            return [base] * n or [{(0,) * self.ctx.nvars: 1}]
+        return [base]
 
     def atom(self):
         tok = self.advance()
         kind, value, offset = tok
         if kind == "int":
-            return Polynomial.constant(self.ctx, self.field, int(value))
+            return {(0,) * self.ctx.nvars: int(value)}
         if kind == "name":
             if value not in self.ctx.index:
                 raise UnknownVariableError(value, offset)
-            return Polynomial.variable(self.ctx, self.field, value)
+            return {tuple(int(name == value) for name in self.ctx.names): 1}
         if kind == "(":
             inner = self.expression()
             self.expect(")")

@@ -19,7 +19,7 @@ from itertools import accumulate, count
 from math import comb
 from operator import add
 
-from .arith import Polynomial, PrimeField, VariableContext, parse_polynomial
+from .arith import Polynomial, PrimeField, VariableContext, _add_product, parse_polynomial
 from .errors import (
     DegreeMismatchError,
     H0IsoError,
@@ -80,9 +80,7 @@ class BaseRing:
         return self._quotient
 
     def reduce(self, poly):
-        if self.modulus is None:
-            return poly
-        return self.modulus.normal_form(poly)
+        return poly if self.modulus is None else self.modulus.normal_form(poly)
 
     def degree_basis(self, d):
         """Monomial basis of the degree-d piece, descending grevlex."""
@@ -244,8 +242,9 @@ class PolyMatrix:
 
     Only nonzero entries are stored: `columns[c]` maps row r to entry (r, c),
     rows ascending. Over a quotient ring every entry is stored in normal form,
-    so `scale`, `transpose`, `twisted`, `__add__` and `block_matrix`, whose
-    entries are F-linear combinations of such entries, skip the reduction.
+    so `scale`, `transpose`, `twisted` and `block_matrix`, whose entries are
+    F-linear combinations of such entries, skip the reduction, and so does
+    `compose`, which reduces each entry's sum of products once.
     """
 
     __slots__ = ("source", "target", "columns")
@@ -325,22 +324,7 @@ class PolyMatrix:
 
     def compose(self, other):
         """self o other (apply other first)."""
-        if other.target != self.source:
-            raise ValueError("composition shape/twist mismatch")
-        ctx, field = self.source.ring.ctx, self.source.ring.field
-        cols = []
-        for other_col in other.columns:
-            # one term dict per entry (r, c) sums every product a * b into it
-            col = {}
-            for k, b in other_col.items():
-                for r, a in self.columns[k].items():
-                    acc = col.setdefault(r, {})
-                    for e1, c1 in a.terms.items():
-                        for e2, c2 in b.terms.items():
-                            e = tuple(map(add, e1, e2))
-                            acc[e] = acc.get(e, 0) + c1 * c2
-            cols.append({r: Polynomial(ctx, field, acc) for r, acc in col.items()})
-        return PolyMatrix(other.source, self.target, cols)
+        return _sum_of_products(other.source, self.target, [(1, self, other)])
 
     def transpose(self):
         rows = [{} for _ in range(self.target.rank)]
@@ -354,20 +338,6 @@ class PolyMatrix:
         return PolyMatrix(
             self.source.twist(t), self.target.twist(t), self.columns, reduce=False
         )
-
-    def __add__(self, other):
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("sum shape/twist mismatch")
-        cols = []
-        for col, other_col in zip(self.columns, other.columns):
-            col = dict(col)
-            for r, b in other_col.items():
-                col[r] = col[r] + b if r in col else b
-            cols.append(col)
-        return PolyMatrix(self.source, self.target, cols, reduce=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, scalar):
         return PolyMatrix(
@@ -390,6 +360,25 @@ class PolyMatrix:
             ", ".join(str(e) for e in row) for row in self.entries
         )
         return f"PolyMatrix[{body}]"
+
+
+def _sum_of_products(source, target, products):
+    """The PolyMatrix source -> target of sum(sign * (a o b)) over `products`
+    (sign, a, b): every product of entries lands unreduced in one term dict
+    per entry, which the modulus's kernel then reduces once."""
+    if any((a.source, a.target, b.source) != (b.target, target, source) for _, a, b in products):
+        raise ValueError("composition shape/twist mismatch")
+    ring = source.ring
+    reduce = ring.modulus.reduce_terms if ring.modulus is not None else dict
+    columns = []
+    for c in range(source.rank):
+        col = {}
+        for sign, a, b in products:
+            for k, y in b.columns[c].items():
+                for r, x in a.columns[k].items():
+                    _add_product(col.setdefault(r, {}), x.terms, y.terms, sign)
+        columns.append({r: Polynomial(ring.ctx, ring.field, reduce(t)) for r, t in col.items()})
+    return PolyMatrix(source, target, columns, reduce=False)
 
 
 def block_matrix(col_modules, row_modules, blocks):
@@ -750,21 +739,13 @@ def is_chain_map(phi, C, D):
         if i - 1 not in phi and C.term(i - 1).rank and D.term(i - 1).rank:
             if C.lo < i and D.lo < i:
                 raise ValueError(f"component {i-1} missing below component {i}")
-        lhs = D.diff(i).compose(phi[i]) if D.lo < i <= D.hi else None
-        rhs = (
-            phi[i - 1].compose(C.diff(i))
-            if (i - 1 in phi and C.lo < i <= C.hi)
-            else None
-        )
-        if lhs is None and rhs is None:
+        # both sides of the square sum into one term dict per entry, reduced once
+        products = [(1, D.diff(i), phi[i])] if D.lo < i <= D.hi else []
+        if i - 1 in phi and C.lo < i <= C.hi:
+            products.append((-1, phi[i - 1], C.diff(i)))
+        if not products:
             continue
-        if lhs is None:
-            diff = rhs
-        elif rhs is None:
-            diff = lhs
-        else:
-            diff = lhs - rhs
-        witness = _first_nonzero(diff)
+        witness = _first_nonzero(_sum_of_products(C.term(i), D.term(i - 1), products))
         if witness is not None:
             r, c, e = witness
             raise NotChainMapError(i, r, c, str(e))
@@ -778,12 +759,10 @@ def check_homotopy_identity(K, g, tau):
     for i in range(K.lo, K.hi + 1):
         if K.term(i).rank == 0:
             continue
-        lhs = PolyMatrix.zero(K.term(i), Ktw.term(i))
-        if i < K.hi and i in tau:
-            lhs = lhs + Ktw.diff(i + 1).compose(tau[i])
+        products = [(1, Ktw.diff(i + 1), tau[i])] if i < K.hi and i in tau else []
         if i > K.lo and i - 1 in tau:
-            lhs = lhs + tau[i - 1].compose(K.diff(i))
-        if lhs != PolyMatrix.scalar(K.term(i), g):
+            products.append((1, tau[i - 1], K.diff(i)))
+        if _sum_of_products(K.term(i), Ktw.term(i), products) != PolyMatrix.scalar(K.term(i), g):
             raise LiftIdentityError(
                 f"homotopy identity d tau + tau d = ({g}) id fails on term {i}"
             )
@@ -879,9 +858,11 @@ def complex_to_doc(complex_):
     }
 
 
-def complex_from_doc(doc, validate=True):
+def complex_from_doc(doc, validate=True, parsed=None):
     """The complex `complex_to_doc` wrote; ValueError unless every twist is an
-    int (a bool is not) and the window is the least and greatest position."""
+    int (a bool is not) and the window is the least and greatest position.
+    Each distinct entry string is parsed and reduced once, into `parsed`
+    ({string: entry}) when the caller passes a dict."""
     ring = ring_from_doc(doc["ring"])
     terms = {}
     for i, twists in doc["terms"].items():
@@ -890,12 +871,13 @@ def complex_from_doc(doc, validate=True):
         terms[int(i)] = GradedFreeModule(ring, twists)
     if doc["window"] != [min(terms), max(terms)] or any(type(v) is not int for v in doc["window"]):
         raise ValueError(f"window {doc['window']!r} is not the least and greatest term position")
-    # each distinct entry string is parsed once; most entries of the dense rows are "0"
-    diffs, parsed = {}, {"0": ring.zero()}
+    # most entries of the dense rows are "0"
+    diffs, parsed = {}, {} if parsed is None else parsed
+    parsed["0"] = ring.zero()
     for i_str, rows in doc["diffs"].items():
         i = int(i_str)
         for s in (s for row in rows for s in row if s not in parsed):
-            parsed[s] = parse_polynomial(s, ring.ctx, ring.field)
+            parsed[s] = ring.reduce(parse_polynomial(s, ring.ctx, ring.field))
         entries = [[parsed[s] for s in row] for row in rows]
-        diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries)
+        diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries, reduce=False)
     return ChainComplex(ring, terms, diffs, validate=validate)

@@ -14,13 +14,16 @@ from math import comb
 
 from .arith import (
     Polynomial,
+    _add_product,
     grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
-from .errors import InhomogeneousInputError, NotInIdealError, SelfCheckError
+from .errors import InhomogeneousInputError, InvalidInstanceError, NotInIdealError, SelfCheckError
+
+MAX_LISTING = 10**6  # monomials in one degree's listing
 
 
 def _require_homogeneous(polys):
@@ -95,6 +98,10 @@ def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in descending grevlex order."""
     if not nvars:
         return ((),) if d == 0 else ()
+    # nothing bounds the degrees a Gröbner basis reaches: check each listing
+    count = comb(d + nvars - 1, nvars - 1) if d > 0 else 1
+    if count > MAX_LISTING:
+        raise InvalidInstanceError(f"degree {d} has {count} monomials (limit {MAX_LISTING})")
 
     def gen(prefix, remaining, slots):
         if slots == 1:
@@ -177,8 +184,9 @@ class GroebnerBasis:
     Construction certifies the basis, computed or given: monic, homogeneous,
     inter-reduced generators, generator == sum(rep_i * original_i), every
     S-pair reducing to zero, and every original reducing to zero, so the
-    basis generates exactly the ideal of the originals. `nf_row` is the one
-    memoized normal-form kernel.
+    basis generates exactly the ideal of the originals. `nf_row` memoizes
+    the normal form of each monomial, and `reduce_terms` is the one kernel
+    that sums them.
     """
 
     def __init__(self, ring, field, generators, representations, originals):
@@ -250,17 +258,28 @@ class GroebnerBasis:
 
     def normal_form(self, poly):
         """Remainder modulo the basis: poly itself when every term is a
-        standard monomial, else the sum of coeff * nf_row(mono) over the
-        terms of poly, read back through each degree's quotient basis."""
+        standard monomial, else `reduce_terms` of its terms."""
         bases = {d: self.quotient_degree_basis(d) for d in {sum(e) for e in poly.terms}}
         if all(e in bases[sum(e)].index for e in poly.terms):
             return poly
-        out = {}
-        for expo, coeff in poly.terms.items():
-            monos, it = bases[sum(expo)].monomials, iter(self.nf_row(expo))
-            for j, v in zip(it, it):
-                out[monos[j]] = out.get(monos[j], 0) + coeff * v
-        return Polynomial(self.ring, self.field, out)
+        return Polynomial(self.ring, self.field, self.reduce_terms(poly.terms))
+
+    def reduce_terms(self, terms):
+        """The normal form of an unreduced term dict {expo: coeff} as a term
+        dict: coeff * nf_row(expo) is summed into one list per degree, indexed
+        by quotient-basis position, and the dict is built once from them."""
+        rows, sums, p = self._rows, {}, self.field.p
+        for expo, coeff in terms.items():
+            coeff %= p
+            if coeff:
+                d = sum(expo)
+                if d not in sums:
+                    monos = self.quotient_degree_basis(d).monomials
+                    sums[d] = monos, [0] * len(monos)
+                acc, it = sums[d][1], iter(rows.get(expo) or self.nf_row(expo))
+                for j, v in zip(it, it):
+                    acc[j] += coeff * v
+        return {m: v % p for monos, acc in sums.values() for m, v in zip(monos, acc) if v % p}
 
     def is_member(self, poly):
         return self.normal_form(poly).is_zero()
@@ -328,10 +347,7 @@ def _minus_products(acc, products):
     q adds no work."""
     terms = dict(acc.terms)
     for q, b in products:
-        for e1, c1 in q.terms.items():
-            for e2, c2 in b.terms.items():
-                e = monomial_mul(e1, e2)
-                terms[e] = terms.get(e, 0) - c1 * c2
+        _add_product(terms, q.terms, b.terms, -1)
     return Polynomial(acc.ring, acc.field, terms)
 
 

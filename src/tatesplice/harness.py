@@ -24,7 +24,7 @@ from .errors import (
     TateSpliceError,
     WindowTooSmallError,
 )
-from .freecomplex import BaseRing, certify, complex_from_doc, complex_to_doc
+from .freecomplex import BaseRing, certify, complex_from_doc, complex_to_doc, ring_to_doc
 from .groebner import _regular_basis, divide_tracking
 from .koszul import LiftMatrix
 from .shamash import MAX_LENGTH, es_resolution
@@ -272,9 +272,10 @@ def run_verify(doc):
     """Recompute d^2 = 0, interior acyclicity, minimality and the Betti table
     from the `tate` complex of a persisted document, and every other section
     that it and the `instance` determine (`_derived_sections`); the `document`
-    row names the first that differs. Of the splice's own certificates,
-    chain_map and h0_iso must have passed and minimal must be a bool;
-    provenance and the H_0 table are not compared. Returns (ok, rows), one
+    row names the first that differs, or `tate` when it is not what
+    `complex_to_doc` writes for the complex read from it. Of the splice's own
+    certificates, chain_map and h0_iso must have passed and minimal must be a
+    bool; provenance and the H_0 table are not compared. Returns (ok, rows), one
     (check, passed, detail) per row. Raises DocumentError when `doc` is not an
     object of the known `format`, or `tate`, `meta`, `betti` or `instance` is
     missing or malformed."""
@@ -285,7 +286,8 @@ def run_verify(doc):
     if missing:
         raise DocumentError(f"document is missing {', '.join(missing)}")
     try:
-        complex_ = complex_from_doc(doc["tate"], validate=False)
+        parsed = {}
+        complex_ = complex_from_doc(doc["tate"], validate=False, parsed=parsed)
         if type(doc["meta"]["dmax"]) is not int or not isinstance(doc["betti"], dict):
             raise TypeError("meta.dmax must be an integer and betti an object")
         instance = ProblemInstance.from_doc(doc["instance"])
@@ -313,10 +315,24 @@ def run_verify(doc):
     # tate is the source, provenance is not derived, and betti has its own row
     claimed = {k: v for k, v in doc.items() if k not in ("tate", "provenance", "betti")}
     sections["certificates"].update(_splice_certificates(doc.get("certificates")))
-    differs = _first_difference(claimed, sections)
+    canonical = _canonical_tate(doc["tate"], complex_, parsed)
+    differs = _first_difference(claimed, sections) or (None if canonical else "tate")
     detail = "agrees with tate" if differs is None else f"{differs} differs from its recomputation"
     rows.append(("document", differs is None, detail))
     return all(passed for _, passed, _ in rows), rows
+
+
+def _canonical_tate(tate, complex_, parsed):
+    """Whether `complex_to_doc` writes `tate` for the complex read from it: the
+    same keys and ring, and each distinct entry string the str() of its entry."""
+    lo, hi = complex_.window
+    return (
+        set(tate) == {"ring", "window", "terms", "diffs"}
+        and tate["ring"] == ring_to_doc(complex_.ring)
+        and set(tate["terms"]) == {str(i) for i in range(lo, hi + 1)}
+        and set(tate["diffs"]) == {str(i) for i in complex_.diffs}
+        and all(str(entry) == s for s, entry in parsed.items())
+    )
 
 
 def _instance_degrees(instance):

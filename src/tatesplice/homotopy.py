@@ -16,6 +16,7 @@ from .freecomplex import (
     DegreeLayout,
     PolyMatrix,
     _h0_iso_table,
+    _sum_of_products,
     base_change,
     check_homotopy_identity,
     graded_piece,
@@ -81,9 +82,11 @@ def solve_homotopy(K, g):
         if src.rank == 0:
             taus[i] = PolyMatrix.zero(src, tgt)
             continue
-        rhs = PolyMatrix.scalar(src, g)
+        # g id - tau_{i-1} o d_i, summed and reduced once per entry
+        products = [(1, PolyMatrix.scalar(src, g), PolyMatrix.identity(src))]
         if i > K.lo and taus.get(i - 1) is not None:
-            rhs = rhs - taus[i - 1].compose(K.diff(i))
+            products.append((-1, taus[i - 1], K.diff(i)))
+        rhs = _sum_of_products(src, Ktw.term(i), products)
         through = Ktw.diff(i + 1)
         sol = _solve_through(through, rhs)
         if sol is None:

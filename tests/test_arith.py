@@ -150,3 +150,49 @@ def test_homogeneity_preserved(a, b, c):
 def test_parenthesized_power():
     p = parse_polynomial("(x + y)^2", XY, F101)
     assert p == parse_polynomial("x^2 + 2*x*y + y^2", XY, F101)
+
+
+# An expression tree drawn for the parser test: (text, polynomial built by
+# arithmetic, kind, signed). kind is the tightest grammar rule the text
+# matches (atom < power < product < sum); signed marks a leading unary sign,
+# which the grammar allows only at the start of an expression.
+_TIGHT = ("atom", "power", "product")
+
+
+def _operand(node, kinds):
+    text, _, kind, signed = node
+    return text if kind in kinds and not signed else f"({text})"
+
+
+@st.composite
+def expressions(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            n = draw(st.one_of(st.integers(0, 200), st.integers(0, 10**30)))
+            return str(n), Polynomial.constant(XYZ, F101, n), "atom", False
+        name = draw(st.sampled_from(XYZ.names))
+        return name, Polynomial.variable(XYZ, F101, name), "atom", False
+    op = draw(st.sampled_from(["+", "-", "*", "^", "neg", "()"]))
+    a = draw(expressions(depth - 1))
+    if op == "^":
+        n = draw(st.integers(0, 4))
+        value = Polynomial.constant(XYZ, F101, 1)
+        for _ in range(n):
+            value = value * a[1]
+        return f"{_operand(a, ('atom',))}^{n}", value, "power", False
+    if op == "neg":
+        return f"-{_operand(a, _TIGHT)}", -a[1], "sum", True
+    if op == "()":
+        return f"({a[0]})", a[1], "atom", False
+    b = draw(expressions(depth - 1))
+    if op == "*":
+        return f"{_operand(a, _TIGHT)}*{_operand(b, _TIGHT)}", a[1] * b[1], "product", False
+    value = a[1] + b[1] if op == "+" else a[1] - b[1]
+    return f"{a[0]} {op} {_operand(b, _TIGHT)}", value, "sum", a[3]
+
+
+@given(expressions())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_matches_arithmetic(expr):
+    text, value, _, _ = expr
+    assert parse_polynomial(text, XYZ, F101) == value

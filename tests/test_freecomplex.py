@@ -246,6 +246,77 @@ def test_not_chain_map_witness_is_the_row_major_first_entry():
     assert witness == (1, 0, 1, str(pxy("-x")))
 
 
+def _square_witness(phi, C, D, gb):
+    """The first failing entry of is_chain_map by its definition: per square,
+    d_D o phi_i and phi_{i-1} o d_C as two compositions in plain Polynomial
+    arithmetic over S, their difference reduced by `gb`, rows then columns."""
+    zero = C.ring.zero()
+    for i in sorted(phi):
+        lhs = D.lo < i <= D.hi
+        rhs = i - 1 in phi and C.lo < i <= C.hi
+        if not (lhs or rhs):
+            continue
+        for r in range(D.term(i - 1).rank):
+            for c in range(C.term(i).rank):
+                e = zero
+                if lhs:
+                    a, b = D.diff(i).entries, phi[i].entries
+                    for k in range(D.term(i).rank):
+                        e = e + a[r][k] * b[k][c]
+                if rhs:
+                    a, b = phi[i - 1].entries, C.diff(i).entries
+                    for k in range(C.term(i - 1).rank):
+                        e = e - a[r][k] * b[k][c]
+                e = gb.normal_form(e)
+                if not e.is_zero():
+                    return i, r, c, str(e)
+    return None
+
+
+def _chain_map_witness(phi, C, D):
+    try:
+        is_chain_map(phi, C, D)
+    except NotChainMapError as e:
+        return e.position, e.row, e.col, e.witness
+    return None
+
+
+QUOTIENT = buchberger([parse_polynomial(g, XYZ, F) for g in ("x^2 - y*z", "y^2 - x*z")])
+R3 = BaseRing(XYZ, F, QUOTIENT)
+
+
+def test_not_chain_map_witness_over_a_quotient_ring():
+    # over R = S/(x^2 - yz, y^2 - xz), d_1 o phi_1 - phi_0 o d_1 is
+    # (y*z - x^2, -x*y, -x*z): its first entry vanishes only in R
+    K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], R3)
+    D = K.twist(1)
+    p = lambda s: parse_polynomial(s, XYZ, F)  # noqa: E731
+    phi = {
+        0: PolyMatrix.from_rows(K.term(0), D.term(0), [[p("x")]]),
+        1: PolyMatrix.from_rows(
+            K.term(1), D.term(1), [[p("0")] * 3, [p("z"), p("0"), p("0")], [p("0")] * 3]
+        ),
+    }
+    assert _chain_map_witness(phi, K, D) == (1, 0, 1, str(p("-x*y")))
+    assert _square_witness(phi, K, D, QUOTIENT) == (1, 0, 1, str(p("-x*y")))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_chain_map_witness_matches_two_compositions(data):
+    K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], R3)
+    D = K.twist(1)
+    linear = st.sampled_from(["0", "0", "x", "y", "z", "x + 2*y", "3*z - x"])
+    phi = {}
+    for i in range(0, 4):
+        rows = [
+            [parse_polynomial(data.draw(linear), XYZ, F) for _ in range(K.term(i).rank)]
+            for _ in range(D.term(i).rank)
+        ]
+        phi[i] = PolyMatrix.from_rows(K.term(i), D.term(i), rows)
+    assert _chain_map_witness(phi, K, D) == _square_witness(phi, K, D, QUOTIENT)
+
+
 def test_from_rows_stores_no_zero_entry():
     m = _antidiagonal()
     assert m.columns == ({1: pxy("y")}, {0: pxy("x")})

@@ -91,6 +91,18 @@ def test_normal_form_examples():
     assert gb.normal_form(pxy("x^3 + x*y")) == pxy("x*y")
 
 
+def test_normal_form_over_several_degrees():
+    # terms in degrees 0 to 3; x^3, x^2*y and x^2 are not standard, and
+    # each reduces within its own degree
+    gb = buchberger([poly("x^2 - y*z"), poly("y^2 - x*z")])
+    f = poly("x^3 + 2*x^2*y + x^2 + 3*x*z + z + 5")
+    nf = gb.normal_form(f)
+    assert nf == divide_tracking(f, gb.generators)[1]
+    assert {sum(e) for e in nf.terms} == {0, 1, 2, 3}
+    standard = poly("y*z + x*z + z + 5")
+    assert gb.normal_form(standard) is standard
+
+
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_normal_form_idempotent_and_linear(data):

@@ -876,6 +876,33 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
     ]
 
 
+def _entry_path(doc, text):
+    """The path of the first `tate.diffs` entry equal to `text`."""
+    return next(
+        ("tate", "diffs", i, r, c)
+        for i, rows in sorted(doc["tate"]["diffs"].items())
+        for r, row in enumerate(rows)
+        for c, e in enumerate(row)
+        if e == text
+    )
+
+
+@pytest.mark.parametrize("edit", ["entry", "tate_key", "ring_key"])
+def test_cli_verify_rejects_noncanonical_tate(tmp_path, capsys, build_t, edit):
+    # each edit reads back as the same complex, but is not what build writes
+    doc = json.loads(dump_output(build_t))
+    path, value = {
+        "entry": (_entry_path(doc, "x"), "1*x + 0*x"),
+        "tate_key": (("tate", "extra"), 1),
+        "ring_key": (("tate", "ring", "extra"), 1),
+    }[edit]
+    _set(doc, path, value)
+    assert _verify_exit_code(tmp_path, doc) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and fails[0].split()[:2] == ["document", "FAIL"]
+    assert "tate differs from its recomputation" in fails[0]
+
+
 def test_cli_verify_compares_windows_with_the_emitted_one(tmp_path, capsys, build_c):
     # the instance and meta windows agree with each other, not with tate's
     doc = json.loads(dump_output(build_c))
@@ -914,6 +941,23 @@ def test_cli_verify_fallback_sweep(tmp_path, capsys):
     assert [line.split()[:2] for line in out.splitlines() if "FAIL" in line] == [
         ["document", "FAIL"]
     ]
+
+
+def test_cli_build_refuses_a_listing_above_the_bound(tmp_path, capsys):
+    # R = S/(x1^20, x2^20) lists degree 20 of x1..x10: C(29, 9) monomials
+    doc = {
+        "field_char": 32003,
+        "variables": [f"x{i}" for i in range(1, 11)],
+        "f": ["x1^2", "x2^2", "x3"],
+        "g": ["x1^20", "x2^20"],
+        "window": [-1, 2],
+        "max_internal_degree": 4,
+    }
+    assert _build_exit_code(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
+    assert f"degree 20 has 10015005 monomials (limit {groebner.MAX_LISTING})" in captured.err
 
 
 @pytest.mark.parametrize(
