@@ -46,8 +46,11 @@ def _cmd_build(args):
         return errors.EXIT_VALIDATION
     text = dump_output(out)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise errors.DocumentError(f"cannot write {args.output}: {exc}") from exc
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

@@ -279,20 +279,6 @@ class PolyMatrix:
 
     # --- constructors ---------------------------------------------------
     @classmethod
-    def from_rows(cls, source, target, rows, reduce=True):
-        """The matrix whose entry (r, c) is rows[r][c]."""
-        if len(rows) != target.rank:
-            raise ValueError("row count does not match target rank")
-        if any(len(row) != source.rank for row in rows):
-            raise ValueError("column count does not match source rank")
-        columns = [{} for _ in range(source.rank)]
-        for r, row in enumerate(rows):
-            for c, e in enumerate(row):
-                if not e.is_zero():
-                    columns[c][r] = e
-        return cls(source, target, columns, reduce)
-
-    @classmethod
     def zero(cls, source, target):
         return cls(source, target, [{}] * source.rank, reduce=False)
 
@@ -843,7 +829,21 @@ def _stored_basis(ctx, field, gens):
     return GroebnerBasis(ctx, field, gens, units, gens)
 
 
+def matrix_to_doc(matrix, names):
+    """(entries, rows) as a document stores a PolyMatrix: for each column, the
+    strings of its nonzero entries and their row indices, rows ascending.
+    `names` ({entry: string}, shared by the matrices of one document) prints
+    each distinct entry once: most entries repeat a few polynomials."""
+    columns = matrix.columns
+    return (
+        [[names.get(e) or names.setdefault(e, str(e)) for e in col.values()] for col in columns],
+        [list(col) for col in columns],
+    )
+
+
 def complex_to_doc(complex_):
+    names = {}
+    diffs = {str(i): matrix_to_doc(d, names) for i, d in sorted(complex_.diffs.items())}
     return {
         "ring": ring_to_doc(complex_.ring),
         "window": [complex_.lo, complex_.hi],
@@ -851,18 +851,16 @@ def complex_to_doc(complex_):
             str(i): list(complex_.term(i).twists)
             for i in range(complex_.lo, complex_.hi + 1)
         },
-        "diffs": {
-            str(i): [[str(e) for e in row] for row in d.entries]
-            for i, d in sorted(complex_.diffs.items())
-        },
+        "diffs": {i: entries for i, (entries, _) in diffs.items()},
+        "rows": {i: rows for i, (_, rows) in diffs.items()},
     }
 
 
-def complex_from_doc(doc, validate=True, parsed=None):
+def complex_from_doc(doc, validate=True):
     """The complex `complex_to_doc` wrote; ValueError unless every twist is an
-    int (a bool is not) and the window is the least and greatest position.
-    Each distinct entry string is parsed and reduced once, into `parsed`
-    ({string: entry}) when the caller passes a dict."""
+    int (a bool is not), the window is the least and greatest position, and
+    `rows` gives each entry of `diffs` an int row index below the target rank.
+    Each distinct entry string is parsed and reduced once."""
     ring = ring_from_doc(doc["ring"])
     terms = {}
     for i, twists in doc["terms"].items():
@@ -871,13 +869,16 @@ def complex_from_doc(doc, validate=True, parsed=None):
         terms[int(i)] = GradedFreeModule(ring, twists)
     if doc["window"] != [min(terms), max(terms)] or any(type(v) is not int for v in doc["window"]):
         raise ValueError(f"window {doc['window']!r} is not the least and greatest term position")
-    # most entries of the dense rows are "0"
-    diffs, parsed = {}, {} if parsed is None else parsed
-    parsed["0"] = ring.zero()
-    for i_str, rows in doc["diffs"].items():
-        i = int(i_str)
-        for s in (s for row in rows for s in row if s not in parsed):
+    diffs, parsed = {}, {}
+    for i_str, columns in doc["diffs"].items():
+        i, rows = int(i_str), doc["rows"][i_str]
+        if len(rows) != len(columns) or any(len(r) != len(c) for r, c in zip(rows, columns)):
+            raise ValueError(f"rows {i_str} and diffs {i_str} differ in shape")
+        rank = terms[i - 1].rank
+        if any(type(r) is not int or not 0 <= r < rank for col in rows for r in col):
+            raise ValueError(f"rows {i_str} must hold integers from 0 to {rank - 1}")
+        for s in (s for col in columns for s in col if s not in parsed):
             parsed[s] = ring.reduce(parse_polynomial(s, ring.ctx, ring.field))
-        entries = [[parsed[s] for s in row] for row in rows]
-        diffs[i] = PolyMatrix.from_rows(terms[i], terms[i - 1], entries, reduce=False)
+        cols = [dict(zip(r, map(parsed.__getitem__, c))) for r, c in zip(rows, columns)]
+        diffs[i] = PolyMatrix(terms[i], terms[i - 1], cols, reduce=False)
     return ChainComplex(ring, terms, diffs, validate=validate)

@@ -24,7 +24,7 @@ from .errors import (
     TateSpliceError,
     WindowTooSmallError,
 )
-from .freecomplex import BaseRing, certify, complex_from_doc, complex_to_doc, ring_to_doc
+from .freecomplex import BaseRing, certify, complex_from_doc, complex_to_doc
 from .groebner import _regular_basis, divide_tracking
 from .koszul import LiftMatrix
 from .shamash import MAX_LENGTH, es_resolution
@@ -38,7 +38,7 @@ from .tate import (
     window_meta,
 )
 
-FORMAT = "tatesplice/1"
+FORMAT = "tatesplice/2"
 
 _INSTANCE_FIELDS = {
     "field_char",
@@ -221,7 +221,6 @@ def run_build(instance):
             raise SelfCheckError(f"{name}: {detail}")
     return {
         **sections,
-        "tate": complex_to_doc(minimized),
         "provenance": {str(i): v for i, v in provenance.items()},
         "certificates": {**tate.certificates, **sections["certificates"]},
     }
@@ -240,7 +239,7 @@ def _normalized(window, g):
 def _derived_sections(instance, complex_, normalized, f_degrees, g_degrees):
     """`certify`'s rows for an emitted window `complex_`, and every output
     section that it and the instance (with the degrees of f and g) determine:
-    format, instance, splice, meta, betti, mcm, and the certificates
+    format, instance, tate, meta, betti, mcm, and the certificates
     acyclicity, minimal_after_reduction and, if `normalized`, two_periodic."""
     dmax = instance.max_internal_degree
     rows, coverage = certify(complex_, dmax)
@@ -256,7 +255,7 @@ def _derived_sections(instance, complex_, normalized, f_degrees, g_degrees):
     return rows, {
         "format": FORMAT,
         "instance": {**instance.to_doc(), "window": [lo, hi]},
-        "splice": 0,
+        "tate": complex_to_doc(complex_),
         "meta": window_meta("tate_splice", m, offset, [lo, hi], dmax, normalized),
         "betti": {str(i): {str(t): n for t, n in c.items()} for i, c in betti(complex_).items()},
         "certificates": certificates,
@@ -270,10 +269,9 @@ def dump_output(doc):
 
 def run_verify(doc):
     """Recompute d^2 = 0, interior acyclicity, minimality and the Betti table
-    from the `tate` complex of a persisted document, and every other section
-    that it and the `instance` determine (`_derived_sections`); the `document`
-    row names the first that differs, or `tate` when it is not what
-    `complex_to_doc` writes for the complex read from it. Of the splice's own
+    from the `tate` complex of a persisted document, and every section that it
+    and the `instance` determine (`_derived_sections`, `tate` included); the
+    `document` row names the first that differs. Of the splice's own
     certificates, chain_map and h0_iso must have passed and minimal must be a
     bool; provenance and the H_0 table are not compared. Returns (ok, rows), one
     (check, passed, detail) per row. Raises DocumentError when `doc` is not an
@@ -286,8 +284,7 @@ def run_verify(doc):
     if missing:
         raise DocumentError(f"document is missing {', '.join(missing)}")
     try:
-        parsed = {}
-        complex_ = complex_from_doc(doc["tate"], validate=False, parsed=parsed)
+        complex_ = complex_from_doc(doc["tate"], validate=False)
         if type(doc["meta"]["dmax"]) is not int or not isinstance(doc["betti"], dict):
             raise TypeError("meta.dmax must be an integer and betti an object")
         instance = ProblemInstance.from_doc(doc["instance"])
@@ -312,40 +309,30 @@ def run_verify(doc):
     differs = _first_difference(doc["betti"], sections.pop("betti"))
     detail = "matches recomputation" if differs is None else f"mismatch at position {differs}"
     rows.append(("betti_table", differs is None, detail))
-    # tate is the source, provenance is not derived, and betti has its own row
-    claimed = {k: v for k, v in doc.items() if k not in ("tate", "provenance", "betti")}
+    # provenance is not derived, and betti has its own row
+    claimed = {k: v for k, v in doc.items() if k not in ("provenance", "betti")}
     sections["certificates"].update(_splice_certificates(doc.get("certificates")))
-    canonical = _canonical_tate(doc["tate"], complex_, parsed)
-    differs = _first_difference(claimed, sections) or (None if canonical else "tate")
+    differs = _first_difference(claimed, sections)
     detail = "agrees with tate" if differs is None else f"{differs} differs from its recomputation"
     rows.append(("document", differs is None, detail))
     return all(passed for _, passed, _ in rows), rows
 
 
-def _canonical_tate(tate, complex_, parsed):
-    """Whether `complex_to_doc` writes `tate` for the complex read from it: the
-    same keys and ring, and each distinct entry string the str() of its entry."""
-    lo, hi = complex_.window
-    return (
-        set(tate) == {"ring", "window", "terms", "diffs"}
-        and tate["ring"] == ring_to_doc(complex_.ring)
-        and set(tate["terms"]) == {str(i) for i in range(lo, hi + 1)}
-        and set(tate["diffs"]) == {str(i) for i in complex_.diffs}
-        and all(str(entry) == s for s, entry in parsed.items())
-    )
-
-
 def _instance_degrees(instance):
     """[degrees of f, degrees of g], parsed in the instance's variables and
-    field with no Gröbner basis; ValueError unless each is a nonzero form."""
+    field with no Gröbner basis; ValueError unless f and g are nonempty
+    sequences of nonzero forms, and a given A is a LiftMatrix over them."""
     field, ctx = PrimeField(instance.field_char), VariableContext(instance.variables)
     try:
-        forms = [[parse_polynomial(s, ctx, field) for s in fs] for fs in (instance.f, instance.g)]
+        f, g = ([parse_polynomial(s, ctx, field) for s in seq] for seq in (instance.f, instance.g))
+        A = instance.A and [[parse_polynomial(s, ctx, field) for s in row] for row in instance.A]
     except PolynomialSyntaxError as exc:
-        raise ValueError(f"f and g must parse in variables {instance.variables}: {exc}") from exc
-    if not all(p.is_homogeneous() and not p.is_zero() for seq in forms for p in seq):
-        raise ValueError("f and g must consist of nonzero forms")
-    return [[p.total_degree() for p in seq] for seq in forms]
+        raise ValueError(f"f, g and A must parse in variables {instance.variables}: {exc}") from exc
+    if not (f and g and all(p.is_homogeneous() and not p.is_zero() for p in f + g)):
+        raise ValueError("f and g must be nonempty sequences of nonzero forms")
+    if A is not None:
+        LiftMatrix(A, f, g)  # raises unless A is n x c of the right degrees with g = A f
+    return [[p.total_degree() for p in seq] for seq in (f, g)]
 
 
 def _splice_certificates(claimed):
@@ -396,7 +383,7 @@ def render_section(doc, key, render):
 
 def mcm_text(mcm):
     """Generator count, twists, minimality, closed-form count and the
-    presentation matrix of an `mcm` section."""
+    presentation matrix of an `mcm` section, drawn row by row with its zeros."""
     lines = [
         f"generators: {mcm['generator_count']}",
         f"twists:     {mcm['twists']}",
@@ -404,7 +391,9 @@ def mcm_text(mcm):
         f"formula:    {mcm['formula_count']}",
         "presentation matrix:",
     ]
-    lines += ["  [" + ", ".join(row) + "]" for row in mcm["matrix"]]
+    columns = [dict(zip(rows, entries)) for rows, entries in zip(mcm["rows"], mcm["matrix"])]
+    for r in range(len(mcm["twists"])):
+        lines.append("  [" + ", ".join(col.get(r, "0") for col in columns) + "]")
     return "\n".join(lines) + "\n"
 
 

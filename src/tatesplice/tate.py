@@ -14,7 +14,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .arith import Polynomial
+from .arith import MAX_VARIABLES, Polynomial
 from .errors import AcyclicityError, LiftError, WindowTooSmallError
 from .freecomplex import (
     BaseRing,
@@ -29,6 +29,7 @@ from .freecomplex import (
     graded_piece,
     is_minimal,
     mapping_cone,
+    matrix_to_doc,
 )
 from .groebner import divide_tracking, hilbert_dim_from_leads
 from .homotopy import _solve_through
@@ -54,7 +55,6 @@ def window_meta(route, m, twist_offset, window, dmax, mf_normalized=False):
     """The `meta` section of a Tate window: its route, m = len(f) - len(g), the
     upper half's twist, [lo, hi], dmax, and whether it was normalized."""
     return {
-        "splice": 0,
         "m": m,
         "twist_offset": twist_offset,
         "window": list(window),
@@ -352,10 +352,12 @@ def mcm_presentation(complex_, n, c):
             f"window {complex_.window} does not contain positions 0 and 1"
         )
     matrix = complex_.diff(1)
+    entries, rows = matrix_to_doc(matrix, {})
     return {
         "generator_count": complex_.term(0).rank,
         "twists": list(complex_.term(0).twists),
-        "matrix": [[str(e) for e in row] for row in matrix.entries],
+        "matrix": entries,
+        "rows": rows,
         "minimal": all(e.total_degree() > 0 for col in matrix.columns for e in col.values()),
         "formula_count": mcm_generator_count(n, c),
     }
@@ -370,6 +372,8 @@ def mcm_generator_count(n, c):
     residue field over a hypersurface; for c = n it is 1."""
     if not 1 <= c <= n:
         raise ValueError("need 1 <= c <= n")
+    if n > MAX_VARIABLES:  # len(f) never exceeds the number of variables
+        raise ValueError(f"need n <= {MAX_VARIABLES}, the bound on variables")
     total = 1
     i = 0
     while 2 * i <= n - c - 1:

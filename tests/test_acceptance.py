@@ -54,6 +54,7 @@ def ranks_of(doc):
 def test_criterion_1(build_t):
     # splice entry equals det A = x*y, a socle generator
     assert build_t["tate"]["diffs"]["0"] == [["x*y"]]
+    assert build_t["tate"]["rows"]["0"] == [[0]]
     # Betti numbers over [-4, 5]: (4,3,2,1 | 1,2,3,4,5,6)
     assert ranks_of(build_t) == [4, 3, 2, 1, 1, 2, 3, 4, 5, 6]
     betti = {int(i): {int(t): n for t, n in v.items()} for i, v in build_t["betti"].items()}

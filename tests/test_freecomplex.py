@@ -42,10 +42,16 @@ def pxy(s):
     return parse_polynomial(s, XY, F)
 
 
+def _from_rows(source, target, rows):
+    """The PolyMatrix whose entry (r, c) is rows[r][c]."""
+    columns = [{r: row[c] for r, row in enumerate(rows)} for c in range(source.rank)]
+    return PolyMatrix(source, target, columns)
+
+
 def one_by_one(ring, entry, src_twist, tgt_twist):
     src = GradedFreeModule(ring, (src_twist,))
     tgt = GradedFreeModule(ring, (tgt_twist,))
-    return src, tgt, PolyMatrix.from_rows(src, tgt, [[entry]])
+    return src, tgt, _from_rows(src, tgt, [[entry]])
 
 
 def test_make_complex_koszul():
@@ -57,7 +63,7 @@ def test_make_complex_koszul():
 def test_make_complex_rejects_x_squared_over_S():
     src1, mid, d1 = one_by_one(S2, pxy("x"), -1, 0)
     src2 = GradedFreeModule(S2, (-2,))
-    d2 = PolyMatrix.from_rows(src2, src1, [[pxy("x")]])
+    d2 = _from_rows(src2, src1, [[pxy("x")]])
     with pytest.raises(NotAComplexError) as e:
         ChainComplex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert e.value.position == 2
@@ -68,7 +74,7 @@ def test_make_complex_accepts_x_squared_over_quotient():
     R = BaseRing(XY, F, buchberger([pxy("x^2")]))
     src1, mid, d1 = one_by_one(R, pxy("x"), -1, 0)
     src2 = GradedFreeModule(R, (-2,))
-    d2 = PolyMatrix.from_rows(src2, src1, [[pxy("x")]])
+    d2 = _from_rows(src2, src1, [[pxy("x")]])
     C = ChainComplex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
     assert C.window == (0, 2)
 
@@ -77,7 +83,7 @@ def test_degree_mismatch_rejected():
     src = GradedFreeModule(S2, (-2,))
     tgt = GradedFreeModule(S2, (0,))
     with pytest.raises(DegreeMismatchError):
-        PolyMatrix.from_rows(src, tgt, [[pxy("x")]])  # needs degree 2
+        _from_rows(src, tgt, [[pxy("x")]])  # needs degree 2
 
 
 def test_dual_of_multiplication():
@@ -204,7 +210,7 @@ def test_is_chain_map_witness():
     phi = {i: PolyMatrix.identity(K.term(i)) for i in range(0, 3)}
     is_chain_map(phi, K, K)
     bad = {i: m for i, m in phi.items()}
-    bad[1] = PolyMatrix.from_rows(K.term(1), K.term(1), [[pxy("1"), pxy("0")], [pxy("0"), pxy("0")]])
+    bad[1] = _from_rows(K.term(1), K.term(1), [[pxy("1"), pxy("0")], [pxy("0"), pxy("0")]])
     # d_1 o bad_1 = (x, 0) against id o d_1 = (x, y): the square at 1 fails
     # first, in entry (0, 1)
     with pytest.raises(NotChainMapError) as e:
@@ -217,7 +223,7 @@ def _antidiagonal():
     (0, 1) row by row and (1, 0) column by column."""
     src = GradedFreeModule(S2, (-1, -1))
     tgt = GradedFreeModule(S2, (0, 0))
-    return PolyMatrix.from_rows(src, tgt, [[pxy("0"), pxy("x")], [pxy("y"), pxy("0")]])
+    return _from_rows(src, tgt, [[pxy("0"), pxy("x")], [pxy("y"), pxy("0")]])
 
 
 def test_d_squared_witness_is_the_row_major_first_entry():
@@ -237,7 +243,7 @@ def test_not_chain_map_witness_is_the_row_major_first_entry():
     C = ChainComplex(S2, {0: d1.target, 1: d1.source}, {1: d1})
     swap = [[pxy("0"), pxy("1")], [pxy("1"), pxy("0")]]
     phi = {
-        0: PolyMatrix.from_rows(d1.target, d1.target, swap),
+        0: _from_rows(d1.target, d1.target, swap),
         1: PolyMatrix.zero(d1.source, d1.source),
     }
     with pytest.raises(NotChainMapError) as e:
@@ -292,8 +298,8 @@ def test_not_chain_map_witness_over_a_quotient_ring():
     D = K.twist(1)
     p = lambda s: parse_polynomial(s, XYZ, F)  # noqa: E731
     phi = {
-        0: PolyMatrix.from_rows(K.term(0), D.term(0), [[p("x")]]),
-        1: PolyMatrix.from_rows(
+        0: _from_rows(K.term(0), D.term(0), [[p("x")]]),
+        1: _from_rows(
             K.term(1), D.term(1), [[p("0")] * 3, [p("z"), p("0"), p("0")], [p("0")] * 3]
         ),
     }
@@ -313,15 +319,15 @@ def test_chain_map_witness_matches_two_compositions(data):
             [parse_polynomial(data.draw(linear), XYZ, F) for _ in range(K.term(i).rank)]
             for _ in range(D.term(i).rank)
         ]
-        phi[i] = PolyMatrix.from_rows(K.term(i), D.term(i), rows)
+        phi[i] = _from_rows(K.term(i), D.term(i), rows)
     assert _chain_map_witness(phi, K, D) == _square_witness(phi, K, D, QUOTIENT)
 
 
-def test_from_rows_stores_no_zero_entry():
+def test_polymatrix_stores_no_zero_entry():
     m = _antidiagonal()
     assert m.columns == ({1: pxy("y")}, {0: pxy("x")})
     assert m.entries == ((pxy("0"), pxy("x")), (pxy("y"), pxy("0")))
-    zero = PolyMatrix.from_rows(m.source, m.target, [[pxy("0"), pxy("0")]] * 2)
+    zero = PolyMatrix(m.source, m.target, [{0: pxy("0"), 1: pxy("0")}] * 2)
     assert zero.columns == ({}, {}) and zero.is_zero()
     assert zero == PolyMatrix.zero(m.source, m.target)
 
@@ -329,7 +335,7 @@ def test_from_rows_stores_no_zero_entry():
 def test_graded_piece_polynomial_ring():
     src = GradedFreeModule(S2, (-1, -1))
     tgt = GradedFreeModule(S2, (0,))
-    d = PolyMatrix.from_rows(src, tgt, [[pxy("x"), pxy("y")]])
+    d = _from_rows(src, tgt, [[pxy("x"), pxy("y")]])
     piece = graded_piece(d, 1)
     # degree-1 source basis (e1, e2) maps to target basis {x, y}: identity
     assert piece.shape == (2, 2)
@@ -342,7 +348,7 @@ def test_graded_piece_multiplication_over_quotient():
     R = BaseRing(XY, F, buchberger([pxy("x^2"), pxy("y^2")]))
     src = GradedFreeModule(R, (-1,))
     tgt = GradedFreeModule(R, (0,))
-    m = PolyMatrix.from_rows(src, tgt, [[pxy("x")]])
+    m = _from_rows(src, tgt, [[pxy("x")]])
     piece = graded_piece(m, 2)
     # basis {x, y} -> {xy}: x*x = 0, x*y = xy
     assert piece.shape == (1, 2)
@@ -392,7 +398,7 @@ def _matrix(ring, src_twists, tgt_twists, rows):
     src = GradedFreeModule(ring, src_twists)
     tgt = GradedFreeModule(ring, tgt_twists)
     entries = [[parse_polynomial(e, ring.ctx, F) for e in row] for row in rows]
-    return PolyMatrix.from_rows(src, tgt, entries)
+    return _from_rows(src, tgt, entries)
 
 
 MIXED_3 = [
@@ -551,17 +557,16 @@ def test_emitted_window_entries_are_normal_forms(build_c):
 def test_complex_from_doc_parses_only_nonzero_entries(monkeypatch):
     K = koszul_complex([parse_polynomial(v, XYZ, F) for v in "xyz"], S3)
     doc = json.loads(json.dumps(complex_to_doc(K)))
-    entries = [s for rows in doc["diffs"].values() for row in rows for s in row]
+    entries = [s for columns in doc["diffs"].values() for col in columns for s in col]
     parse, parsed = freecomplex.parse_polynomial, []
     monkeypatch.setattr(
         freecomplex, "parse_polynomial", lambda s, *a: parsed.append(s) or parse(s, *a)
     )
     K2 = complex_from_doc(doc)
-    nonzero = [s for s in entries if s != "0"]
-    # each distinct nonzero string is parsed once, and "0" never
-    assert "0" in entries and "0" not in parsed
-    assert len(nonzero) > len(set(nonzero))
-    assert sorted(parsed) == sorted(set(nonzero))
+    # the document stores no zero, and each distinct string is parsed once
+    assert "0" not in entries and len(entries) > len(set(entries))
+    assert sorted(parsed) == sorted(set(entries))
+    assert doc["rows"]["2"] == [[0, 1], [0, 2], [1, 2]]
     for i in map(int, doc["diffs"]):
         assert K2.diff(i).columns == K.diff(i).columns
 
@@ -572,7 +577,7 @@ def _rank_one_complex(ring, twists, entries=None):
     lo = -(len(twists) // 2)
     terms = {lo + k: GradedFreeModule(ring, (t,)) for k, t in enumerate(twists)}
     diffs = {
-        i: PolyMatrix.from_rows(terms[i], terms[i - 1], [[e]])
+        i: _from_rows(terms[i], terms[i - 1], [[e]])
         for i, e in (entries or {}).items()
     }
     return ChainComplex(ring, terms, diffs)

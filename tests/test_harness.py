@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations_with_replacement
@@ -33,7 +34,8 @@ from tatesplice.harness import (
 from tatesplice.koszul import koszul_complex
 
 F = PrimeField(32003)
-INSTANCE_FILES = sorted((Path(__file__).parent.parent / "instances").glob("*.json"))
+ROOT = Path(__file__).parent.parent
+INSTANCE_FILES = sorted((ROOT / "instances").glob("*.json"))
 
 
 # the package's parent directory, for child interpreters started by the tests
@@ -84,7 +86,8 @@ def test_run_build_instance_t(build_t):
         "killed_variables": [],
     }
     assert build_t["mcm"]["generator_count"] == 1
-    assert build_t["mcm"]["matrix"] == [["x", "y"]]
+    assert build_t["mcm"]["matrix"] == [["x"], ["y"]]
+    assert build_t["mcm"]["rows"] == [[0], [0]]
 
 
 def test_run_build_validation_error():
@@ -148,15 +151,16 @@ def test_run_build_deterministic_bytes(inst_t):
     assert a == b
 
 
-# sha256 of dump_output for each rung; a change that alters an output
-# document must say why and update its digest here.
+# sha256 of dump_output for each rung, in the sparse `tatesplice/2` layout;
+# a change that alters an output document must say why and update its
+# digest here.
 OUTPUT_SHA256 = {
-    "t": "eac09e4e6ae933f09b5b3d18d1c1d6140f7ef4c5f8c91c975f7d3cc9f3cf8b2b",
-    "h": "e2dedcd24020b95dc3ca11dc4fd525583a7dd031ceb78d3ceedd462727d96f4c",
-    "c": "aefbeac7782db7f518156170fda5ab027e3c2c741b3ae017d43f00676599daf2",
-    "41": "33edb5dbdedd8b487e794b1fc09ddc7bcb29a9d6cd447fd6925d7e8313dc326f",
-    "52": "2037fdf9162f3b9738786ac26197129c4cdfa3a055090f82451530831f3c07e7",
-    "52w": "3686aed376526132df254c84780e50f89ffa1db12bff4343c1b57093aa32907f",
+    "t": "d922d169f9c5f48d6f7b4a68d6b6d274c8109a4f247502a38888996ee7546f2c",
+    "h": "35645b71d25f7b9b5481653dea8f8ca738bb5847fa2c14f29c1458b1612e8ec2",
+    "c": "2ddf60988e427a863ad81097221cf0f6e64582dafeeb42af3bc99545f6b54ae5",
+    "41": "8e642de27ea94553617e998ae298eccc47b77f8ff7f5618f6cbe66e2120e6011",
+    "52": "6e04c0009bd8c918316fc29f932ac72ebb27f1db51b6fc1aaec8dd496d2ec3ae",
+    "52w": "586fa3fc47ea34ae4f464b89da8c4fe0e6e583f0ae53d4947c6f148f1e8ac895",
 }
 
 
@@ -214,7 +218,8 @@ def test_run_verify_truncated_window_reports_windowedge(build_t):
     keep = "1"
     doc["tate"]["window"] = [0, 1]
     doc["tate"]["terms"] = {k: v for k, v in doc["tate"]["terms"].items() if k in ("0", "1")}
-    doc["tate"]["diffs"] = {k: v for k, v in doc["tate"]["diffs"].items() if k == keep}
+    for key in ("diffs", "rows"):
+        doc["tate"][key] = {k: v for k, v in doc["tate"][key].items() if k == keep}
     doc["betti"] = {k: v for k, v in doc["betti"].items() if k in ("0", "1")}
     ok, rows = run_verify(doc)
     acy = [row for row in rows if row[0] == "acyclicity"][0]
@@ -246,7 +251,7 @@ def test_run_verify_builds_each_piece_once(build_c, monkeypatch):
 
 def _bench_module(name):
     """bench/<name>.py loaded as a module, without bench/ on the import path."""
-    path = Path(__file__).parent.parent / "bench" / f"{name}.py"
+    path = ROOT / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -528,6 +533,11 @@ def test_cli_end_to_end(tmp_path, inst_t):
     assert r.returncode == 0
     assert r.stdout.strip() == "13"
 
+    # n is bounded by the variable limit, before any arithmetic
+    r = cli("count-formula", "--n", "20000", "--c", "1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "validation error: need n <= 16, the bound on variables\n"
+
 
 @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.stem)
 def test_cli_build_and_verify_instance_file(tmp_path, capsys, path):
@@ -536,7 +546,29 @@ def test_cli_build_and_verify_instance_file(tmp_path, capsys, path):
     assert cli_module.main(["build", str(path), "-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert cli_module.main(["verify", str(first)]) == 0
-    assert capsys.readouterr().err == ""
+    capsys.readouterr()
+    # the mcm verb draws the sparse section as the dense grid of d_1
+    assert cli_module.main(["mcm", str(first)]) == 0
+    captured = capsys.readouterr()
+    d1 = freecomplex.complex_from_doc(json.loads(first.read_text())["tate"]).diff(1)
+    grid = ["  [" + ", ".join(map(str, row)) + "]" for row in d1.entries]
+    assert captured.out.split("presentation matrix:\n")[1].splitlines() == grid
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52", "52w", "g1", "g2", "g7"])
+def test_build_is_deterministic_and_its_tate_reads_back(rung, request):
+    # g<seed> is the benchmark's generic instance for that seed
+    if rung.startswith("g"):
+        instance = ProblemInstance.from_doc(_generic_doc(int(rung[1:])))
+        doc = run_build(instance)
+    else:
+        instance = request.getfixturevalue(f"inst_{rung}").instance
+        doc = request.getfixturevalue(f"build_{rung}")
+    assert dump_output(run_build(instance)) == dump_output(doc)
+    assert run_verify(json.loads(dump_output(doc)))[0]
+    tate = freecomplex.complex_from_doc(doc["tate"])
+    assert freecomplex.complex_to_doc(tate) == doc["tate"]
 
 
 def test_cli_validation_exit_code(tmp_path):
@@ -608,10 +640,9 @@ def _zero_top_column(doc):
     """A copy of an output document whose top differential has its first
     nonzero column zeroed; d^2 stays zero."""
     doc = json.loads(dump_output(doc))
-    rows = doc["tate"]["diffs"][str(doc["tate"]["window"][1])]
-    col = min(c for row in rows for c, e in enumerate(row) if e != "0")
-    for row in rows:
-        row[col] = "0"
+    top = str(doc["tate"]["window"][1])
+    col = next(c for c, entries in enumerate(doc["tate"]["diffs"][top]) if entries)
+    doc["tate"]["diffs"][top][col] = doc["tate"]["rows"][top][col] = []
     return doc
 
 
@@ -640,7 +671,7 @@ def test_cli_verify_fails_homology_above_dmax(tmp_path, capsys, build_41):
 
 
 def test_cli_verify_document_without_tate(tmp_path, capsys):
-    doc = {"format": "tatesplice/1", "meta": {"dmax": 4}}
+    doc = {"format": harness_module.FORMAT, "meta": {"dmax": 4}}
     assert _verify_exit_code(tmp_path, doc) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -659,8 +690,8 @@ def test_cli_verify_document_without_meta(tmp_path, capsys, build_t):
 @pytest.mark.parametrize(
     "doc",
     [
-        {"format": "tatesplice/1", "tate": {}, "meta": {"dmax": 4}, "betti": {}},
-        {"format": "tatesplice/1", "tate": [1, 2], "meta": {"dmax": 4}, "betti": {}},
+        {"format": harness_module.FORMAT, "tate": {}, "meta": {"dmax": 4}, "betti": {}},
+        {"format": harness_module.FORMAT, "tate": [1, 2], "meta": {"dmax": 4}, "betti": {}},
     ],
     ids=["tate_without_ring", "tate_not_an_object"],
 )
@@ -854,6 +885,7 @@ def _set(doc, path, value):
         ("build_c", ("meta", "m"), 7),
         ("build_c", ("meta", "twist_offset"), -3),
         ("build_c", ("meta", "route"), "general_splice"),
+        # the splice keys of the dense format are unknown keys now
         ("build_c", ("meta", "splice"), 5),
         ("build_c", ("splice",), 5),
         ("build_c", ("meta", "extra"), 1),
@@ -879,28 +911,146 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys, request, build, 
 def _entry_path(doc, text):
     """The path of the first `tate.diffs` entry equal to `text`."""
     return next(
-        ("tate", "diffs", i, r, c)
-        for i, rows in sorted(doc["tate"]["diffs"].items())
-        for r, row in enumerate(rows)
-        for c, e in enumerate(row)
+        ("tate", "diffs", i, c, k)
+        for i, columns in sorted(doc["tate"]["diffs"].items())
+        for c, entries in enumerate(columns)
+        for k, e in enumerate(entries)
         if e == text
     )
 
 
-@pytest.mark.parametrize("edit", ["entry", "tate_key", "ring_key"])
+def _tate_column(doc, test):
+    """(entries, rows) of the first `tate` column whose rows pass `test`."""
+    tate = doc["tate"]
+    return next(
+        (entries, rows)
+        for i, columns in sorted(tate["diffs"].items())
+        for entries, rows in zip(columns, tate["rows"][i])
+        if test(rows)
+    )
+
+
+def _insert(column, k, entry, row):
+    entries, rows = column
+    entries.insert(k, entry)
+    rows.insert(k, row)
+
+
+def _noncanonical_edit(doc, edit):
+    if edit in ("entry", "tate_key", "ring_key"):
+        path, value = {
+            "entry": (_entry_path(doc, "x"), "1*x + 0*x"),
+            "tate_key": (("tate", "extra"), 1),
+            "ring_key": (("tate", "ring", "extra"), 1),
+        }[edit]
+        _set(doc, path, value)
+    elif edit == "explicit_zero":
+        # "0" in the first row a column skips below its last
+        column = _tate_column(doc, lambda rows: rows != list(range(len(rows))))
+        gap = next(k for k, r in enumerate(column[1]) if r != k)
+        _insert(column, gap, "0", gap)
+    elif edit == "repeated_row":
+        column = _tate_column(doc, bool)
+        _insert(column, 0, column[0][0], column[1][0])
+    else:  # unsorted_rows
+        for part in _tate_column(doc, lambda rows: len(rows) > 1):
+            part.reverse()
+
+
+@pytest.mark.parametrize(
+    "edit", ["entry", "tate_key", "ring_key", "explicit_zero", "repeated_row", "unsorted_rows"]
+)
 def test_cli_verify_rejects_noncanonical_tate(tmp_path, capsys, build_t, edit):
     # each edit reads back as the same complex, but is not what build writes
     doc = json.loads(dump_output(build_t))
-    path, value = {
-        "entry": (_entry_path(doc, "x"), "1*x + 0*x"),
-        "tate_key": (("tate", "extra"), 1),
-        "ring_key": (("tate", "ring", "extra"), 1),
-    }[edit]
-    _set(doc, path, value)
+    _noncanonical_edit(doc, edit)
     assert _verify_exit_code(tmp_path, doc) == 3
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert len(fails) == 1 and fails[0].split()[:2] == ["document", "FAIL"]
     assert "tate differs from its recomputation" in fails[0]
+
+
+@pytest.mark.parametrize(
+    "edit, value",
+    [
+        ("row", False),
+        ("row", 0.0),
+        ("row", "0"),
+        ("row", -1),
+        ("row", 1),
+        ("column", []),
+        ("columns", [[0]]),
+        ("format", "tatesplice/1"),
+    ],
+    ids=["bool", "float", "string", "negative", "beyond_rank", "short_column", "missing_column",
+         "old_format"],
+)
+def test_cli_verify_refuses_an_unreadable_sparse_layout(tmp_path, capsys, build_t, edit, value):
+    # d_1 of the t build is [x, y] into R: columns [["x"], ["y"]], rows [[0], [0]]
+    doc = json.loads(dump_output(build_t))
+    assert (doc["tate"]["diffs"]["1"], doc["tate"]["rows"]["1"]) == ([["x"], ["y"]], [[0], [0]])
+    path = {
+        "row": ("tate", "rows", "1", 0, 0),
+        "column": ("tate", "rows", "1", 0),
+        "columns": ("tate", "rows", "1"),
+        "format": ("format",),
+    }[edit]
+    _set(doc, path, value)
+    assert _verify_exit_code(tmp_path, doc) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ("unknown format" if edit == "format" else "rows 1 ") in captured.err
+
+
+@pytest.mark.parametrize(
+    "A, build_code, verify_code",
+    [
+        ([["x"]], 2, 4),
+        ([["y", "0"], ["0", "x"]], 2, 4),
+        ([["q"]], 4, 4),
+        # another lift of g through f: verify does not tie the complex to A
+        ([["x + y", "0"], ["-x", "y"]], 0, 0),
+    ],
+    ids=["shape", "identity", "unknown_variable", "other_lift"],
+)
+def test_cli_verify_refuses_a_lift_matrix_that_build_refuses(
+    tmp_path, capsys, inst_t, build_t, A, build_code, verify_code
+):
+    assert _build_exit_code(tmp_path, {**inst_t.instance.to_doc(), "A": A}) == build_code
+    doc = json.loads(dump_output(build_t))
+    doc["instance"]["A"] = A
+    capsys.readouterr()
+    assert _verify_exit_code(tmp_path, doc) == verify_code
+    err = capsys.readouterr().err
+    if verify_code:
+        assert err.startswith("error: malformed document: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_cli_build_reports_an_unwritable_output(tmp_path, capsys, inst_t, target):
+    ipath = tmp_path / "t.json"
+    ipath.write_text(json.dumps(inst_t.instance.to_doc()))
+    opath = {"directory": tmp_path, "missing_parent": tmp_path / "missing" / "out.json"}[target]
+    assert cli_module.main(["build", str(ipath), "-o", str(opath)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {opath}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_reach_tool_runs_its_pipelines():
+    # tools/reach.py --run builds and verifies the ladder and generic seed 1
+    # without the tracer, so a change of document format fails it here
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "reach.py"), "--run"],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
 
 
 def test_cli_verify_compares_windows_with_the_emitted_one(tmp_path, capsys, build_c):
@@ -1042,9 +1192,9 @@ def build_41_short(inst_41):
 def test_cli_verify_repeated_malformed_entry(tmp_path, capsys, build_t):
     # entries are parsed once per distinct string; the first "x^" still raises
     doc = json.loads(dump_output(build_t))
-    rows = doc["tate"]["diffs"][sorted(doc["tate"]["diffs"])[0]]
-    rows[0][0] = rows[-1][-1] = "x^"
-    assert sum(s == "x^" for row in rows for s in row) == 2
+    columns = doc["tate"]["diffs"][sorted(doc["tate"]["diffs"])[0]]
+    columns[0][0] = columns[-1][-1] = "x^"
+    assert sum(s == "x^" for col in columns for s in col) == 2
     assert _verify_exit_code(tmp_path, doc) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1229,6 +1379,26 @@ def test_cli_fuzzed_instances_exit_with_documented_codes(tmp_path, capsys, doc):
     else:
         assert err == ""
         assert cli_module.main(["verify", str(opath)]) == 0, capsys.readouterr().out
+        _assert_oracle_acyclic(json.loads(opath.read_text()))
+
+
+ORACLE_MAX_CELLS = 4000
+
+
+def _assert_oracle_acyclic(doc):
+    """The dense oracle finds no homology at up to two (i, d) that the
+    acyclicity certificate covers, drawn with a fixed seed from those whose
+    pieces into and out of position i have at most ORACLE_MAX_CELLS cells."""
+    cert = doc["certificates"]["acyclicity"]
+    C = freecomplex.complex_from_doc(doc["tate"])
+    candidates = []
+    for i in range(cert["window"][0], cert["window"][1] + 1):
+        for d in range(cert["degrees"][0], cert["degrees"][1] + 1):
+            below, here, above = (C.term(j).degree_dim(d) for j in (i - 1, i, i + 1))
+            if here and max(below, above) * here <= ORACLE_MAX_CELLS:
+                candidates.append((i, d))
+    for i, d in random.Random(0).sample(candidates, min(2, len(candidates))):
+        assert oracle_homology(C, i, d) == 0, (i, d)
 
 
 def _edit_path(data, doc):

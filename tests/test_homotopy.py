@@ -72,7 +72,7 @@ def test_solve_homotopy_on_syzygy_resolution():
     gens = [pxy("x^2"), pxy("x*y"), pxy("y^2")]
     target = GradedFreeModule(S2, (0,))
     source = GradedFreeModule(S2, (-2, -2, -2))
-    pres = PolyMatrix.from_rows(source, target, [[g for g in gens]])
+    pres = PolyMatrix(source, target, [{0: g} for g in gens])
     res = minimal_resolution(pres, 2, 8)
     assert [res.term(i).rank for i in range(3)] == [1, 3, 2]
     tau = solve_homotopy(res, pxy("x^2"))

@@ -116,13 +116,12 @@ def test_sabotage_detected_with_witness():
     # drop the vertical (divided-power-lowering) component from d_3
     labels2 = res.labels[2]
     labels3 = res.labels[3]
-    entries = [list(row) for row in C.diff(3).entries]
-    for col, (alpha, _) in enumerate(labels3):
-        for row, (alpha_t, _) in enumerate(labels2):
-            if sum(alpha_t) < sum(alpha):
-                entries[row][col] = R.zero()
+    columns = [
+        {r: e for r, e in col.items() if sum(labels2[r][0]) >= sum(alpha)}
+        for col, (alpha, _) in zip(C.diff(3).columns, labels3)
+    ]
     broken = dict(C.diffs)
-    broken[3] = PolyMatrix.from_rows(C.term(3), C.term(2), entries)
+    broken[3] = PolyMatrix(C.term(3), C.term(2), columns)
     damaged = ChainComplex(R, C.terms, broken, validate=False)
     rows = verify_resolution(ShamashResolution(damaged, res.labels, res.lift, R), dmax=6)
     name, passed, detail = rows[0]
@@ -179,12 +178,12 @@ def test_vertical_component_squares_to_zero():
     res = es_resolution(LiftMatrix.from_lift(f, g), R, 5)
 
     def vertical_only(i):
-        entries = [list(row) for row in res.complex.diff(i).entries]
-        for col, (alpha, _) in enumerate(res.labels[i]):
-            for row, (alpha_t, _) in enumerate(res.labels[i - 1]):
-                if sum(alpha_t) == sum(alpha):  # horizontal keeps the layer
-                    entries[row][col] = R.zero()
-        return PolyMatrix.from_rows(res.complex.term(i), res.complex.term(i - 1), entries)
+        labels = res.labels[i - 1]
+        columns = [  # horizontal keeps the layer
+            {r: e for r, e in col.items() if sum(labels[r][0]) != sum(alpha)}
+            for col, (alpha, _) in zip(res.complex.diff(i).columns, res.labels[i])
+        ]
+        return PolyMatrix(res.complex.term(i), res.complex.term(i - 1), columns)
 
     for i in range(2, 5):
         assert vertical_only(i - 1).compose(vertical_only(i)).is_zero()

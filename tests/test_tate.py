@@ -1,12 +1,13 @@
 """Splices, certificates, minimization, MCM extraction, duality."""
 
+import json
 from functools import partial
 
 import pytest
 
 from tatesplice import homotopy as homotopy_module
 from tatesplice import tate as tate_module
-from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
+from tatesplice.arith import MAX_VARIABLES, PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import H0IsoError, LiftError, WindowTooSmallError
 from tatesplice.freecomplex import (
     BaseRing,
@@ -16,6 +17,8 @@ from tatesplice.freecomplex import (
     _content_degree_range,
     _h0_dim,
     block_matrix,
+    complex_from_doc,
+    complex_to_doc,
 )
 from tatesplice.harness import run_build
 from tatesplice.koszul import (
@@ -338,10 +341,15 @@ def test_general_splice_rejects_free_module(inst_t):
         general_splice(free, free, 0, window=(-1, 1), dmax=4)
 
 
-def test_from_rows_of_the_dense_view_is_the_matrix(splice_c):
+def test_sparse_document_reads_back_as_the_matrix(splice_c):
     _, tate = splice_c
-    for d in tate.complex.diffs.values():
-        assert PolyMatrix.from_rows(d.source, d.target, d.entries) == d
+    doc = json.loads(json.dumps(complex_to_doc(tate.complex)))
+    back = complex_from_doc(doc)
+    for i, d in tate.complex.diffs.items():
+        assert back.diff(i) == d
+        # each column lists its nonzero entries, rows ascending
+        assert doc["rows"][str(i)] == [sorted(col) for col in d.columns]
+        assert "0" not in (s for col in doc["diffs"][str(i)] for s in col)
 
 
 def test_minimize_fixpoint(splice_t):
@@ -366,9 +374,7 @@ def test_minimize_splits_trivial_pair():
     # Koszul(x, y) d_1 padded with a unit summand R <-1- R
     t1 = GradedFreeModule(S2, (-1, -1, 0))
     t0 = GradedFreeModule(S2, (0, 0))
-    d1 = PolyMatrix.from_rows(
-        t1, t0, [[pxy("x"), pxy("y"), pxy("0")], [pxy("0"), pxy("0"), pxy("1")]]
-    )
+    d1 = PolyMatrix(t1, t0, [{0: pxy("x")}, {0: pxy("y")}, {1: pxy("1")}])
     C = ChainComplex(S2, {0: t0, 1: t1}, {1: d1})
     out = minimize(C)
     assert out.term(0).twists == (0,)
@@ -404,7 +410,7 @@ def test_mcm_presentation_instance_t(splice_t):
     pres = mcm_presentation(minimize(tate.complex), 2, 2)
     assert pres["generator_count"] == 1
     assert pres["minimal"]
-    assert pres["matrix"] == [["x", "y"]]
+    assert (pres["matrix"], pres["rows"]) == ([["x"], ["y"]], [[0], [0]])
     assert pres["twists"] == [0]
     assert pres["formula_count"] == 1
 
@@ -428,6 +434,11 @@ def test_mcm_generator_count_formula():
         assert mcm_generator_count(n, n) == 1
     with pytest.raises(ValueError):
         mcm_generator_count(2, 3)
+    # len(f) never exceeds the variable bound, so neither may n
+    assert mcm_generator_count(MAX_VARIABLES, 1) == 2 ** (MAX_VARIABLES - 1)
+    for n in (MAX_VARIABLES + 1, 20000):
+        with pytest.raises(ValueError, match=f"need n <= {MAX_VARIABLES}"):
+            mcm_generator_count(n, 1)
 
 
 def test_orthogonality_instance_c(inst_c):
