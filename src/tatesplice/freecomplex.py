@@ -829,21 +829,18 @@ def _stored_basis(ctx, field, gens):
     return GroebnerBasis(ctx, field, gens, units, gens)
 
 
-def matrix_to_doc(matrix, names):
+def matrix_to_doc(matrix):
     """(entries, rows) as a document stores a PolyMatrix: for each column, the
-    strings of its nonzero entries and their row indices, rows ascending.
-    `names` ({entry: string}, shared by the matrices of one document) prints
-    each distinct entry once: most entries repeat a few polynomials."""
+    strings of its nonzero entries and their row indices, rows ascending."""
     columns = matrix.columns
     return (
-        [[names.get(e) or names.setdefault(e, str(e)) for e in col.values()] for col in columns],
+        [[str(e) for e in col.values()] for col in columns],
         [list(col) for col in columns],
     )
 
 
 def complex_to_doc(complex_):
-    names = {}
-    diffs = {str(i): matrix_to_doc(d, names) for i, d in sorted(complex_.diffs.items())}
+    diffs = {str(i): matrix_to_doc(d) for i, d in sorted(complex_.diffs.items())}
     return {
         "ring": ring_to_doc(complex_.ring),
         "window": [complex_.lo, complex_.hi],

@@ -352,7 +352,7 @@ def mcm_presentation(complex_, n, c):
             f"window {complex_.window} does not contain positions 0 and 1"
         )
     matrix = complex_.diff(1)
-    entries, rows = matrix_to_doc(matrix, {})
+    entries, rows = matrix_to_doc(matrix)
     return {
         "generator_count": complex_.term(0).rank,
         "twists": list(complex_.term(0).twists),

@@ -546,7 +546,7 @@ def test_cli_build_and_verify_instance_file(tmp_path, capsys, path):
     assert cli_module.main(["build", str(path), "-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert cli_module.main(["verify", str(first)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
     # the mcm verb draws the sparse section as the dense grid of d_1
     assert cli_module.main(["mcm", str(first)]) == 0
     captured = capsys.readouterr()
