@@ -2,9 +2,10 @@
 takes the output document alone: every bound it needs is read from it.
 
 Exit codes: 0 success with all certificates passing; 2 instance validation
-failure; 3 certificate failure; 4 I/O or parse failure. Each error type in
-`errors` carries its code, so `main` handles every one in one place; a
-malformed instance document raises ValueError, which exits 2.
+failure; 3 certificate failure; 4 I/O or parse failure; 5 out of memory. Each
+error type in `errors` carries its code, so `main` handles every one in one
+place; a malformed instance document raises ValueError, which exits 2, and a
+MemoryError exits 5.
 """
 
 from __future__ import annotations
@@ -122,6 +123,12 @@ def main(argv=None):
     except errors.TateSpliceError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print(
+            "out of memory: the command needs more than the process could allocate",
+            file=sys.stderr,
+        )
+        return errors.EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the exit codes: the
 command line prints `label: message` of an error as one stderr line and exits
-with its `exit_code`, which a subclass inherits unless it overrides it."""
+with its `exit_code`, which a subclass inherits unless it overrides it. A
+MemoryError, which is not a package error, exits with EXIT_MEMORY."""
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 
 class TateSpliceError(Exception):

@@ -312,11 +312,13 @@ class PolyMatrix:
         """self o other (apply other first)."""
         return _sum_of_products(other.source, self.target, [(1, self, other)])
 
-    def transpose(self):
+    def transpose(self, sign=1):
+        """The transpose between the dual modules, its entries times `sign`
+        (1 or -1), in one construction."""
         rows = [{} for _ in range(self.target.rank)]
         for c, col in enumerate(self.columns):
             for r, e in col.items():
-                rows[r][c] = e
+                rows[r][c] = e if sign == 1 else -e
         return PolyMatrix(self.target.dual(), self.source.dual(), rows, reduce=False)
 
     def twisted(self, t):
@@ -388,10 +390,11 @@ class ChainComplex:
     """Window of a complex of graded free modules; d_i maps term_i to term_{i-1}.
 
     Immutable after construction: `dual`, `shift`, `twist` and `subwindow`
-    return new complexes, so the rank store below never goes stale.
+    return new complexes, so neither the rank store below nor the record of
+    positions i whose product d_{i-1} d_i was found zero goes stale.
     """
 
-    __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks", "_reduced")
+    __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks", "_reduced", "_checked")
 
     def __init__(self, ring, terms, diffs, validate=True):
         if not terms:
@@ -406,6 +409,7 @@ class ChainComplex:
         self.diffs = dict(diffs)
         self._ranks = {}  # (i, d) -> rank of d_i in internal degree d
         self._reduced = None  # the complex over ring.regular_quotient()
+        self._checked = set()  # i with d_{i-1} d_i found zero (`d_squared_witness`)
         if validate:
             self._validate()
 
@@ -447,12 +451,35 @@ class ChainComplex:
     def reduced(self):
         """This complex over Rbar = `ring.regular_quotient()`, entries in
         normal form there, built once with its own rank store; the complex
-        itself when Rbar is its ring."""
-        ring = self.ring.regular_quotient()[0]
+        itself when Rbar is its ring.
+
+        Each entry drops every term that contains a killed variable, and
+        nothing else: an entry over R is in normal form, so its monomials are
+        standard, and Rbar's lead ideal is R's plus the killed variables
+        (`regular_quotient`), so the terms left are already Rbar's normal
+        form, which `base_change` would compute term by term."""
+        ring, killed, _ = self.ring.regular_quotient()
         if ring is self.ring:
             return self
         if self._reduced is None:
-            self._reduced = base_change(self, ring)
+            keep = ring.ctx.nvars - len(killed)  # the killed variables are the last
+            ctx, field = ring.ctx, ring.field
+
+            def cut(e):
+                kept = {m: a for m, a in e.terms.items() if not any(m[keep:])}
+                return e if len(kept) == len(e.terms) else Polynomial(ctx, field, kept)
+
+            terms = {i: GradedFreeModule(ring, m.twists) for i, m in self.terms.items()}
+            diffs = {
+                i: PolyMatrix(
+                    terms[i],
+                    terms[i - 1],
+                    [{r: cut(e) for r, e in col.items()} for col in d.columns],
+                    reduce=False,
+                )
+                for i, d in self.diffs.items()
+            }
+            self._reduced = ChainComplex(ring, terms, diffs, validate=False)
         return self._reduced
 
     @property
@@ -463,10 +490,7 @@ class ChainComplex:
         """Contravariant dual: term at -i is term_i dualized; the transpose of
         d_i sits at position 1-i with sign (-1)^i."""
         terms = {-i: self.term(i).dual() for i in range(self.lo, self.hi + 1)}
-        diffs = {}
-        for i, d in self.diffs.items():
-            sign = -1 if i % 2 else 1
-            diffs[1 - i] = d.transpose().scale(sign)
+        diffs = {1 - i: d.transpose(-1 if i % 2 else 1) for i, d in self.diffs.items()}
         return ChainComplex(self.ring, terms, diffs, validate=False)
 
     def shift(self, k):
@@ -482,11 +506,15 @@ class ChainComplex:
         return ChainComplex(self.ring, terms, diffs, validate=False)
 
     def subwindow(self, lo, hi):
+        """Terms lo..hi and the differentials between them, with the ranks
+        stored for those differentials and the record of the products
+        d_{i-1} d_i among them found zero: the same matrices sit at
+        lo < i <= hi, so both still hold."""
         terms = {i: self.term(i) for i in range(lo, hi + 1)}
         diffs = {i: self.diffs[i] for i in self.diffs if lo < i <= hi}
         sub = ChainComplex(self.ring, terms, diffs, validate=False)
-        # the same matrices sit at lo < i <= hi, so their stored ranks hold
         sub._ranks = {key: r for key, r in self._ranks.items() if lo < key[0] <= hi}
+        sub._checked = {i for i in self._checked if lo + 2 <= i <= hi}
         if self._reduced is not None:
             sub._reduced = self._reduced.subwindow(lo, hi)
         return sub
@@ -517,13 +545,21 @@ def _first_nonzero(matrix):
     return r, c, matrix.columns[c][r]
 
 
-def d_squared_witness(complex_):
+def d_squared_witness(complex_, positions=None):
     """The first (i, r, c, entry) with entry (r, c) of d_{i-1} d_i nonzero,
-    positions ascending; None when every product vanishes."""
-    for i in range(complex_.lo + 2, complex_.hi + 1):
+    i ascending through `positions` (by default lo + 2 <= i <= hi, every
+    product inside the window); None when every product vanishes. The complex
+    records each i whose product is zero, and a recorded product is not
+    formed again."""
+    if positions is None:
+        positions = range(complex_.lo + 2, complex_.hi + 1)
+    for i in positions:
+        if i in complex_._checked:
+            continue
         witness = _first_nonzero(complex_.diff(i - 1).compose(complex_.diff(i)))
         if witness is not None:
             return (i, *witness)
+        complex_._checked.add(i)
     return None
 
 
@@ -692,8 +728,10 @@ def certify(complex_, dmax, quotient=True):
     """The rows (name, passed, detail) d_squared_zero, acyclicity and
     minimality of complex_, and the coverage of its `acyclicity_sweep` at
     every interior position. d^2 and minimality are checked over the
-    complex's own ring. A window with no interior position, or a sweep that
-    covers no degree, fails acyclicity."""
+    complex's own ring; a product the complex records as checked (a window
+    cut from a cone whose products `tate._splice` checked) is not formed
+    again. A window with no interior position, or a sweep that covers no
+    degree, fails acyclicity."""
     witness = d_squared_witness(complex_)
     d2_detail = "all products vanish"
     if witness is not None:
@@ -755,13 +793,15 @@ def check_homotopy_identity(K, g, tau):
 
 
 def mapping_cone(phi, C, D):
-    """Cone of a degree-0 chain map phi: C -> D, which `is_chain_map`
-    verifies first.
+    """Cone of a degree-0 map phi: C -> D, assembled without a check.
 
     cone_i = C_i (+) D_{i+1}; the phi block carries sign (-1)^i. Returns the
-    complex together with a layout dict {i: rank of the C-part at i}.
+    complex together with a layout dict {i: rank of the C-part at i}. The
+    cone's d_{i-1} d_i has the blocks d_C^2 (C_{i-2} <- C_i), d_D^2
+    (D_{i-1} <- D_{i+1}) and (-1)^i (d_D phi_i - phi_{i-1} d_C), the square
+    of phi at i (D_{i-1} <- C_i), so one d^2 check of the cone checks C, D
+    and phi at once (`tate._splice` runs it).
     """
-    is_chain_map(phi, C, D)
     ring = C.ring
     lo = min(C.lo, D.lo - 1)
     hi = max(C.hi, D.hi - 1)
@@ -790,7 +830,6 @@ def mapping_cone(phi, C, D):
         )
         if diffs[i].source.rank == 0 and diffs[i].target.rank == 0:
             del diffs[i]
-    # a cone of a chain map between complexes is a complex
     cone = ChainComplex(ring, terms, diffs, validate=False)
     return cone, layout
 

@@ -240,7 +240,9 @@ def _derived_sections(instance, complex_, normalized, f_degrees, g_degrees):
     """`certify`'s rows for an emitted window `complex_`, and every output
     section that it and the instance (with the degrees of f and g) determine:
     format, instance, tate, meta, betti, mcm, and the certificates
-    acyclicity, minimal_after_reduction and, if `normalized`, two_periodic."""
+    acyclicity, minimal_after_reduction and, if `normalized` and the window
+    has a pair d_i, d_{i+2} for `is_two_periodic` to compare (hi - lo >= 3),
+    two_periodic."""
     dmax = instance.max_internal_degree
     rows, coverage = certify(complex_, dmax)
     lo, hi = complex_.window
@@ -248,7 +250,7 @@ def _derived_sections(instance, complex_, normalized, f_degrees, g_degrees):
         "acyclicity": {"passed": True, "window": [lo + 1, hi - 1], **coverage},
         "minimal_after_reduction": {"passed": rows[2][1]},
     }
-    if normalized:
+    if normalized and hi - lo >= 3:
         certificates["two_periodic"] = {"passed": is_two_periodic(complex_)}
     offset = sum(g_degrees) - sum(f_degrees)
     m = len(f_degrees) - len(g_degrees)

@@ -15,7 +15,13 @@ from math import comb
 from typing import NamedTuple
 
 from .arith import MAX_VARIABLES, Polynomial
-from .errors import AcyclicityError, LiftError, WindowTooSmallError
+from .errors import (
+    AcyclicityError,
+    LiftError,
+    NotAComplexError,
+    NotChainMapError,
+    WindowTooSmallError,
+)
 from .freecomplex import (
     BaseRing,
     ChainComplex,
@@ -26,6 +32,7 @@ from .freecomplex import (
     _h0_dim,
     _h0_iso_table,
     acyclicity_sweep,
+    d_squared_witness,
     graded_piece,
     is_minimal,
     mapping_cone,
@@ -98,19 +105,27 @@ def _splice(C, D, phi, h0, window, dmax):
     """Shared cone + certificate machinery for both splice entry points;
     h0(d) is dim H_0(C)_d.
 
-    `mapping_cone` raises NotChainMapError unless phi is a chain map, so the
-    chain-map certificate records a check that has passed.
-
     The cone cone_i = C_i (+) D_{i+1} gives the exact segment
     H_0(cone) -> H_0(C) -> H_0(D) -> H_{-1}(cone) with phi_* in the middle
-    (Weibel, An Introduction to Homological Algebra, 1.5). The assembled cone
-    is swept (`acyclicity_sweep`) before it is cut to the window, at
-    positions -1 and 0 as well as the window interior, so a passing sweep
-    certifies phi_* an isomorphism in every degree: each row of the table,
-    up to dmax, reads (h, h, h) with h = h0(d). The window keeps the
-    ranks the sweep stored. Where the sweep fails, the table is computed so
-    that a broken H_0 isomorphism is still reported as such. The certificates
-    are chain_map, h0_iso and minimal; acyclicity is the emitted window's."""
+    (Weibel, An Introduction to Homological Algebra, 1.5). Its d^2 is made of
+    d_C^2, d_D^2 and the squares of phi (`mapping_cone`), so one d^2 check of
+    the cone checks all three. It runs over the cone's terms
+    [min(lo, s - 1), max(hi, top + 1)] = [min(lo, -2), top + 1], which hold
+    the window [lo, hi] and every term the sweep reads, the sweep running
+    over positions s = min(lo + 1, -1) to top - 1 with top = max(hi, 1). The
+    `chain_map` certificate records that check of phi's squares there. A
+    nonzero product raises the error of the block it lies in
+    (`_raise_d_squared`), and the window keeps the record, so `certify`
+    forms none of these products again.
+
+    The assembled cone is swept (`acyclicity_sweep`) before it is cut to the
+    window, at positions -1 and 0 as well as the window interior, so a
+    passing sweep certifies phi_* an isomorphism in every degree: each row of
+    the table, up to dmax, reads (h, h, h) with h = h0(d). The window keeps
+    the ranks the sweep stored. Where the sweep fails, the table is computed
+    so that a broken H_0 isomorphism is still reported as such. The
+    certificates are chain_map, h0_iso and minimal; acyclicity is the
+    emitted window's."""
     lo, hi = window
     top = max(hi, 1)
     cone, layout = mapping_cone(phi, C, D)
@@ -119,6 +134,9 @@ def _splice(C, D, phi, h0, window, dmax):
             f"assembled cone window {cone.window} does not cover {window} "
             "with -1 and 0 interior"
         )
+    witness = d_squared_witness(cone, range(min(lo, -2) + 2, top + 2))
+    if witness is not None:
+        _raise_d_squared(C, *witness)
     h0_degrees = _content_degree_range(C, 0, 0, dmax) + _content_degree_range(D, 0, 0, dmax)
     h0_degrees = sorted(set(h0_degrees))
     failure, _ = acyclicity_sweep(cone, range(min(lo + 1, -1), top), dmax)
@@ -138,12 +156,28 @@ def _splice(C, D, phi, h0, window, dmax):
     return cone, layout, certificates
 
 
+def _raise_d_squared(C, i, r, c, e):
+    """Raise for a nonzero entry (r, c) = e of d_{i-1} d_i of the cone of
+    phi: C -> D, in the coordinates of the block it lies in. The block
+    D_{i-1} <- C_i is (-1)^i times the square of phi at i, so its
+    NotChainMapError carries what `is_chain_map` reports there; the blocks
+    C_{i-2} <- C_i and D_{i-1} <- D_{i+1} are the products at i of C and at
+    i + 1 of D, which raise NotAComplexError."""
+    rows, cols = C.term(i - 2).rank, C.term(i).rank
+    if r < rows:
+        raise NotAComplexError(i, r, c, str(e))
+    if c >= cols:
+        raise NotAComplexError(i + 1, r - rows, c - cols, str(e))
+    raise NotChainMapError(i, r - rows, c, str(-e if i % 2 else e))
+
+
 def tate_splice(resolution, window, dmax):
     """Mapping-cone Tate resolution of M = S/(f) over R from the divided-power
     resolution and the wedge-with-alpha comparison map.
 
     Certificates recorded (all recomputed, nothing trusted): the chain-map
-    property of phi, the degreewise H_0 isomorphism, and entrywise
+    property of phi, checked with F's products in the one d^2 check of the
+    cone (`_splice`), the degreewise H_0 isomorphism, and entrywise
     minimality. Total acyclicity is swept here too; a failing sweep raises.
     """
     F = resolution.complex

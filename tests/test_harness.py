@@ -19,8 +19,15 @@ from tatesplice import freecomplex, groebner
 from tatesplice import harness as harness_module
 from tatesplice import tate as tate_module
 from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
-from tatesplice.errors import ContainmentError, NotRegularError, TateSpliceError
-from tatesplice.freecomplex import BaseRing
+from tatesplice.errors import (
+    EXIT_MEMORY,
+    ContainmentError,
+    NotAComplexError,
+    NotChainMapError,
+    NotRegularError,
+    TateSpliceError,
+)
+from tatesplice.freecomplex import BaseRing, ChainComplex, PolyMatrix
 from tatesplice.harness import (
     InstanceData,
     ProblemInstance,
@@ -392,7 +399,8 @@ def test_run_build_piece_count_generic(monkeypatch):
 
 
 def _built_cones(monkeypatch, instance):
-    """The cones run_build assembles, with the ranks its sweeps stored."""
+    """The cones run_build assembles, with the ranks its sweeps stored, and
+    the document it returns."""
     cones = []
     assemble = tate_module.mapping_cone
 
@@ -402,14 +410,14 @@ def _built_cones(monkeypatch, instance):
         return cone, layout
 
     monkeypatch.setattr(tate_module, "mapping_cone", recording)
-    run_build(instance)
-    return cones
+    doc = run_build(instance)
+    return cones, doc
 
 
 @pytest.mark.parametrize("rung", ["c", "generic"])
 def test_stored_cone_ranks_equal_built_pieces(rung, inst_c, monkeypatch):
     instance = inst_c.instance if rung == "c" else ProblemInstance.from_doc(_generic_doc(1))
-    cones = _built_cones(monkeypatch, instance)
+    cones, _ = _built_cones(monkeypatch, instance)
     assert cones
     for cone in cones:
         # both rings have dimension 1: the sweep ran over R/(last variable)
@@ -417,6 +425,106 @@ def test_stored_cone_ranks_equal_built_pieces(rung, inst_c, monkeypatch):
         assert bar is not cone and bar._ranks
         for (i, d), r in bar._ranks.items():
             assert r == freecomplex.graded_piece(bar.diff(i), d).rank(), (i, d)
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52", "52w", "generic"])
+def test_reduced_drops_killed_terms_as_normal_form(rung, request, monkeypatch):
+    # dropping the terms with a killed variable is Rbar's normal form, on the
+    # assembled cone and on the emitted window read back
+    if rung == "generic":
+        instance = ProblemInstance.from_doc(_generic_doc(1))
+    else:
+        instance = request.getfixturevalue(f"inst_{rung}").instance
+    cones, doc = _built_cones(monkeypatch, instance)
+    window = freecomplex.complex_from_doc(doc["tate"], validate=False)
+    for C in (*cones, window):
+        ring, killed, _ = C.ring.regular_quotient()
+        bar = C.reduced()
+        assert (bar is C) == (not killed)
+        oracle = freecomplex.base_change(C, ring)
+        assert bar.terms == oracle.terms and bar.diffs == oracle.diffs
+
+
+@pytest.mark.parametrize("rung", ["t", "c", "52w"])
+def test_build_forms_each_product_once(rung, request, monkeypatch):
+    # F's d^2, the squares of phi and the window's d^2 are one check of the
+    # cone at positions min(lo, -2) + 2 to max(hi, 1) + 1, which the window
+    # keeps as checked
+    products = []
+    first = freecomplex._first_nonzero
+    monkeypatch.setattr(freecomplex, "_first_nonzero", lambda m: products.append(m) or first(m))
+    instance = request.getfixturevalue(f"inst_{rung}").instance
+    run_build(instance)
+    lo, hi = instance.window
+    assert len(products) == max(hi, 1) - min(lo, -2)
+
+
+def _corrupted(matrix):
+    """matrix with its first nonzero entry, columns then rows, doubled."""
+    cols = [dict(col) for col in matrix.columns]
+    c = next(k for k, col in enumerate(cols) if col)
+    r = next(iter(cols[c]))
+    cols[c][r] = cols[c][r].scale(2)
+    return PolyMatrix(matrix.source, matrix.target, cols)
+
+
+def _witness(error):
+    return error.position, error.row, error.col, error.witness
+
+
+@pytest.mark.parametrize("rung, i", [("h", 0), ("c", 0), ("c", 1), ("52", 2)])
+def test_build_reports_a_broken_phi_as_is_chain_map_does(
+    rung, i, request, monkeypatch, tmp_path, capsys
+):
+    # the cone's one d^2 check finds the square of phi that is_chain_map
+    # finds, at the same position and entry
+    seen = []
+    expand = tate_module.expand_phi
+
+    def broken(resolution):
+        phi, target = expand(resolution)
+        phi = {**phi, i: _corrupted(phi[i])}
+        seen.append((phi, resolution.complex, target))
+        return phi, target
+
+    monkeypatch.setattr(tate_module, "expand_phi", broken)
+    instance = request.getfixturevalue(f"inst_{rung}").instance
+    with pytest.raises(NotChainMapError) as built:
+        run_build(instance)
+    phi, C, D = seen[0]
+    with pytest.raises(NotChainMapError) as direct:
+        freecomplex.is_chain_map(phi, C, D)
+    assert _witness(built.value) == _witness(direct.value)
+    assert _build_exit_code(tmp_path, instance.to_doc()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certificate failure: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rung, k, side", [("t", 2, 1), ("c", 2, 1), ("52", 1, 0)])
+def test_build_reports_a_broken_resolution_as_not_a_complex(rung, k, side, request, monkeypatch):
+    # d_k of F enters the cone as d_C and, dualized, as d_D; the first nonzero
+    # product is reported in the coordinates of the complex (C or D) it lies in
+    seen = []
+    resolve, expand = harness_module.es_resolution, tate_module.expand_phi
+
+    def broken_resolution(lift, ring_R, length):
+        res = resolve(lift, ring_R, length)
+        F = res.complex
+        res.complex = ChainComplex(F.ring, F.terms, {**F.diffs, k: _corrupted(F.diff(k))}, False)
+        return res
+
+    def recording(resolution):
+        phi, target = expand(resolution)
+        seen.append((resolution.complex, target))
+        return phi, target
+
+    monkeypatch.setattr(harness_module, "es_resolution", broken_resolution)
+    monkeypatch.setattr(tate_module, "expand_phi", recording)
+    with pytest.raises(NotAComplexError) as built:
+        run_build(request.getfixturevalue(f"inst_{rung}").instance)
+    i, r, c, e = freecomplex.d_squared_witness(seen[0][side])
+    assert _witness(built.value) == (i, r, c, str(e))
 
 
 def test_run_build_piece_count_52(inst_52, build_52, monkeypatch):
@@ -1215,7 +1323,8 @@ def test_cli_verify_rejects_extra_betti_position(tmp_path, capsys, build_c):
 @pytest.mark.parametrize("rung", ["52", "41", "h"])
 def test_cli_build_window_starting_at_zero(tmp_path, capsys, request, rung):
     # H_0 of the upper half is read below its truncated end, not at it; h
-    # normalizes on [0, 2], where is_two_periodic compares nothing
+    # normalizes on [0, 2], where is_two_periodic has no pair d_i, d_{i+2} to
+    # compare, so no build carries two_periodic there and verify takes none
     doc = {**request.getfixturevalue(f"inst_{rung}").instance.to_doc(), "window": [0, 2]}
     ipath, opath = tmp_path / "instance.json", tmp_path / "out.json"
     ipath.write_text(json.dumps(doc))
@@ -1225,6 +1334,13 @@ def test_cli_build_window_starting_at_zero(tmp_path, capsys, request, rung):
     out = json.loads(opath.read_text())
     assert out["mcm"]["generator_count"] == out["mcm"]["formula_count"]
     assert out["meta"]["mf_normalized"] is (rung == "h")
+    assert "two_periodic" not in out["certificates"]
+    out["certificates"]["two_periodic"] = {"passed": True}
+    assert _verify_exit_code(tmp_path, out) == 3
+    report = capsys.readouterr().out
+    assert [line.split()[:2] for line in report.splitlines() if "FAIL" in line] == [
+        ["document", "FAIL"]
+    ]
 
 
 @pytest.mark.parametrize("verb", ["build", "verify", "betti", "mcm"])
@@ -1299,6 +1415,17 @@ def test_cli_build_exit_code_of_every_error_type(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{prefix}injected\n"
+
+
+def test_cli_memory_error_exits_with_one_line(tmp_path, capsys, monkeypatch, inst_t):
+    def exhausted(instance):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "run_build", exhausted)
+    assert _build_exit_code(tmp_path, inst_t.instance.to_doc()) == EXIT_MEMORY == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("out of memory: ") and captured.err.count("\n") == 1
 
 
 _VARIABLES = ("x", "y", "z")
