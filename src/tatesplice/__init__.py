@@ -39,14 +39,13 @@ from .homotopy import (
     solve_homotopy,
     tor_identity_check,
 )
-from .shamash import ShamashResolution, es_resolution, verify_resolution
+from .shamash import ShamashResolution, es_resolution
 from .tate import (
     TateResolution,
     general_splice,
     mcm_generator_count,
     mcm_presentation,
     minimize,
-    orthogonality_check,
     tate_splice,
 )
 from .harness import ProblemInstance, oracle_homology, run_build, run_verify
@@ -82,7 +81,6 @@ __all__ = [
     "mcm_presentation",
     "minimize",
     "oracle_homology",
-    "orthogonality_check",
     "parse_polynomial",
     "run_build",
     "run_verify",
@@ -91,6 +89,5 @@ __all__ = [
     "solve_homotopy",
     "tate_splice",
     "tor_identity_check",
-    "verify_resolution",
     "wedge_map",
 ]

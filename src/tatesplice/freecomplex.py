@@ -241,10 +241,10 @@ class PolyMatrix:
     """Degree-compatible polynomial matrix between graded free modules.
 
     Only nonzero entries are stored: `columns[c]` maps row r to entry (r, c),
-    rows ascending. Over a quotient ring every entry is stored in normal form,
-    so `scale`, `transpose`, `twisted` and `block_matrix`, whose entries are
-    F-linear combinations of such entries, skip the reduction, and so does
-    `compose`, which reduces each entry's sum of products once.
+    rows ascending, each in normal form over a quotient ring. The constructor
+    checks every entry; `_derived` checks none, for the matrices whose entries
+    come from checked ones (`scale`, `transpose`, `twisted`, `block_matrix`,
+    `compose` and `ChainComplex.reduced`).
     """
 
     __slots__ = ("source", "target", "columns")
@@ -278,6 +278,16 @@ class PolyMatrix:
         self.columns = tuple(cols)
 
     # --- constructors ---------------------------------------------------
+    @classmethod
+    def _derived(cls, source, target, columns):
+        """The matrix with these columns as given, each already as the
+        constructor would store it."""
+        matrix = object.__new__(cls)
+        matrix.source = source
+        matrix.target = target
+        matrix.columns = tuple(columns)
+        return matrix
+
     @classmethod
     def zero(cls, source, target):
         return cls(source, target, [{}] * source.rank, reduce=False)
@@ -319,20 +329,21 @@ class PolyMatrix:
         for c, col in enumerate(self.columns):
             for r, e in col.items():
                 rows[r][c] = e if sign == 1 else -e
-        return PolyMatrix(self.target.dual(), self.source.dual(), rows, reduce=False)
+        return PolyMatrix._derived(self.target.dual(), self.source.dual(), rows)
 
     def twisted(self, t):
         """Same entries between modules twisted by t."""
-        return PolyMatrix(
-            self.source.twist(t), self.target.twist(t), self.columns, reduce=False
-        )
+        return PolyMatrix._derived(self.source.twist(t), self.target.twist(t), self.columns)
 
     def scale(self, scalar):
-        return PolyMatrix(
+        """Every entry times `scalar`: the matrix itself for 1, no entry for 0."""
+        s = scalar % self.source.ring.field.p
+        if s == 1:
+            return self
+        return PolyMatrix._derived(
             self.source,
             self.target,
-            [{r: e.scale(scalar) for r, e in col.items()} for col in self.columns],
-            reduce=False,
+            [{r: e.scale(s) for r, e in col.items()} if s else {} for col in self.columns],
         )
 
     def __eq__(self, other):
@@ -353,7 +364,8 @@ class PolyMatrix:
 def _sum_of_products(source, target, products):
     """The PolyMatrix source -> target of sum(sign * (a o b)) over `products`
     (sign, a, b): every product of entries lands unreduced in one term dict
-    per entry, which the modulus's kernel then reduces once."""
+    per entry, which the modulus's kernel then reduces once. Products and
+    normal forms keep the degrees, so only vanishing entries are dropped."""
     if any((a.source, a.target, b.source) != (b.target, target, source) for _, a, b in products):
         raise ValueError("composition shape/twist mismatch")
     ring = source.ring
@@ -365,25 +377,27 @@ def _sum_of_products(source, target, products):
             for k, y in b.columns[c].items():
                 for r, x in a.columns[k].items():
                     _add_product(col.setdefault(r, {}), x.terms, y.terms, sign)
-        columns.append({r: Polynomial(ring.ctx, ring.field, reduce(t)) for r, t in col.items()})
-    return PolyMatrix(source, target, columns, reduce=False)
+        entries = ((r, Polynomial(ring.ctx, ring.field, reduce(col[r]))) for r in sorted(col))
+        columns.append({r: e for r, e in entries if e.terms})
+    return PolyMatrix._derived(source, target, columns)
 
 
 def block_matrix(col_modules, row_modules, blocks):
-    """Assemble a PolyMatrix from blocks[(i, j)]: col_modules[j] -> row_modules[i]."""
+    """Assemble a PolyMatrix from blocks[(i, j)]: col_modules[j] -> row_modules[i],
+    taken by row index so that each column's rows stay ascending."""
     source = direct_sum(col_modules)
     target = direct_sum(row_modules)
     row_off = list(accumulate((m.rank for m in row_modules), initial=0))
     col_off = list(accumulate((m.rank for m in col_modules), initial=0))
     columns = [{} for _ in range(source.rank)]
-    for (i, j), blk in blocks.items():
+    for (i, j), blk in sorted(blocks.items()):
         if blk is None:
             continue
         if blk.source != col_modules[j] or blk.target != row_modules[i]:
             raise ValueError(f"block ({i},{j}) has wrong shape or twists")
         for c, col in enumerate(blk.columns):
             columns[col_off[j] + c].update((row_off[i] + r, e) for r, e in col.items())
-    return PolyMatrix(source, target, columns, reduce=False)
+    return PolyMatrix._derived(source, target, columns)
 
 
 class ChainComplex:
@@ -457,7 +471,8 @@ class ChainComplex:
         nothing else: an entry over R is in normal form, so its monomials are
         standard, and Rbar's lead ideal is R's plus the killed variables
         (`regular_quotient`), so the terms left are already Rbar's normal
-        form, which `base_change` would compute term by term."""
+        form, which `base_change` would compute term by term; an entry left
+        with no term goes."""
         ring, killed, _ = self.ring.regular_quotient()
         if ring is self.ring:
             return self
@@ -465,18 +480,19 @@ class ChainComplex:
             keep = ring.ctx.nvars - len(killed)  # the killed variables are the last
             ctx, field = ring.ctx, ring.field
 
-            def cut(e):
-                kept = {m: a for m, a in e.terms.items() if not any(m[keep:])}
-                return e if len(kept) == len(e.terms) else Polynomial(ctx, field, kept)
+            def cut(col):
+                out = {}
+                for r, e in col.items():
+                    kept = {m: a for m, a in e.terms.items() if not any(m[keep:])}
+                    if len(kept) == len(e.terms):
+                        out[r] = e
+                    elif kept:
+                        out[r] = Polynomial(ctx, field, kept)
+                return out
 
             terms = {i: GradedFreeModule(ring, m.twists) for i, m in self.terms.items()}
             diffs = {
-                i: PolyMatrix(
-                    terms[i],
-                    terms[i - 1],
-                    [{r: cut(e) for r, e in col.items()} for col in d.columns],
-                    reduce=False,
-                )
+                i: PolyMatrix._derived(terms[i], terms[i - 1], map(cut, d.columns))
                 for i, d in self.diffs.items()
             }
             self._reduced = ChainComplex(ring, terms, diffs, validate=False)

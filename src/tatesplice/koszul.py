@@ -388,20 +388,3 @@ def beta_matrix(ring, n, j, f_degrees):
         sign, comp = complement_sign(subset, n)
         cols.append({tgt_basis.index[comp]: one.scale(sign)})
     return PolyMatrix(source, target, cols)
-
-
-def koszul_self_duality(g_list, ring):
-    """Verify d_c == (-1)^(c+1) d_1^T under the beta trivializations of the
-    Koszul complex on g_1..g_c; returns the global unit (-1)^(c+1)."""
-    E = koszul_complex(g_list, ring)
-    c = len(g_list)
-    g_degrees = [p.total_degree() for p in g_list]
-    beta_top = beta_matrix(ring, c, c, g_degrees)
-    beta_next = beta_matrix(ring, c, c - 1, g_degrees)
-    total = sum(g_degrees)
-    lhs = beta_next.compose(E.diff(c))
-    rhs = E.diff(1).transpose().twisted(-total).compose(beta_top)
-    sign = -1 if c % 2 == 0 else 1
-    if lhs != rhs.scale(sign):
-        raise SelfCheckError("Koszul self-duality check failed")
-    return sign

@@ -7,14 +7,11 @@ matrix A (g_j = sum_i A[i][j] f_i) to `koszul.exterior_total_complex`, whose
 differential is the Koszul differential on f plus, for each j, lowering
 alpha_j by one while wedging with a_j. The vertical entries are drawn from
 A's columns: degree bookkeeping forces this, and the d^2 = 0 and acyclicity
-certificates adjudicate the construction. `verify_resolution` rechecks a
-resolution from scratch.
+certificates adjudicate the construction.
 """
 
 from __future__ import annotations
 
-from .freecomplex import BaseRing, _h0_dim, certify
-from .groebner import buchberger
 from .koszul import exterior_total_complex
 
 MAX_LENGTH = 40
@@ -46,28 +43,3 @@ def es_resolution(lift, ring_R, length):
     columns = [lift.column(j) for j in range(lift.c)]
     complex_, labels = exterior_total_complex(lift.f, columns, ring_R, length)
     return ShamashResolution(complex_, labels, lift, ring_R)
-
-
-def verify_resolution(resolution, dmax, ring_M=None):
-    """The rows of `certify` for the resolution's complex, plus an h0_hilbert
-    row comparing the Hilbert function of H_0 with that of ring_M = S/(f)
-    (computed when omitted) in internal degrees 0..dmax."""
-    C = resolution.complex
-    # over R, not its regular quotient: H_0 = M is nonzero, so the resolution
-    # tensored with Rbar has homology Tor_1(M, Rbar) wherever a killed
-    # variable is a zerodivisor on M
-    rows, _ = certify(C, dmax, quotient=False)
-    if ring_M is None:
-        ring_M = BaseRing(
-            resolution.ring.ctx, resolution.ring.field, buchberger(list(resolution.lift.f))
-        )
-    # the d_1 ranks are store hits from the acyclicity sweep
-    differs = next((d for d in range(dmax + 1) if _h0_dim(C, d) != ring_M.dim_degree(d)), None)
-    detail = "H_0 has the Hilbert function of S/(f)"
-    if differs is not None:
-        detail = (
-            f"H_0 Hilbert function differs in degree {differs}: "
-            f"{_h0_dim(C, differs)} vs {ring_M.dim_degree(differs)}"
-        )
-    rows.append(("h0_hilbert", differs is None, detail))
-    return rows

@@ -23,7 +23,6 @@ from .errors import (
     WindowTooSmallError,
 )
 from .freecomplex import (
-    BaseRing,
     ChainComplex,
     DegreeLayout,
     GradedFreeModule,
@@ -255,22 +254,6 @@ def general_splice(F, G, m, window, dmax):
     return TateResolution(cone, provenance, certificates, meta)
 
 
-def betti_dual_match(tate_m, tate_dual, m, offset):
-    """Graded Betti numbers of the minimized window of one splice, read
-    backwards with twists negated and shifted, against the minimized dual
-    splice: entry (j, t) of the dual must equal entry (m-1-j, offset-t)."""
-    A, B = minimize(tate_m.complex), minimize(tate_dual.complex)
-    asym, bsym = betti(A), betti(B)
-    for j in range(B.lo + 1, B.hi):
-        i = m - 1 - j
-        if i <= A.lo or i >= A.hi:
-            continue
-        expected = {offset - t: cnt for t, cnt in asym[i].items()}
-        if bsym[j] != expected:
-            return False
-    return True
-
-
 def _match_h0_offset(F, T0, dmax):
     """Twist t with H_0(F)_d == H_0(T0)_{d+t} degreewise, found by aligning
     the bottom degrees of the two Hilbert functions."""
@@ -414,23 +397,6 @@ def mcm_generator_count(n, c):
         total += comb(n, c + 1 + 2 * i) * comb(c - 1 + i, i)
         i += 1
     return total
-
-
-def orthogonality_check(lift):
-    """Cramer orthogonality: wedge(alpha) o wedge(a_j) vanishes entrywise
-    over S for every column a_j of A."""
-    alpha = alpha_element(lift)
-    ring = BaseRing(lift.f[0].ring, lift.f[0].field)
-    n, c = lift.n, lift.c
-    f_degs = list(lift.f_degrees)
-    for j in range(c):
-        a_j = lift.column(j)
-        for i in range(0, n - c):
-            first = wedge_map(a_j, i, f_degs, ring)
-            second = wedge_map(alpha, i + 1, f_degs, ring).twisted(a_j.degree)
-            if not second.compose(first).is_zero():
-                return False
-    return True
 
 
 # --- hypersurface (c = 1) normalization ------------------------------------

@@ -21,14 +21,14 @@ from tatesplice.koszul import LiftMatrix
 from tatesplice.shamash import es_resolution
 from tatesplice.tate import (
     PolyMatrix,
-    betti_dual_match,
     general_splice,
     is_two_periodic,
     lift_matrix_to_S,
     mcm_generator_count,
-    orthogonality_check,
     tate_splice,
 )
+
+from crosschecks import betti_dual_match, orthogonality_check
 
 
 def criterion(n, label):

@@ -332,6 +332,28 @@ def test_polymatrix_stores_no_zero_entry():
     assert zero == PolyMatrix.zero(m.source, m.target)
 
 
+def test_scale_stores_no_zero_entry_and_keeps_the_matrix_for_one():
+    m = _antidiagonal()
+    for zero in (m.scale(0), m.scale(F.p)):
+        assert zero.columns == ({}, {}) and zero == PolyMatrix.zero(m.source, m.target)
+    assert m.scale(1) is m and m.scale(F.p + 1) is m
+    negated = m.scale(-1)
+    assert negated.columns == ({1: -pxy("y")}, {0: -pxy("x")})
+    assert negated.scale(-1) == m
+    assert m.scale(3).columns == ({1: pxy("3*y")}, {0: pxy("3*x")})
+
+
+def test_block_matrix_keeps_rows_ascending_whatever_the_block_order():
+    # blocks given bottom row first still make ascending columns, as the
+    # checking constructor would store them
+    m = _antidiagonal()
+    block = freecomplex.block_matrix(
+        [m.source], [m.target, m.target], {(1, 0): m.scale(2), (0, 0): m}
+    )
+    assert [list(col) for col in block.columns] == [[1, 3], [0, 2]]
+    assert block == PolyMatrix(block.source, block.target, block.columns)
+
+
 def test_graded_piece_polynomial_ring():
     src = GradedFreeModule(S2, (-1, -1))
     tgt = GradedFreeModule(S2, (0,))

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -158,16 +159,16 @@ def test_run_build_deterministic_bytes(inst_t):
     assert a == b
 
 
-# sha256 of dump_output for each rung, in the sparse `tatesplice/2` layout;
-# a change that alters an output document must say why and update its
-# digest here.
+# sha256 of dump_output for each rung: compact one-line JSON in the sparse
+# `tatesplice/2` layout; a change that alters an output document must say
+# why and update its digest here.
 OUTPUT_SHA256 = {
-    "t": "d922d169f9c5f48d6f7b4a68d6b6d274c8109a4f247502a38888996ee7546f2c",
-    "h": "35645b71d25f7b9b5481653dea8f8ca738bb5847fa2c14f29c1458b1612e8ec2",
-    "c": "2ddf60988e427a863ad81097221cf0f6e64582dafeeb42af3bc99545f6b54ae5",
-    "41": "8e642de27ea94553617e998ae298eccc47b77f8ff7f5618f6cbe66e2120e6011",
-    "52": "6e04c0009bd8c918316fc29f932ac72ebb27f1db51b6fc1aaec8dd496d2ec3ae",
-    "52w": "586fa3fc47ea34ae4f464b89da8c4fe0e6e583f0ae53d4947c6f148f1e8ac895",
+    "t": "e5a6c749a082894266cdc63c29025b75460abf17c4eec8b9b960eeefe720bdb3",
+    "h": "8746eb87fb2f97d7415a496261f9205e9f85804fd9505844a466f0dc6b6ce833",
+    "c": "20ba882b4a10ea8241d95a29e6e789598d698fe5bf04ac19c2d124bc8cb726ef",
+    "41": "0257ae5571374235f7b7826a95009cc623853d952d8b26e36d8893adef8f20c5",
+    "52": "b43c9d773dd266ba96df54612c7c70b1674f96d240b713977c206f65ab7dafb5",
+    "52w": "055e543f9ca7d2c584a66433081596f490d6c2e324acccdb08a853d6fdbf8a29",
 }
 
 
@@ -176,6 +177,22 @@ def test_output_bytes_pinned(rung, request):
     doc = request.getfixturevalue(f"build_{rung}")
     digest = hashlib.sha256(dump_output(doc).encode()).hexdigest()
     assert digest == OUTPUT_SHA256[rung]
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "52w"])
+def test_dump_output_is_its_own_canonical_form(rung, request):
+    text = dump_output(request.getfixturevalue(f"build_{rung}"))
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert dump_output(json.loads(text)) == text
+
+
+def test_cli_verifies_a_document_written_with_indentation(tmp_path, capsys, build_c):
+    # whitespace is not content: the indented layout of earlier releases
+    # still verifies
+    path = tmp_path / "c.out.json"
+    path.write_text(json.dumps(build_c, sort_keys=True, indent=1) + "\n")
+    assert cli_module.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_build_with_explicit_lift_matrix(inst_t, build_t):
@@ -412,6 +429,56 @@ def _built_cones(monkeypatch, instance):
     monkeypatch.setattr(tate_module, "mapping_cone", recording)
     doc = run_build(instance)
     return cones, doc
+
+
+def _case_instance(rung, request):
+    """The instance of a rung fixture; g<seed> is the benchmark's generic
+    instance for that seed, and <rung>-02 the rung over window [0, 2]."""
+    if rung.startswith("g"):
+        return ProblemInstance.from_doc(_generic_doc(int(rung[1:])))
+    name, _, window = rung.partition("-")
+    instance = request.getfixturevalue(f"inst_{name}").instance
+    if window:
+        instance = ProblemInstance.from_doc({**instance.to_doc(), "window": [0, 2]})
+    return instance
+
+
+def _assert_as_checked(matrix):
+    # equal to its rebuild through the checking constructor, row order
+    # included: rows ascending and in range, no zero entry, every entry in
+    # normal form and homogeneous of degree target twist - source twist
+    rebuilt = PolyMatrix(matrix.source, matrix.target, matrix.columns)
+    assert [list(col.items()) for col in matrix.columns] == [
+        list(col.items()) for col in rebuilt.columns
+    ]
+
+
+@pytest.mark.parametrize(
+    "rung", ["t", "h", "c", "41", "52", "52w", "g1", "g2", "g7", "41-02", "52-02"]
+)
+def test_derived_matrices_pass_the_constructor_checks(rung, request, monkeypatch):
+    # shift, twist, transpose, scale, block_matrix, compose and reduced()
+    # store their entries unchecked; every matrix they made in a build must
+    # still pass every check of the constructor
+    built, windows = [], []
+    assemble, derive = tate_module.mapping_cone, harness_module._derived_sections
+
+    def recording_cone(phi, C, D):
+        cone, layout = assemble(phi, C, D)
+        built.extend((cone, D, C.dual(), C.shift(1)))
+        return cone, layout
+
+    def recording_sections(instance, complex_, *rest):
+        windows.append(complex_)
+        return derive(instance, complex_, *rest)
+
+    monkeypatch.setattr(tate_module, "mapping_cone", recording_cone)
+    monkeypatch.setattr(harness_module, "_derived_sections", recording_sections)
+    run_build(_case_instance(rung, request))
+    assert built and windows
+    for C in (*built, built[0].reduced(), *windows, *(w.reduced() for w in windows)):
+        for d in C.diffs.values():
+            _assert_as_checked(d)
 
 
 @pytest.mark.parametrize("rung", ["c", "generic"])
@@ -934,6 +1001,55 @@ def test_cli_build_rejects_window_beyond_length_limit(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
     assert f"window {window}" in err and "limit of 40" in err
+
+
+def _squares_doc(n, dmax):
+    """x1..xn with f = squares and g = (x1^3, x2^3) over window [-2, 3]."""
+    variables = [f"x{k}" for k in range(1, n + 1)]
+    return {
+        "field_char": 32003,
+        "variables": variables,
+        "f": [f"{v}^2" for v in variables],
+        "g": ["x1^3", "x2^3"],
+        "window": [-2, 3],
+        "max_internal_degree": dmax,
+    }
+
+
+def test_cli_build_refuses_a_cone_above_the_rank_limit(tmp_path, capsys, monkeypatch):
+    # x1..x16 passes every other read-time limit; its cone has a term of rank
+    # 163,840 (131,072 at position -1), refused when the instance is read
+    def no_build(instance):
+        raise AssertionError("build started for an instance above the rank limit")
+
+    monkeypatch.setattr(cli_module, "run_build", no_build)
+    start = time.perf_counter()
+    assert _build_exit_code(tmp_path, _squares_doc(16, 17)) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (
+        "validation error: window [-2, 3] needs a cone whose term -3 has rank 163840, "
+        "above the limit of 10000\n"
+    )
+
+
+def test_predicted_cone_ranks():
+    # x1..x11 and x1..x12 wrote these generator counts at position 0;
+    # x1..x12 is the largest of the family the limit admits
+    assert harness_module._cone_ranks(11, 2, (-2, 3))[0] == 2305
+    ranks = harness_module._cone_ranks(12, 2, (-2, 3))
+    assert ranks[0] == 5121 and max(ranks.values()) == 8192 <= harness_module.MAX_CONE_RANK
+    ProblemInstance.from_doc(_squares_doc(12, 13))
+    ranks = harness_module._cone_ranks(16, 2, (-2, 3))
+    assert (ranks[0], ranks[-1]) == (114689, 131072)
+
+
+@pytest.mark.parametrize("rung", ["t", "h", "c", "41", "52", "52w", "g1", "41-02", "52-02"])
+def test_predicted_cone_ranks_are_the_built_cones(rung, request, monkeypatch):
+    instance = _case_instance(rung, request)
+    cones, _ = _built_cones(monkeypatch, instance)
+    predicted = harness_module._cone_ranks(len(instance.f), len(instance.g), instance.window)
+    assert {i: m.rank for i, m in cones[0].terms.items()} == predicted
 
 
 def test_cli_build_accepts_dmax_zero(tmp_path, capsys, inst_t):

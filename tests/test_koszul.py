@@ -18,10 +18,11 @@ from tatesplice.koszul import (
     complement_sign,
     koszul_complex,
     koszul_homotopy,
-    koszul_self_duality,
     merge_sign,
     wedge_map,
 )
+
+from crosschecks import koszul_self_duality
 
 F = PrimeField(101)
 XY = VariableContext(["x", "y"])

@@ -11,7 +11,9 @@ from tatesplice.koszul import (
     shamash_labels,
     wedge_map,
 )
-from tatesplice.shamash import ShamashResolution, es_resolution, verify_resolution
+from tatesplice.shamash import ShamashResolution, es_resolution
+
+from crosschecks import verify_resolution
 
 F = PrimeField(32003)
 XY = VariableContext(["x", "y"])

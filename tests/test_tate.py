@@ -32,7 +32,6 @@ from tatesplice.koszul import (
 from tatesplice.shamash import es_resolution
 from tatesplice.tate import (
     betti,
-    betti_dual_match,
     expand_phi,
     general_splice,
     is_two_periodic,
@@ -41,13 +40,13 @@ from tatesplice.tate import (
     mcm_presentation,
     minimize,
     normalize_matrix_factorization,
-    orthogonality_check,
     poly_exact_divide,
     tate_splice,
     _h0_iso_table,
     _splice,
 )
 
+from crosschecks import betti_dual_match, orthogonality_check
 from syzygies import dual_module_presentation, minimal_resolution
 
 F = PrimeField(32003)
