@@ -16,7 +16,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from itertools import accumulate, count
-from math import comb
 from operator import add
 
 from .arith import Polynomial, PrimeField, VariableContext, _add_product, parse_polynomial
@@ -28,27 +27,27 @@ from .errors import (
     NotChainMapError,
     WindowEdgeError,
 )
-from .groebner import GroebnerBasis, monomials_of_degree
+from .groebner import GroebnerBasis
 from .linalg import FieldMatrix
 
 
 class BaseRing:
-    """Ring tag: polynomial ring S over F_p, or the quotient R = S/I.
+    """Ring tag: the quotient R = S/I of the polynomial ring S over F_p by the
+    ideal of its `modulus`; S itself is the quotient by the empty basis.
 
     `graded_piece` reads a product monomial's normal form as one flat row
-    (idx0, v0, idx1, v1, ...) in its degree's basis: over R the modulus owns
-    the one row store (`GroebnerBasis.nf_row`), over S `_rows` keeps (index,
-    1). `_tables` maps (mu, e) to a list whose slot j is the shared row of mu
-    times basis monomial j of degree e, so a table never copies a row.
+    (idx0, v0, idx1, v1, ...) in its degree's basis from the modulus's one row
+    store (`GroebnerBasis.nf_row`). `_tables` maps (mu, e) to a list whose
+    slot j is the shared row of mu times basis monomial j of degree e, so a
+    table never copies a row.
     """
 
-    __slots__ = ("ctx", "field", "modulus", "_rows", "_tables", "_quotient")
+    __slots__ = ("ctx", "field", "modulus", "_tables", "_quotient")
 
     def __init__(self, ctx, field, modulus=None):
         self.ctx = ctx
         self.field = field
-        self.modulus = modulus  # GroebnerBasis of I, or None for S itself
-        self._rows = {}
+        self.modulus = modulus or _stored_basis(ctx, field, [])  # GroebnerBasis of I
         self._tables = {}
         self._quotient = None
 
@@ -62,7 +61,7 @@ class BaseRing:
         degree, or None unless Rbar is Artinian. Rbar is R when k = 0."""
         if self._quotient is None:
             ctx, field = self.ctx, self.field
-            gens = self.modulus.generators if self.modulus else ()
+            gens = self.modulus.generators
             leads = [g.leading_monomial() for g in gens]
             keep = ctx.nvars
             while keep and not any(l[keep - 1] for l in leads):
@@ -80,39 +79,21 @@ class BaseRing:
         return self._quotient
 
     def reduce(self, poly):
-        return poly if self.modulus is None else self.modulus.normal_form(poly)
+        return self.modulus.normal_form(poly)
 
     def degree_basis(self, d):
         """Monomial basis of the degree-d piece, descending grevlex."""
-        if d < 0:
-            return ()
-        if self.modulus is None:
-            return monomials_of_degree(self.ctx.nvars, d)
         return self.modulus.quotient_degree_basis(d).monomials
 
     def dim_degree(self, d):
-        if d < 0:
-            return 0
-        if self.modulus is None:
-            return comb(d + self.ctx.nvars - 1, self.ctx.nvars - 1)
         return len(self.modulus.quotient_degree_basis(d))
-
-    def _row(self, mono):
-        if self.modulus is not None:
-            return self.modulus.nf_row(mono)
-        row = self._rows.get(mono)
-        if row is None:
-            # every monomial of S_d is a basis element: fill the degree
-            for i, m in enumerate(monomials_of_degree(self.ctx.nvars, sum(mono))):
-                self._rows[m] = (i, 1)
-            row = self._rows[mono]
-        return row
 
     def _table(self, mu, e):
         table = self._tables.get((mu, e))
         if table is None:
+            row = self.modulus.nf_row
             table = self._tables[(mu, e)] = [
-                self._row(tuple(map(add, mu, m))) for m in self.degree_basis(e)
+                row(tuple(map(add, mu, m))) for m in self.degree_basis(e)
             ]
         return table
 
@@ -125,23 +106,16 @@ class BaseRing:
     def __eq__(self, other):
         if not isinstance(other, BaseRing):
             return NotImplemented
-        if self.ctx != other.ctx or self.field != other.field:
-            return False
-        if (self.modulus is None) != (other.modulus is None):
-            return False
-        if self.modulus is None:
-            return True
-        return self.modulus.generators == other.modulus.generators
+        return (self.ctx, self.field, self.modulus.generators) == (
+            other.ctx, other.field, other.modulus.generators
+        )
 
     def __hash__(self):
-        gens = None if self.modulus is None else self.modulus.generators
-        return hash((self.ctx, self.field, gens))
+        return hash((self.ctx, self.field, self.modulus.generators))
 
     def __repr__(self):
-        if self.modulus is None:
-            return f"S = F_{self.field.p}[{','.join(self.ctx.names)}]"
         gens = ", ".join(str(g) for g in self.modulus.generators)
-        return f"R = F_{self.field.p}[{','.join(self.ctx.names)}]/({gens})"
+        return f"F_{self.field.p}[{','.join(self.ctx.names)}]/({gens})"
 
 
 class GradedFreeModule:
@@ -369,7 +343,7 @@ def _sum_of_products(source, target, products):
     if any((a.source, a.target, b.source) != (b.target, target, source) for _, a, b in products):
         raise ValueError("composition shape/twist mismatch")
     ring = source.ring
-    reduce = ring.modulus.reduce_terms if ring.modulus is not None else dict
+    reduce = ring.modulus.reduce_terms
     columns = []
     for c in range(source.rank):
         col = {}
@@ -402,6 +376,7 @@ def block_matrix(col_modules, row_modules, blocks):
 
 class ChainComplex:
     """Window of a complex of graded free modules; d_i maps term_i to term_{i-1}.
+    The constructor checks nothing; `require_complex` checks shapes and d^2.
 
     Immutable after construction: `dual`, `shift`, `twist` and `subwindow`
     return new complexes, so neither the rank store below nor the record of
@@ -410,7 +385,7 @@ class ChainComplex:
 
     __slots__ = ("ring", "lo", "hi", "terms", "diffs", "_ranks", "_reduced", "_checked")
 
-    def __init__(self, ring, terms, diffs, validate=True):
+    def __init__(self, ring, terms, diffs):
         if not terms:
             raise ValueError("complex needs at least one term")
         self.ring = ring
@@ -424,21 +399,6 @@ class ChainComplex:
         self._ranks = {}  # (i, d) -> rank of d_i in internal degree d
         self._reduced = None  # the complex over ring.regular_quotient()
         self._checked = set()  # i with d_{i-1} d_i found zero (`d_squared_witness`)
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        for i, d in self.diffs.items():
-            if not (self.lo < i <= self.hi):
-                raise ValueError(f"differential at {i} outside window")
-            if d.source != self.term(i) or d.target != self.term(i - 1):
-                raise DegreeMismatchError(
-                    f"differential at {i} does not match its terms"
-                )
-        witness = d_squared_witness(self)
-        if witness is not None:
-            i, r, c, e = witness
-            raise NotAComplexError(i, r, c, str(e))
 
     def term(self, i):
         return self.terms.get(i, GradedFreeModule(self.ring, ()))
@@ -495,7 +455,7 @@ class ChainComplex:
                 i: PolyMatrix._derived(terms[i], terms[i - 1], map(cut, d.columns))
                 for i, d in self.diffs.items()
             }
-            self._reduced = ChainComplex(ring, terms, diffs, validate=False)
+            self._reduced = ChainComplex(ring, terms, diffs)
         return self._reduced
 
     @property
@@ -507,19 +467,19 @@ class ChainComplex:
         d_i sits at position 1-i with sign (-1)^i."""
         terms = {-i: self.term(i).dual() for i in range(self.lo, self.hi + 1)}
         diffs = {1 - i: d.transpose(-1 if i % 2 else 1) for i, d in self.diffs.items()}
-        return ChainComplex(self.ring, terms, diffs, validate=False)
+        return ChainComplex(self.ring, terms, diffs)
 
     def shift(self, k):
         """term_i of the output is term_{i-k}; differentials pick up (-1)^k."""
         sign = -1 if k % 2 else 1
         terms = {i + k: m for i, m in self.terms.items()}
         diffs = {i + k: d.scale(sign) for i, d in self.diffs.items()}
-        return ChainComplex(self.ring, terms, diffs, validate=False)
+        return ChainComplex(self.ring, terms, diffs)
 
     def twist(self, t):
         terms = {i: m.twist(t) for i, m in self.terms.items()}
         diffs = {i: d.twisted(t) for i, d in self.diffs.items()}
-        return ChainComplex(self.ring, terms, diffs, validate=False)
+        return ChainComplex(self.ring, terms, diffs)
 
     def subwindow(self, lo, hi):
         """Terms lo..hi and the differentials between them, with the ranks
@@ -528,7 +488,7 @@ class ChainComplex:
         lo < i <= hi, so both still hold."""
         terms = {i: self.term(i) for i in range(lo, hi + 1)}
         diffs = {i: self.diffs[i] for i in self.diffs if lo < i <= hi}
-        sub = ChainComplex(self.ring, terms, diffs, validate=False)
+        sub = ChainComplex(self.ring, terms, diffs)
         sub._ranks = {key: r for key, r in self._ranks.items() if lo < key[0] <= hi}
         sub._checked = {i for i in self._checked if lo + 2 <= i <= hi}
         if self._reduced is not None:
@@ -542,13 +502,29 @@ class ChainComplex:
         return f"ChainComplex[{self.lo},{self.hi}]({ranks})"
 
 
-def base_change(complex_, ring, validate=False):
+def base_change(complex_, ring):
     """complex_ over `ring`: the same twists, entries in normal form there."""
     terms = {i: GradedFreeModule(ring, m.twists) for i, m in complex_.terms.items()}
     diffs = {
         i: PolyMatrix(terms[i], terms[i - 1], d.columns) for i, d in complex_.diffs.items()
     }
-    return ChainComplex(ring, terms, diffs, validate=validate)
+    return ChainComplex(ring, terms, diffs)
+
+
+def require_complex(C):
+    """C itself, once every differential lies inside the window between its
+    terms (else ValueError or DegreeMismatchError) and every product
+    d_{i-1} d_i vanishes (else NotAComplexError at `d_squared_witness`)."""
+    for i, d in C.diffs.items():
+        if not (C.lo < i <= C.hi):
+            raise ValueError(f"differential at {i} outside window")
+        if d.source != C.term(i) or d.target != C.term(i - 1):
+            raise DegreeMismatchError(f"differential at {i} does not match its terms")
+    witness = d_squared_witness(C)
+    if witness is not None:
+        i, r, c, e = witness
+        raise NotAComplexError(i, r, c, str(e))
+    return C
 
 
 def _first_nonzero(matrix):
@@ -770,25 +746,28 @@ def certify(complex_, dmax, quotient=True):
 
 
 def is_chain_map(phi, C, D):
-    """Check d_D o phi_i == phi_{i-1} o d_C on every aligned square; raises
-    NotChainMapError at the first nonzero entry of a failing square."""
-    for i, f in phi.items():
-        if f.source != C.term(i) or f.target != D.term(i):
-            raise ValueError(f"component {i} has wrong source/target")
-    for i in sorted(phi):
-        if i - 1 not in phi and C.term(i - 1).rank and D.term(i - 1).rank:
-            if C.lo < i and D.lo < i:
-                raise ValueError(f"component {i-1} missing below component {i}")
-        # both sides of the square sum into one term dict per entry, reduced once
-        products = [(1, D.diff(i), phi[i])] if D.lo < i <= D.hi else []
-        if i - 1 in phi and C.lo < i <= C.hi:
-            products.append((-1, phi[i - 1], C.diff(i)))
-        if not products:
-            continue
-        witness = _first_nonzero(_sum_of_products(C.term(i), D.term(i - 1), products))
-        if witness is not None:
-            r, c, e = witness
-            raise NotChainMapError(i, r, c, str(e))
+    """Check that phi: C -> D is a chain map, and C and D complexes, by the
+    one d^2 check of their cone (`mapping_cone`): every square of phi is a
+    block of the cone's d^2. Raises at its first nonzero entry
+    (`_raise_d_squared`)."""
+    witness = d_squared_witness(mapping_cone(phi, C, D)[0])
+    if witness is not None:
+        _raise_d_squared(C, *witness)
+
+
+def _raise_d_squared(C, i, r, c, e):
+    """Raise for a nonzero entry (r, c) = e of d_{i-1} d_i of the cone of
+    phi: C -> D, in the coordinates of the block it lies in. The block
+    D_{i-1} <- C_i is (-1)^i times d_D phi_i - phi_{i-1} d_C, the square of
+    phi at i, which raises NotChainMapError with the square's entry; the
+    blocks C_{i-2} <- C_i and D_{i-1} <- D_{i+1} are the products at i of C
+    and at i + 1 of D, which raise NotAComplexError."""
+    rows, cols = C.term(i - 2).rank, C.term(i).rank
+    if r < rows:
+        raise NotAComplexError(i, r, c, str(e))
+    if c >= cols:
+        raise NotAComplexError(i + 1, r - rows, c - cols, str(e))
+    raise NotChainMapError(i, r - rows, c, str(-e if i % 2 else e))
 
 
 def check_homotopy_identity(K, g, tau):
@@ -816,7 +795,7 @@ def mapping_cone(phi, C, D):
     cone's d_{i-1} d_i has the blocks d_C^2 (C_{i-2} <- C_i), d_D^2
     (D_{i-1} <- D_{i+1}) and (-1)^i (d_D phi_i - phi_{i-1} d_C), the square
     of phi at i (D_{i-1} <- C_i), so one d^2 check of the cone checks C, D
-    and phi at once (`tate._splice` runs it).
+    and phi at once (`is_chain_map` and `tate._splice` run it).
     """
     ring = C.ring
     lo = min(C.lo, D.lo - 1)
@@ -846,7 +825,7 @@ def mapping_cone(phi, C, D):
         )
         if diffs[i].source.rank == 0 and diffs[i].target.rank == 0:
             del diffs[i]
-    cone = ChainComplex(ring, terms, diffs, validate=False)
+    cone = ChainComplex(ring, terms, diffs)
     return cone, layout
 
 
@@ -858,7 +837,7 @@ def ring_to_doc(ring):
         "field_char": ring.field.p,
         "variables": list(ring.ctx.names),
     }
-    if ring.modulus is not None:
+    if ring.modulus.generators:
         doc["modulus"] = [str(g) for g in ring.modulus.generators]
     return doc
 
@@ -933,4 +912,5 @@ def complex_from_doc(doc, validate=True):
             parsed[s] = ring.reduce(parse_polynomial(s, ring.ctx, ring.field))
         cols = [dict(zip(r, map(parsed.__getitem__, c))) for r, c in zip(rows, columns)]
         diffs[i] = PolyMatrix(terms[i], terms[i - 1], cols, reduce=False)
-    return ChainComplex(ring, terms, diffs, validate=validate)
+    complex_ = ChainComplex(ring, terms, diffs)
+    return require_complex(complex_) if validate else complex_

@@ -326,12 +326,12 @@ def run_verify(doc):
 
     # build's decision: a hypersurface window is normalized when it can be;
     # normalizing forces 2-periodicity, so only a periodic window is tried
-    modulus = complex_.ring.modulus
+    gens = complex_.ring.modulus.generators
     normalized = (
         len(instance.g) == 1
-        and modulus is not None
+        and bool(gens)
         and is_two_periodic(complex_)
-        and _normalized(complex_, modulus.generators[0])[1]
+        and _normalized(complex_, gens[0])[1]
     )
     try:
         rows, sections = _derived_sections(instance, complex_, normalized, *degrees)
@@ -471,13 +471,11 @@ def _oracle_monomials(nvars, d):
 
 
 def _oracle_basis(ring, d):
-    """Degree-d monomial basis; over a quotient, keep monomials not divisible
-    by any lead monomial of the defining Groebner basis."""
+    """Degree-d monomial basis: the monomials divisible by no lead monomial
+    of the ring's modulus, every monomial over S."""
     if d < 0:
         return []
     monos = _oracle_monomials(ring.ctx.nvars, d)
-    if ring.modulus is None:
-        return monos
     leads = ring.modulus.lead_monomials()
     return [m for m in monos if not any(monomial_divides(l, m) for l in leads)]
 
@@ -499,8 +497,8 @@ def _oracle_matrix(matrix, d):
     for c, (k, mono) in enumerate(col_labels):
         for r_gen, e in matrix.columns[k].items():
             prod = e.term_mul(mono)
-            if ring.modulus is not None:  # plain division, not graded_piece's rows
-                prod = divide_tracking(prod, ring.modulus.generators)[1]
+            # plain division, not graded_piece's rows
+            prod = divide_tracking(prod, ring.modulus.generators)[1]
             for pm, coeff in prod.terms.items():
                 grid[row_index[(r_gen, pm)]][c] += coeff
     return grid, len(row_labels), len(col_labels)

@@ -171,7 +171,7 @@ def sigma_c_chain_map(system, ring_R, dmax):
     D = sum(g.total_degree() for g in system.g_list)
     f_top = K.hi
 
-    RK = base_change(K, ring_R, validate=True)
+    RK = base_change(K, ring_R)
     target = RK.shift(-c).twist(D)
     sigma = {}
     for i in range(RK.lo, RK.hi + 1):

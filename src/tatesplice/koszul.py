@@ -17,7 +17,13 @@ from itertools import combinations
 
 from .arith import Polynomial
 from .errors import LiftIdentityError, SelfCheckError
-from .freecomplex import ChainComplex, GradedFreeModule, PolyMatrix, check_homotopy_identity
+from .freecomplex import (
+    ChainComplex,
+    GradedFreeModule,
+    PolyMatrix,
+    check_homotopy_identity,
+    require_complex,
+)
 from .groebner import buchberger, lift_through
 
 
@@ -203,7 +209,7 @@ def exterior_total_complex(f, columns, ring, length):
                     col[tgt_index[(lowered, merged)]] = term
             cols.append(col)
         diffs[i] = PolyMatrix(terms[i], terms[i - 1], cols)
-    return ChainComplex(ring, terms, diffs, validate=False), labels
+    return ChainComplex(ring, terms, diffs), labels
 
 
 def koszul_complex(f, ring):
@@ -214,8 +220,7 @@ def koszul_complex(f, ring):
     checked for d^2 = 0.
     """
     f = list(f)
-    K = exterior_total_complex(f, [], ring, len(f))[0]
-    return ChainComplex(ring, K.terms, K.diffs)
+    return require_complex(exterior_total_complex(f, [], ring, len(f))[0])
 
 
 class LiftMatrix:

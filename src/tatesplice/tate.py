@@ -15,13 +15,7 @@ from math import comb
 from typing import NamedTuple
 
 from .arith import MAX_VARIABLES, Polynomial
-from .errors import (
-    AcyclicityError,
-    LiftError,
-    NotAComplexError,
-    NotChainMapError,
-    WindowTooSmallError,
-)
+from .errors import AcyclicityError, LiftError, WindowTooSmallError
 from .freecomplex import (
     ChainComplex,
     DegreeLayout,
@@ -30,6 +24,7 @@ from .freecomplex import (
     _content_degree_range,
     _h0_dim,
     _h0_iso_table,
+    _raise_d_squared,
     acyclicity_sweep,
     d_squared_witness,
     graded_piece,
@@ -109,9 +104,9 @@ def _splice(C, D, phi, h0, window, dmax):
     (Weibel, An Introduction to Homological Algebra, 1.5). Its d^2 is made of
     d_C^2, d_D^2 and the squares of phi (`mapping_cone`), so one d^2 check of
     the cone checks all three. It runs over the cone's terms
-    [min(lo, s - 1), max(hi, top + 1)] = [min(lo, -2), top + 1], which hold
-    the window [lo, hi] and every term the sweep reads, the sweep running
-    over positions s = min(lo + 1, -1) to top - 1 with top = max(hi, 1). The
+    [min(lo, s - 1), top] = [min(lo, -2), top], which hold the window
+    [lo, hi] and every term the sweep reads, the sweep running over
+    positions s = min(lo + 1, -1) to top - 1 with top = max(hi, 1). The
     `chain_map` certificate records that check of phi's squares there. A
     nonzero product raises the error of the block it lies in
     (`_raise_d_squared`), and the window keeps the record, so `certify`
@@ -133,7 +128,7 @@ def _splice(C, D, phi, h0, window, dmax):
             f"assembled cone window {cone.window} does not cover {window} "
             "with -1 and 0 interior"
         )
-    witness = d_squared_witness(cone, range(min(lo, -2) + 2, top + 2))
+    witness = d_squared_witness(cone, range(min(lo, -2) + 2, top + 1))
     if witness is not None:
         _raise_d_squared(C, *witness)
     h0_degrees = _content_degree_range(C, 0, 0, dmax) + _content_degree_range(D, 0, 0, dmax)
@@ -153,21 +148,6 @@ def _splice(C, D, phi, h0, window, dmax):
         "minimal": {"passed": is_minimal(cone)},
     }
     return cone, layout, certificates
-
-
-def _raise_d_squared(C, i, r, c, e):
-    """Raise for a nonzero entry (r, c) = e of d_{i-1} d_i of the cone of
-    phi: C -> D, in the coordinates of the block it lies in. The block
-    D_{i-1} <- C_i is (-1)^i times the square of phi at i, so its
-    NotChainMapError carries what `is_chain_map` reports there; the blocks
-    C_{i-2} <- C_i and D_{i-1} <- D_{i+1} are the products at i of C and at
-    i + 1 of D, which raise NotAComplexError."""
-    rows, cols = C.term(i - 2).rank, C.term(i).rank
-    if r < rows:
-        raise NotAComplexError(i, r, c, str(e))
-    if c >= cols:
-        raise NotAComplexError(i + 1, r - rows, c - cols, str(e))
-    raise NotChainMapError(i, r - rows, c, str(-e if i % 2 else e))
 
 
 def tate_splice(resolution, window, dmax):
@@ -354,7 +334,7 @@ def minimize(complex_, labels=None):
     diffs = {}
     for i in range(lo + 1, hi + 1):
         diffs[i] = PolyMatrix(terms[i], terms[i - 1], mats[i])
-    out = ChainComplex(ring, terms, diffs, validate=False)
+    out = ChainComplex(ring, terms, diffs)
     if labels is not None:
         return out, labs
     return out
@@ -464,7 +444,7 @@ def normalize_matrix_factorization(complex_, g, ring_S):
             mats[i + 2] = const_endo(U).compose(mats[i + 2])
     terms = {i: complex_.term(i) for i in range(complex_.lo, complex_.hi + 1)}
     # a change of basis keeps d^2 = 0; run_build certifies the result
-    return ChainComplex(ring, terms, mats, validate=False)
+    return ChainComplex(ring, terms, mats)
 
 
 def is_two_periodic(complex_):

@@ -3,15 +3,16 @@
 Each recomputes a classical identity from the package's public pieces, so
 the acceptance criteria and unit tests can assert it: the Betti duality of
 a splice and its dual splice, the self-duality of the Koszul complex under
-the beta trivializations, Cramer orthogonality of the wedge maps, and a
-from-scratch check of a divided-power resolution.
+the beta trivializations, Cramer orthogonality of the wedge maps, a
+from-scratch check of a divided-power resolution, and the chain-map
+condition square by square.
 """
 
 from __future__ import annotations
 
 from tatesplice.errors import SelfCheckError
 from tatesplice.freecomplex import BaseRing, _h0_dim, certify
-from tatesplice.groebner import buchberger
+from tatesplice.groebner import buchberger, divide_tracking
 from tatesplice.koszul import alpha_element, beta_matrix, koszul_complex, wedge_map
 from tatesplice.tate import betti, minimize
 
@@ -89,3 +90,32 @@ def verify_resolution(resolution, dmax, ring_M=None):
         )
     rows.append(("h0_hilbert", differs is None, detail))
     return rows
+
+
+def square_witness(phi, C, D):
+    """The first failing entry (i, row, col, str(entry)) of the chain-map
+    condition by its definition, or None: per square, d_D o phi_i and
+    phi_{i-1} o d_C as two compositions in plain Polynomial arithmetic over
+    S, their difference reduced by plain division by the generators of the
+    ring's modulus, rows then columns."""
+    zero, gens = C.ring.zero(), C.ring.modulus.generators
+    for i in sorted(phi):
+        lhs = D.lo < i <= D.hi
+        rhs = i - 1 in phi and C.lo < i <= C.hi
+        if not (lhs or rhs):
+            continue
+        for r in range(D.term(i - 1).rank):
+            for c in range(C.term(i).rank):
+                e = zero
+                if lhs:
+                    a, b = D.diff(i).entries, phi[i].entries
+                    for k in range(D.term(i).rank):
+                        e = e + a[r][k] * b[k][c]
+                if rhs:
+                    a, b = phi[i - 1].entries, C.diff(i).entries
+                    for k in range(C.term(i - 1).rank):
+                        e = e - a[r][k] * b[k][c]
+                e = divide_tracking(e, gens)[1]
+                if not e.is_zero():
+                    return i, r, c, str(e)
+    return None

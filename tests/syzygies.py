@@ -13,6 +13,7 @@ from tatesplice.freecomplex import (
     GradedFreeModule,
     PolyMatrix,
     graded_piece,
+    require_complex,
 )
 from tatesplice.linalg import FieldMatrix
 
@@ -70,7 +71,7 @@ def minimal_resolution(presentation, length, dmax):
         current = syzygy_matrix(current, dmax)
         terms[i] = current.source
         diffs[i] = current
-    return ChainComplex(ring, terms, diffs, validate=True)
+    return require_complex(ChainComplex(ring, terms, diffs))
 
 
 def dual_module_presentation(presentation, dmax):

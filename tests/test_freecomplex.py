@@ -1,6 +1,7 @@
 """Modules, matrices, complexes, duals, shifts, cones, graded pieces, homology."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +27,15 @@ from tatesplice.freecomplex import (
     homology_dims,
     is_chain_map,
     mapping_cone,
+    require_complex,
+    ring_from_doc,
+    ring_to_doc,
 )
 from tatesplice.groebner import buchberger, divide_tracking, monomials_of_degree
 from tatesplice.harness import _oracle_basis, _oracle_matrix, oracle_homology
 from tatesplice.koszul import koszul_complex
+
+from crosschecks import square_witness
 
 F = PrimeField(101)
 XY = VariableContext(["x", "y"])
@@ -65,7 +71,7 @@ def test_make_complex_rejects_x_squared_over_S():
     src2 = GradedFreeModule(S2, (-2,))
     d2 = _from_rows(src2, src1, [[pxy("x")]])
     with pytest.raises(NotAComplexError) as e:
-        ChainComplex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
+        require_complex(ChainComplex(S2, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}))
     assert e.value.position == 2
     assert "x^2" in str(e.value)
 
@@ -75,8 +81,53 @@ def test_make_complex_accepts_x_squared_over_quotient():
     src1, mid, d1 = one_by_one(R, pxy("x"), -1, 0)
     src2 = GradedFreeModule(R, (-2,))
     d2 = _from_rows(src2, src1, [[pxy("x")]])
-    C = ChainComplex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}, validate=True)
+    C = require_complex(ChainComplex(R, {0: mid, 1: src1, 2: src2}, {1: d1, 2: d2}))
     assert C.window == (0, 2)
+
+
+def test_S_is_the_quotient_by_the_empty_basis():
+    S = BaseRing(XYZ, F)
+    assert S.modulus.generators == ()
+    assert S == S3 and hash(S) == hash(S3)
+    assert S != BaseRing(XY, F) and S != BaseRing(XYZ, PrimeField(7))
+    assert S != BaseRing(XYZ, F, buchberger([parse_polynomial("x^2", XYZ, F)]))
+    p = parse_polynomial("x^3 + 2*x*y*z", XYZ, F)
+    assert S.reduce(p) is p
+    assert S.degree_basis(-1) == () and S.dim_degree(-1) == 0
+    for d in range(6):
+        # every monomial, descending grevlex, with the Hilbert count of S
+        assert S.degree_basis(d) == monomials_of_degree(3, d)
+        assert S.dim_degree(d) == comb(d + 2, 2)
+        assert [S.modulus.nf_row(m) for m in S.degree_basis(d)] == [
+            (i, 1) for i in range(S.dim_degree(d))
+        ]
+
+
+def test_ring_doc_of_S_has_no_modulus():
+    doc = ring_to_doc(S3)
+    assert "modulus" not in doc
+    assert ring_from_doc(doc) == S3
+    R = BaseRing(XY, F, buchberger([pxy("x^2")]))
+    assert ring_to_doc(R)["modulus"] == ["x^2"] and ring_from_doc(ring_to_doc(R)) == R
+
+
+def _not_a_complex():
+    """The Koszul complex on x, y over S with d_2 replaced by (y, y), so
+    that d_1 d_2 = x*y + y^2."""
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    d2 = _from_rows(K.term(2), K.term(1), [[pxy("y")], [pxy("y")]])
+    return ChainComplex(S2, K.terms, {1: K.diff(1), 2: d2})
+
+
+def test_require_complex_raises_at_the_d_squared_witness():
+    K = koszul_complex([pxy("x"), pxy("y")], S2)
+    assert require_complex(K) is K
+    C = _not_a_complex()
+    i, r, c, e = freecomplex.d_squared_witness(C)
+    with pytest.raises(NotAComplexError) as exc:
+        require_complex(C)
+    assert (exc.value.position, exc.value.row, exc.value.col, exc.value.witness) == (i, r, c, str(e))
+    assert (i, r, c, e) == (2, 0, 0, pxy("x*y + y^2"))
 
 
 def test_degree_mismatch_rejected():
@@ -137,7 +188,7 @@ def test_shift_identities():
     assert shifted.window == (3, 5)
     assert shifted.diff(4).entries == K.diff(1).scale(-1).entries
     # shifted complexes still satisfy d^2 = 0
-    ChainComplex(S2, shifted.terms, shifted.diffs, validate=True)
+    require_complex(ChainComplex(S2, shifted.terms, shifted.diffs))
 
 
 def test_subwindow_keeps_the_stored_ranks_of_its_differentials():
@@ -230,11 +281,22 @@ def test_d_squared_witness_is_the_row_major_first_entry():
     d1 = _antidiagonal()
     d2 = PolyMatrix.identity(d1.source)
     terms = {0: d1.target, 1: d1.source, 2: d2.source}
-    C = ChainComplex(S2, terms, {1: d1, 2: d2}, validate=False)
+    C = ChainComplex(S2, terms, {1: d1, 2: d2})
     assert freecomplex.d_squared_witness(C) == (2, 0, 1, pxy("x"))
     with pytest.raises(NotAComplexError) as e:
-        ChainComplex(S2, terms, {1: d1, 2: d2})
-    assert (e.value.position, e.value.row, e.value.col) == (2, 0, 1)
+        require_complex(ChainComplex(S2, terms, {1: d1, 2: d2}))
+    assert (e.value.position, e.value.row, e.value.col, e.value.witness) == (2, 0, 1, "x")
+
+
+def test_is_chain_map_raises_not_a_complex_for_a_broken_complex():
+    # every square of the identity commutes; the cone's d^2 check reports the
+    # product of C, in C's coordinates
+    C = _not_a_complex()
+    phi = {i: PolyMatrix.identity(C.term(i)) for i in range(3)}
+    with pytest.raises(NotAComplexError) as e:
+        is_chain_map(phi, C, C)
+    witness = (e.value.position, e.value.row, e.value.col, e.value.witness)
+    assert witness == (2, 0, 0, str(pxy("x*y + y^2")))
 
 
 def test_not_chain_map_witness_is_the_row_major_first_entry():
@@ -250,33 +312,6 @@ def test_not_chain_map_witness_is_the_row_major_first_entry():
         is_chain_map(phi, C, C)
     witness = (e.value.position, e.value.row, e.value.col, e.value.witness)
     assert witness == (1, 0, 1, str(pxy("-x")))
-
-
-def _square_witness(phi, C, D, gb):
-    """The first failing entry of is_chain_map by its definition: per square,
-    d_D o phi_i and phi_{i-1} o d_C as two compositions in plain Polynomial
-    arithmetic over S, their difference reduced by `gb`, rows then columns."""
-    zero = C.ring.zero()
-    for i in sorted(phi):
-        lhs = D.lo < i <= D.hi
-        rhs = i - 1 in phi and C.lo < i <= C.hi
-        if not (lhs or rhs):
-            continue
-        for r in range(D.term(i - 1).rank):
-            for c in range(C.term(i).rank):
-                e = zero
-                if lhs:
-                    a, b = D.diff(i).entries, phi[i].entries
-                    for k in range(D.term(i).rank):
-                        e = e + a[r][k] * b[k][c]
-                if rhs:
-                    a, b = phi[i - 1].entries, C.diff(i).entries
-                    for k in range(C.term(i - 1).rank):
-                        e = e - a[r][k] * b[k][c]
-                e = gb.normal_form(e)
-                if not e.is_zero():
-                    return i, r, c, str(e)
-    return None
 
 
 def _chain_map_witness(phi, C, D):
@@ -304,7 +339,7 @@ def test_not_chain_map_witness_over_a_quotient_ring():
         ),
     }
     assert _chain_map_witness(phi, K, D) == (1, 0, 1, str(p("-x*y")))
-    assert _square_witness(phi, K, D, QUOTIENT) == (1, 0, 1, str(p("-x*y")))
+    assert square_witness(phi, K, D) == (1, 0, 1, str(p("-x*y")))
 
 
 @given(st.data())
@@ -320,7 +355,7 @@ def test_chain_map_witness_matches_two_compositions(data):
             for _ in range(D.term(i).rank)
         ]
         phi[i] = _from_rows(K.term(i), D.term(i), rows)
-    assert _chain_map_witness(phi, K, D) == _square_witness(phi, K, D, QUOTIENT)
+    assert _chain_map_witness(phi, K, D) == square_witness(phi, K, D)
 
 
 def test_polymatrix_stores_no_zero_entry():
@@ -454,10 +489,10 @@ def test_graded_piece_matches_dense_oracle(ring, src_twists, tgt_twists, rows):
     for d in range(-2, 6):
         assert _piece_entries(m, d) == _oracle_entries(m, d), f"degree {d}"
         # a repeated request reads the cached tables and adds none
-        before = (len(ring._tables), len(ring._rows))
+        before = (len(ring._tables), len(ring.modulus._rows))
         first = graded_piece(m, d)
         assert graded_piece(m, d).columns == first.columns
-        assert (len(ring._tables), len(ring._rows)) == before
+        assert (len(ring._tables), len(ring.modulus._rows)) == before
 
 
 def test_homology_dims_koszul():

@@ -39,14 +39,14 @@ def test_cli_build_self_check_failure_exits_3(tmp_path, capsys, inst_t, monkeypa
 
 def _zero_d1(C):
     diffs = {**C.diffs, 1: PolyMatrix.zero(C.term(1), C.term(0))}
-    return ChainComplex(C.ring, C.terms, diffs, validate=False)
+    return ChainComplex(C.ring, C.terms, diffs)
 
 
 def _double_first_row_of_d2(C):
     d2 = C.diff(2)
     columns = [{r: e.scale(2) if r == 0 else e for r, e in col.items()} for col in d2.columns]
     diffs = {**C.diffs, 2: PolyMatrix(d2.source, d2.target, columns)}
-    broken = ChainComplex(C.ring, C.terms, diffs, validate=False)
+    broken = ChainComplex(C.ring, C.terms, diffs)
     assert d_squared_witness(broken) is not None
     return broken
 

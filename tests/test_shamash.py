@@ -124,7 +124,7 @@ def test_sabotage_detected_with_witness():
     ]
     broken = dict(C.diffs)
     broken[3] = PolyMatrix(C.term(3), C.term(2), columns)
-    damaged = ChainComplex(R, C.terms, broken, validate=False)
+    damaged = ChainComplex(R, C.terms, broken)
     rows = verify_resolution(ShamashResolution(damaged, res.labels, res.lift, R), dmax=6)
     name, passed, detail = rows[0]
     assert name == "d_squared_zero" and not passed

@@ -6,7 +6,8 @@ Runs `run_build`, then `run_verify` on the written document, for the five
 ladder rungs and generic seed 1 of bench/workloads.py, under
 `python -m trace --count --missing` with its cover files in a temporary
 directory, and prints the unrun lines (marked `>>>>>>` by trace) per module
-of the package. `cli` is not imported, so it is not counted.
+of the package, their total, and the line count of src/ as `wc -l` gives
+it. `cli` is not imported, so its lines are not among the unrun ones.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def unrun_lines(coverdir):
     return counts
 
 
+def src_lines():
+    """Lines of every .py file under src/, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+
+
 def main():
     if sys.argv[1:] == ["--run"]:
         run_pipelines()
@@ -71,6 +77,7 @@ def main():
     for module, n in counts.items():
         print(f"{module:<24} {n:>5}")
     print(f"{'total':<24} {sum(counts.values()):>5}")
+    print(f"{'src/ lines':<24} {src_lines():>5}")
     return 0
 
 
