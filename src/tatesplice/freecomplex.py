@@ -27,7 +27,7 @@ from .errors import (
     NotChainMapError,
     WindowEdgeError,
 )
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, times_complete_intersection
 from .linalg import FieldMatrix
 
 
@@ -56,8 +56,9 @@ class BaseRing:
         kills the longest run of last variables that divide no lead monomial
         of the modulus: in grevlex each is then a nonzerodivisor modulo those
         after it, and the reduced basis with them set to 0, plus them, is the
-        reduced basis of Rbar (Bayer-Stillman, Invent. Math. 87, 1987), which
-        `GroebnerBasis` certifies. killed names them; top is Rbar's top
+        reduced basis of Rbar (Bayer-Stillman, Invent. Math. 87, 1987). So
+        Rbar has R's Hilbert numerator times (1 - t)^k, which certifies that
+        basis without S-pairs. killed names them; top is Rbar's top
         degree, or None unless Rbar is Artinian. Rbar is R when k = 0."""
         if self._quotient is None:
             ctx, field = self.ctx, self.field
@@ -71,7 +72,10 @@ class BaseRing:
                 cut = [{e: c for e, c in g.terms.items() if not any(e[keep:])} for g in gens]
                 gens = [Polynomial(ctx, field, t) for t in cut]
                 gens += [Polynomial.variable(ctx, field, v) for v in ctx.names[keep:]]
-                ring = BaseRing(ctx, field, _stored_basis(ctx, field, gens))
+                numerator = times_complete_intersection(
+                    self.modulus.hilbert_numerator(), [1] * (ctx.nvars - keep)
+                )
+                ring = BaseRing(ctx, field, _stored_basis(ctx, field, gens, numerator))
             top = None  # Artinian iff every variable kept has a pure power lead
             if all(any(l[v] and l[v] == sum(l) for l in leads) for v in range(keep)):
                 top = next(d for d in count() if not ring.dim_degree(d)) - 1
@@ -856,11 +860,12 @@ def ring_from_doc(doc):
     return BaseRing(ctx, field, modulus)
 
 
-def _stored_basis(ctx, field, gens):
+def _stored_basis(ctx, field, gens, numerator=None):
     """The GroebnerBasis of `gens` as given, each element representing
-    itself; its constructor certifies it, and no Buchberger runs."""
+    itself; its constructor certifies it, by `numerator` when that is given,
+    and no Buchberger runs."""
     units = [[Polynomial.constant(ctx, field, int(g is h)) for h in gens] for g in gens]
-    return GroebnerBasis(ctx, field, gens, units, gens)
+    return GroebnerBasis(ctx, field, gens, units, gens, numerator)
 
 
 def matrix_to_doc(matrix):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import comb
 
 from .arith import (
@@ -125,13 +124,26 @@ def _embed(mono, free, n):
 
 def hilbert_dim_from_leads(leads, nvars, d):
     """dim_F (S / lead-term ideal)_d from the Hilbert numerator of the leads."""
+    return _series_coefficient(_hilbert_numerator(tuple(leads), nvars), nvars, d)
+
+
+def _series_coefficient(numerator, nvars, d):
+    """The degree-d coefficient of numerator(t) / (1 - t)^nvars."""
     if d < 0:
         return 0
-    return sum(
-        n * comb(d - k + nvars - 1, nvars - 1)
-        for k, n in _hilbert_numerator(tuple(leads), nvars).items()
-        if k <= d
-    )
+    return sum(n * comb(d - k + nvars - 1, nvars - 1) for k, n in numerator.items() if k <= d)
+
+
+def times_complete_intersection(numerator, degrees):
+    """numerator(t) * prod(1 - t^d for d in degrees), as {k: n_k}. From {0: 1}
+    it is the Hilbert numerator of S/(g) for a regular sequence g of those
+    degrees (Stanley, Adv. Math. 28, 1978)."""
+    for d in degrees:
+        out = dict(numerator)
+        for k, n in numerator.items():
+            out[k + d] = out.get(k + d, 0) - n
+        numerator = {k: n for k, n in out.items() if n}
+    return numerator
 
 
 @lru_cache(maxsize=None)
@@ -148,19 +160,6 @@ def _hilbert_numerator(leads, nvars):
     for k, n in _hilbert_numerator(tuple(minimal), nvars).items():
         counts[k + sum(m)] = counts.get(k + sum(m), 0) - n
     return {k: n for k, n in counts.items() if n}
-
-
-def lead_ideal_dimension(leads, nvars):
-    """Krull dimension of S / (monomial ideal): size of the largest variable
-    subset containing no generator's support. Returns -1 for the unit ideal."""
-    supports = [frozenset(i for i, e in enumerate(mono) if e) for mono in leads]
-    if any(not s for s in supports):
-        return -1
-    for size in range(nvars, 0, -1):
-        for subset in map(set, combinations(range(nvars), size)):
-            if not any(s <= subset for s in supports):
-                return size
-    return 0
 
 
 class QuotientDegreeBasis:
@@ -182,14 +181,18 @@ class GroebnerBasis:
 
     Every generator records a vector over the original input sequence.
     Construction certifies the basis, computed or given: monic, homogeneous,
-    inter-reduced generators, generator == sum(rep_i * original_i), every
-    S-pair reducing to zero, and every original reducing to zero, so the
-    basis generates exactly the ideal of the originals. `nf_row` memoizes
-    the normal form of each monomial, and `reduce_terms` is the one kernel
-    that sums them.
+    inter-reduced generators and generator == sum(rep_i * original_i), so
+    the basis lies in the ideal J of the originals. `numerator`, when given,
+    is a Hilbert numerator whose series bounds dim (S/J)_d from below in
+    every degree; if the leads' numerator equals it, in(basis) has the
+    Hilbert function of S/J while lying in in(J), so the two are equal and
+    the basis generates J (Traverso, J. Symbolic Comput. 22, 1996).
+    Otherwise every S-pair must reduce to zero and every original must be
+    in the ideal of the basis. `nf_row` memoizes the normal form of each
+    monomial, and `reduce_terms` is the one kernel that sums them.
     """
 
-    def __init__(self, ring, field, generators, representations, originals):
+    def __init__(self, ring, field, generators, representations, originals, numerator=None):
         self.ring = ring
         self.field = field
         self.generators = tuple(generators)
@@ -201,9 +204,9 @@ class GroebnerBasis:
         ]
         self._rows = {}
         self._qbasis_cache = {}
-        self._certify()
+        self._certify(numerator)
 
-    def _certify(self):
+    def _certify(self, numerator):
         _require_homogeneous(self.generators)
         leads = self.lead_monomials()
         for g, rep in zip(self.generators, self.representations):
@@ -215,12 +218,18 @@ class GroebnerBasis:
             # a lead divides no term of g but lead(g), which only its own divides
             if any(sum(monomial_divides(l, e) for l in leads) != (e == leads[i]) for e in g.terms):
                 raise SelfCheckError("basis not fully inter-reduced")
+        if numerator is not None and self.hilbert_numerator() == numerator:
+            return
         for i, j in _criterion_pairs(leads):
             s = _spoly(self.generators[i], self.generators[j])[0]
             if not self.normal_form(s).is_zero():
                 raise SelfCheckError("S-pair does not reduce to zero")
         if not all(self.is_member(o) for o in self.originals):
             raise SelfCheckError("an original is not in the ideal of the basis")
+
+    def hilbert_numerator(self):
+        """{k: n_k}, the Hilbert series of S / in(basis) being sum n_k t^k / (1 - t)^nvars."""
+        return _hilbert_numerator(self.lead_monomials(), self.ring.nvars)
 
     def lead_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
@@ -311,9 +320,6 @@ class GroebnerBasis:
         self._qbasis_cache[d] = basis
         return basis
 
-    def dimension(self):
-        return lead_ideal_dimension(self.lead_monomials(), self.ring.nvars)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"GroebnerBasis({gens})"
@@ -351,7 +357,7 @@ def _minus_products(acc, products):
     return Polynomial(acc.ring, acc.field, terms)
 
 
-def buchberger(gens):
+def buchberger(gens, numerator=None):
     """Reduced Gröbner basis in grevlex with the normal selection strategy.
 
     Each element joining the basis updates the pairs as Gebauer and Moller
@@ -362,6 +368,15 @@ def buchberger(gens):
     coprime leads (F). The pair of least (lcm total degree, (i, j)) is
     reduced next, so the output is deterministic for a fixed input order.
     Representations are formed only for remainders that join the basis.
+
+    `numerator`, when given, is a Hilbert numerator whose series bounds
+    dim (S/(gens))_d from below in every degree, as prod(1 - t^deg g) does
+    for c <= nvars forms of positive degree: the rank of (a_i) -> sum a_i g_i
+    in degree d is largest for generic forms, which are regular, and
+    x_1^d_1, ..., x_c^d_c attain it. When the leads meet that bound in the
+    degree of the next pair, they span in(gens) in that degree, so every
+    pair of that degree reduces to zero and all of them are dropped
+    unreduced. The basis is then certified by the same numerator.
     """
     gens = list(gens)
     if not gens:
@@ -401,6 +416,12 @@ def buchberger(gens):
 
     while pairs:
         i, j = min(pairs, key=lambda ij: (sum(pairs[ij]), ij))
+        if numerator is not None:
+            d, n = sum(pairs[i, j]), ring.nvars
+            if hilbert_dim_from_leads(leads, n, d) == _series_coefficient(numerator, n, d):
+                for ij in [ij for ij, m in pairs.items() if sum(m) == d]:
+                    del pairs[ij]
+                continue
         del pairs[i, j]
         (fi, rep_i), (fj, rep_j) = basis[i], basis[j]
         s, ui, uj = _spoly(fi, fj)
@@ -441,6 +462,7 @@ def buchberger(gens):
         [poly for poly, _ in reduced],
         [rep for _, rep in reduced],
         gens,
+        numerator,
     )
 
 
@@ -484,14 +506,13 @@ def is_regular_sequence(f):
 
 def _regular_basis(f):
     """The Gröbner basis of (f) when the nonempty sequence f is regular, else
-    None. Codimension test: for homogeneous f in a polynomial ring,
-    regularity is equivalent to dim S/(f) == nvars - len(f), read off the
-    lead-term ideal. The cheap checks run before Buchberger."""
+    None. For c <= nvars forms of positive degree, f is regular exactly when
+    S/(f) has the series prod(1 - t^deg g) / (1 - t)^nvars, read off the
+    leads of its basis; Buchberger runs with that numerator as its bound.
+    The cheap checks run before Buchberger."""
     _require_homogeneous(f)
-    nvars = f[0].ring.nvars
-    if any(g.is_zero() or g.total_degree() == 0 for g in f):
+    if any(g.is_zero() or g.total_degree() == 0 for g in f) or len(f) > f[0].ring.nvars:
         return None
-    if len(f) > nvars:
-        return None
-    gb = buchberger(f)
-    return gb if gb.dimension() == nvars - len(f) else None
+    numerator = times_complete_intersection({0: 1}, [g.total_degree() for g in f])
+    gb = buchberger(f, numerator)
+    return gb if gb.hilbert_numerator() == numerator else None

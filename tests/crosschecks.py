@@ -5,10 +5,13 @@ the acceptance criteria and unit tests can assert it: the Betti duality of
 a splice and its dual splice, the self-duality of the Koszul complex under
 the beta trivializations, Cramer orthogonality of the wedge maps, a
 from-scratch check of a divided-power resolution, and the chain-map
-condition square by square.
+condition square by square. `lead_ideal_dimension` is the Krull dimension
+oracle that regularity decisions are checked against.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from tatesplice.errors import SelfCheckError
 from tatesplice.freecomplex import BaseRing, _h0_dim, certify
@@ -119,3 +122,16 @@ def square_witness(phi, C, D):
                 if not e.is_zero():
                     return i, r, c, str(e)
     return None
+
+
+def lead_ideal_dimension(leads, nvars):
+    """Krull dimension of S / (monomial ideal): size of the largest variable
+    subset containing no generator's support. Returns -1 for the unit ideal."""
+    supports = [frozenset(i for i, e in enumerate(mono) if e) for mono in leads]
+    if any(not s for s in supports):
+        return -1
+    for size in range(nvars, 0, -1):
+        for subset in map(set, combinations(range(nvars), size)):
+            if not any(s <= subset for s in supports):
+                return size
+    return 0

@@ -19,15 +19,18 @@ from tatesplice.errors import InhomogeneousInputError, NotInIdealError, SelfChec
 from tatesplice.groebner import (
     GroebnerBasis,
     _hilbert_numerator,
+    _regular_basis,
     buchberger,
     divide_tracking,
     hilbert_dim_from_leads,
     is_regular_sequence,
-    lead_ideal_dimension,
     lift_through,
     monomials_of_degree,
+    times_complete_intersection,
 )
 from tatesplice.harness import _oracle_rank
+
+from crosschecks import lead_ideal_dimension
 
 F = PrimeField(101)
 XYZ = VariableContext(["x", "y", "z"])
@@ -221,6 +224,66 @@ def test_basis_of_a_smaller_ideal_fails_its_certificate():
     one, zero = Polynomial.constant(XY, F, 1), Polynomial.zero(XY, F)
     with pytest.raises(SelfCheckError, match="not in the ideal"):
         GroebnerBasis(XY, F, [x], [[one, zero]], [x, xy])
+
+
+def _ci_numerator(gens):
+    return times_complete_intersection({0: 1}, [g.total_degree() for g in gens])
+
+
+def _random_sequence(rng):
+    """1..n sparse forms of degrees 1..3 in n = 2..4 variables over a small
+    field or F_32003: dependent leads and non-regular sequences are common."""
+    n = rng.choice((2, 3, 4))
+    ctx, field = CONTEXTS[n], PrimeField(rng.choice((2, 3, 5, 7, 32003)))
+    gens = []
+    for _ in range(rng.randint(1, n)):
+        monos = monomials_of_degree(n, rng.randint(1, 3))
+        terms = {rng.choice(monos): rng.randrange(1, field.p) for _ in range(rng.randint(1, 4))}
+        gens.append(Polynomial(ctx, field, terms))
+    return gens
+
+
+def test_hilbert_driven_buchberger_matches_the_full_pair_loop():
+    # skipping the degrees whose lead count meets the complete-intersection
+    # bound changes no generator and no representation, regular or not, and
+    # the numerator decides regularity as the Krull dimension of the leads does
+    rng, regular = random.Random(30), 0
+    for _ in range(400):
+        gens = _random_sequence(rng)
+        full = buchberger(gens)
+        driven = buchberger(gens, _ci_numerator(gens))
+        assert driven.generators == full.generators
+        assert driven.representations == full.representations
+        n = gens[0].ring.nvars
+        expected = lead_ideal_dimension(full.lead_monomials(), n) == n - len(gens)
+        gb = _regular_basis(gens)
+        assert (gb is not None) == expected
+        if gb is not None:
+            assert gb.generators == full.generators
+        regular += expected
+    assert 100 < regular < 350
+
+
+def test_numerator_certificate_still_checks_representations():
+    # the leads still meet the numerator, but one coefficient of each element
+    # in turn is doubled: the identity generator == sum(rep_i * original_i) fails
+    f = [poly("x^2 - y*z"), poly("y^2 - x*z")]
+    gb = _regular_basis(f)
+    for k, rep in enumerate(gb.representations):
+        j = next(j for j, r in enumerate(rep) if not r.is_zero())
+        reps = [list(r) for r in gb.representations]
+        reps[k][j] = rep[j].scale(2)
+        with pytest.raises(SelfCheckError, match="representation identity"):
+            GroebnerBasis(XYZ, F, gb.generators, reps, gb.originals, _ci_numerator(f))
+
+
+def test_a_numerator_that_differs_falls_back_to_the_s_pair_certificate():
+    # (x) has the numerator 1 - t, not (1 - t)^2, so the certificate reduces
+    # the originals, and x + y is not in (x)
+    x, xy = pxy("x"), pxy("x + y")
+    one, zero = Polynomial.constant(XY, F, 1), Polynomial.zero(XY, F)
+    with pytest.raises(SelfCheckError, match="not in the ideal"):
+        GroebnerBasis(XY, F, [x], [[one, zero]], [x, xy], _ci_numerator([x, xy]))
 
 
 # --- the division kernel and the Hilbert count against plain references ------

@@ -115,10 +115,10 @@ def _count_buchberger(monkeypatch):
     calls = []
     real = groebner.GroebnerBasis.__init__
 
-    def counting(self, ring, field, generators, representations, originals):
+    def counting(self, ring, field, generators, representations, originals, *rest):
         if originals:  # S is the quotient by the empty basis, which no run makes
             calls.append([str(g) for g in originals])
-        real(self, ring, field, generators, representations, originals)
+        real(self, ring, field, generators, representations, originals, *rest)
 
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", counting)
     return calls
@@ -368,6 +368,20 @@ def test_run_verify_certifies_stored_basis(monkeypatch):
     assert not any("x5" in g for g in calls[1][:-1])
 
 
+def test_run_verify_reduces_the_stored_modulus_s_pairs(monkeypatch):
+    # a stored modulus has no numerator to compare with: verify reduces its
+    # criterion S-pairs, and only Rbar's basis is certified by its numerator
+    doc = json.loads(dump_output(run_build(ProblemInstance.from_doc(_generic_doc(1)))))
+    pairs = groebner._criterion_pairs
+    certified = []
+    monkeypatch.setattr(
+        groebner, "_criterion_pairs", lambda leads: certified.append(len(leads)) or pairs(leads)
+    )
+    ok, _ = run_verify(doc)
+    assert ok
+    assert certified == [len(doc["tate"]["ring"]["modulus"])]
+
+
 @pytest.mark.parametrize(
     "modulus",
     [
@@ -417,6 +431,42 @@ def test_buchberger_divisions_on_generic(monkeypatch):
     monkeypatch.setattr(groebner, "divide_tracking", lambda f, d: calls.append(f) or divide(f, d))
     assert len(groebner.buchberger(g).generators) == 13
     assert len(calls) <= 45
+
+
+def test_buchberger_skips_complete_degrees_on_generic(monkeypatch):
+    # with the complete-intersection numerator as its bound, Buchberger drops
+    # the pairs of each degree whose lead count already meets it, unreduced,
+    # and returns the same basis
+    g = list(InstanceData(ProblemInstance.from_doc(_generic_doc(1))).g)
+    divide = groebner.divide_tracking
+    calls = []
+    monkeypatch.setattr(groebner, "divide_tracking", lambda f, d: calls.append(f) or divide(f, d))
+    full = groebner.buchberger(g)
+    pair_loop = len(calls)
+    calls.clear()
+    numerator = groebner.times_complete_intersection({0: 1}, [2, 2, 2, 3])
+    driven = groebner.buchberger(g, numerator)
+    assert len(calls) < pair_loop
+    assert driven.generators == full.generators
+    assert driven.representations == full.representations
+
+
+@pytest.mark.parametrize(
+    "source", ["t", "h", "c", "41", "52", "52w", "generic1", "generic2", "generic7"]
+)
+def test_regular_quotient_basis_passes_the_s_pair_certificate(request, source):
+    # Rbar's basis is certified by R's numerator times (1 - t)^k; the full
+    # certificate, every criterion S-pair and every original, agrees
+    if source.startswith("generic"):
+        data = InstanceData(ProblemInstance.from_doc(_generic_doc(int(source[7:]))))
+    else:
+        data = request.getfixturevalue(f"inst_{source}")
+    rbar, killed, _ = data.ring_R.regular_quotient()
+    basis = rbar.modulus
+    groebner.GroebnerBasis(
+        data.ctx, data.field, basis.generators, basis.representations, basis.originals
+    )
+    assert len(basis.generators) == len(data.gb_I.generators) + len(killed)
 
 
 def test_run_build_piece_count_generic(monkeypatch):
@@ -1327,7 +1377,8 @@ def test_cli_verify_fallback_sweep(tmp_path, capsys):
 
 
 def test_cli_build_refuses_a_listing_above_the_bound(tmp_path, capsys):
-    # R = S/(x1^20, x2^20) lists degree 20 of x1..x10: C(29, 9) monomials
+    # R = S/(x1^20, x2^20) lists degree 18 of x1..x10, C(27, 9) monomials,
+    # to reduce the resolution's entries from the lift, x1^18 and x2^18
     doc = {
         "field_char": 32003,
         "variables": [f"x{i}" for i in range(1, 11)],
@@ -1340,7 +1391,7 @@ def test_cli_build_refuses_a_listing_above_the_bound(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
-    assert f"degree 20 has 10015005 monomials (limit {groebner.MAX_LISTING})" in captured.err
+    assert f"degree 18 has 4686825 monomials (limit {groebner.MAX_LISTING})" in captured.err
 
 
 @pytest.mark.parametrize(

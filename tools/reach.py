@@ -3,11 +3,12 @@
     python3 tools/reach.py
 
 Runs `run_build`, then `run_verify` on the written document, for the five
-ladder rungs and generic seed 1 of bench/workloads.py, under
-`python -m trace --count --missing` with its cover files in a temporary
-directory, and prints the unrun lines (marked `>>>>>>` by trace) per module
-of the package, their total, and the line count of src/ as `wc -l` gives
-it. `cli` is not imported, so its lines are not among the unrun ones.
+ladder rungs and generic seed 1 of bench/workloads.py and for `UNIT_LIFT`,
+under `python -m trace --count --missing` with its cover files in a
+temporary directory, and prints the unrun lines (marked `>>>>>>` by trace)
+per module of the package, their total, and the line count of src/ as
+`wc -l` gives it. `cli` is not imported, so its lines are not among the
+unrun ones.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# g1 = x1^2 + x2^2 lifts through the squares with unit entries in A, so
+# minimization cancels generators (`minimize`'s unit path)
+UNIT_LIFT = (
+    "unit-lift",
+    {
+        "field_char": 32003,
+        "variables": ["x1", "x2", "x3", "x4", "x5"],
+        "f": ["x1^2", "x2^2", "x3^2", "x4^2", "x5^2"],
+        "g": ["x1^2 + x2^2", "x3^3"],
+        "window": [-2, 3],
+        "max_internal_degree": 6,
+    },
+)
 
 
 def _workloads():
@@ -36,7 +51,7 @@ def run_pipelines():
     from tatesplice.harness import ProblemInstance, dump_output, run_build, run_verify
 
     workloads = _workloads()
-    docs = workloads.instances("ladder", 1) + workloads.instances("generic", 1)
+    docs = workloads.instances("ladder", 1) + workloads.instances("generic", 1) + [UNIT_LIFT]
     for label, doc in docs:
         out = dump_output(run_build(ProblemInstance.from_doc(doc)))
         ok, _ = run_verify(json.loads(out))
