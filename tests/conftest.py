@@ -1,5 +1,7 @@
 """Shared instance fixtures; session-scoped so expensive builds happen once."""
 
+import random
+
 import pytest
 
 from tatesplice.harness import InstanceData, ProblemInstance, run_build
@@ -19,6 +21,36 @@ def ingest(variables, f_strs, g_strs, window, dmax):
             window=window,
             max_internal_degree=dmax,
         )
+    )
+
+
+def _monomials(variables, d):
+    """Monomial strings of degree d in `variables`, first variable's exponent
+    descending, in a fixed order."""
+    if len(variables) == 1:
+        return [f"{variables[0]}^{d}" if d > 1 else variables[0] if d else ""]
+    out = []
+    for e in range(d, -1, -1):
+        head = f"{variables[0]}^{e}" if e > 1 else variables[0] if e else ""
+        for rest in _monomials(variables[1:], d - e):
+            out.append("*".join(s for s in (head, rest) if s))
+    return out
+
+
+def generic_instance(seed):
+    """Four dense forms of degrees (2, 2, 2, 3) in x1..x5, every coefficient a
+    nonzero residue mod P drawn from `seed`, with f = (x1..x5), window [-1, 2]
+    and dmax 4: a 13-element Groebner basis, so the output depends on grevlex
+    tie-breaks and normal forms over a dense basis."""
+    rng = random.Random(seed)
+    variables = [f"x{i}" for i in range(1, 6)]
+    g = [
+        " + ".join(f"{rng.randrange(1, P)}*{m}" for m in _monomials(variables, d))
+        for d in (2, 2, 2, 3)
+    ]
+    return ProblemInstance(
+        field_char=P, variables=variables, f=list(variables), g=g,
+        window=(-1, 2), max_internal_degree=4,
     )
 
 

@@ -41,6 +41,7 @@ from tatesplice.harness import (
 )
 from tatesplice.koszul import koszul_complex
 
+from conftest import generic_instance
 from crosschecks import square_witness
 
 F = PrimeField(32003)
@@ -180,6 +181,20 @@ def test_output_bytes_pinned(rung, request):
     doc = request.getfixturevalue(f"build_{rung}")
     digest = hashlib.sha256(dump_output(doc).encode()).hexdigest()
     assert digest == OUTPUT_SHA256[rung]
+
+
+# sha256 of dump_output for `generic_instance(seed)`: a dense 13-element
+# basis, where a grevlex tie-break or a normal-form slip shows in the bytes
+GENERIC_SHA256 = {
+    1: "a714743dbba28fd1e46e2b674467dc6d17a172b08063d745dcf25f5b94a1d2f4",
+    2: "0dbeb5e88f7213b98a3e989d293e45f097e91b3c033be5567a5a95538ae3da5c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERIC_SHA256))
+def test_generic_output_bytes_pinned(seed):
+    digest = hashlib.sha256(dump_output(run_build(generic_instance(seed))).encode()).hexdigest()
+    assert digest == GENERIC_SHA256[seed]
 
 
 @pytest.mark.parametrize("rung", ["t", "h", "52w"])
