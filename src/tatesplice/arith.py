@@ -1,21 +1,37 @@
 """Prime-field scalars, sparse multivariate polynomials, and the expression parser.
 
-Monomials are dense exponent tuples (one entry per context variable) compared
-in graded reverse lexicographic order everywhere.
+A monomial is one packed int (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): the exponent
+of variable i sits in bits [WIDTH*i, WIDTH*(i+1)), whose top bit is a guard
+that is always clear, and the total degree sits above all MAX_VARIABLES
+fields, at SHIFT, unbounded. So a product is e1 + e2, a quotient b - a, the
+degree e >> SHIFT, and whether a divides b one subtraction
+(`monomial_divides`).
+Monomials compare in graded reverse lexicographic order everywhere, which is
+plain int order on `grevlex_key`. Every exponent stays below the guard bit
+because every degree stays at most MAX_DEGREE: the parser, `pack` and each
+product refuse a larger one (DegreeLimitError) before it is used. Exponent
+tuples appear only at the boundaries: `VariableContext.pack` and `unpack`,
+`Polynomial.monomial`, and the text the parser reads and `__str__` writes.
 """
 
 from __future__ import annotations
 
-from operator import add, le, sub
-
 from .errors import (
     ContextMismatchError,
+    DegreeLimitError,
     NegativeExponentError,
     PolynomialSyntaxError,
     UnknownVariableError,
 )
 
 MAX_VARIABLES = 16
+WIDTH = 16  # bits per exponent field, the guard bit included
+SHIFT = WIDTH * MAX_VARIABLES  # the total degree's bit offset
+MAX_DEGREE = (1 << (WIDTH - 1)) - 1  # so no exponent reaches its field's guard bit
+FIELD_MASK = (1 << WIDTH) - 1
+GUARD = sum(1 << (WIDTH * i + WIDTH - 1) for i in range(MAX_VARIABLES))
+LOW = (1 << SHIFT) - 1  # every exponent field
 
 _UNSET = object()  # leading monomial not computed yet
 
@@ -70,7 +86,8 @@ class PrimeField:
 
 
 class VariableContext:
-    """Ordered variable names; fixes the meaning of exponent tuples."""
+    """Ordered variable names; fixes the meaning of exponent tuples and of
+    the packed monomials' fields, variable i in field i."""
 
     __slots__ = ("names", "index")
 
@@ -92,6 +109,23 @@ class VariableContext:
     def nvars(self):
         return len(self.names)
 
+    def pack(self, expo):
+        """The packed monomial of an exponent tuple, one entry per variable;
+        ValueError for a wrong length or a negative entry, DegreeLimitError
+        above MAX_DEGREE."""
+        expo = tuple(expo)
+        if len(expo) != len(self.names):
+            raise ValueError("exponent tuple has wrong length")
+        if any(e < 0 for e in expo):
+            raise ValueError(f"negative exponent in {expo}")
+        if sum(expo) > MAX_DEGREE:
+            raise _over_limit(sum(expo))
+        return sum(e << (WIDTH * i) for i, e in enumerate(expo)) | sum(expo) << SHIFT
+
+    def unpack(self, mono):
+        """The exponent tuple of a packed monomial."""
+        return tuple(mono >> (WIDTH * i) & FIELD_MASK for i in range(len(self.names)))
+
     def __eq__(self, other):
         return isinstance(other, VariableContext) and self.names == other.names
 
@@ -102,56 +136,67 @@ class VariableContext:
         return f"VariableContext({self.names})"
 
 
+def _over_limit(d):
+    return DegreeLimitError(f"degree {d} is above the limit of {MAX_DEGREE}")
+
+
+def _unit(i):
+    """The monomial of variable i."""
+    return 1 << (WIDTH * i) | 1 << SHIFT
+
+
 def grevlex_key(expo):
-    """Sort key under which larger key means larger monomial in grevlex."""
-    return (sum(expo), tuple(-e for e in reversed(expo)))
-
-
-def monomial_mul(a, b):
-    return tuple(map(add, a, b))
+    """Sort key under which larger key means larger monomial in grevlex:
+    the degree decides first, and then, from the last variable down, the
+    smaller exponent wins, which flipping every exponent field turns into
+    the larger int."""
+    return expo ^ LOW
 
 
 def monomial_divides(a, b):
-    """Whether a divides b."""
-    return all(map(le, a, b))
-
-
-def monomial_div(b, a):
-    return tuple(map(sub, b, a))
+    """Whether a divides b: each field of b, its guard bit set, minus a's
+    field keeps the guard bit exactly when b's exponent is at least a's,
+    and no field borrows from the next."""
+    return ((b | GUARD) - a) & GUARD == GUARD
 
 
 def monomial_lcm(a, b):
-    return tuple(map(max, a, b))
+    """Fieldwise max: a guard bit left in (a | GUARD) - b marks a field where
+    a's exponent is the larger, and spread over its field it takes a's
+    exponent there and b's elsewhere. The degree is the sum of the fields,
+    which is the exponent part mod 2^WIDTH - 1 (as a decimal number is its
+    digit sum mod 9), since that sum is at most 2 * MAX_DEGREE."""
+    take = ((a | GUARD) - b) & GUARD
+    take -= take >> (WIDTH - 1)
+    e = (a & take) | (b & ~take & LOW)
+    return e | (e % FIELD_MASK) << SHIFT
 
 
 def _add_product(terms, a, b, sign=1):
     """Add sign * a * b for term dicts a and b into `terms`, which it returns
-    with coefficients unreduced: polynomials, the parser and `compose` use it."""
+    with coefficients unreduced: polynomials, the parser and `compose` use it.
+    The largest keys of a and b hold their largest degrees, so one check
+    refuses a product whose degree would pass MAX_DEGREE before it is formed."""
+    if a and b and (max(a) + max(b)) >> SHIFT > MAX_DEGREE:
+        raise _over_limit((max(a) + max(b)) >> SHIFT)
     for e1, c1 in a.items():
         c1 *= sign
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             terms[e] = terms.get(e, 0) + c1 * c2
     return terms
 
 
 class Polynomial:
-    """Sparse polynomial over F_p: a map from exponent tuples to nonzero scalars."""
+    """Sparse polynomial over F_p: a map from packed monomials to nonzero scalars."""
 
     __slots__ = ("ring", "field", "terms", "_hash", "_lead")
 
     def __init__(self, ring, field, terms):
         self.ring = ring
         self.field = field
-        clean = {}
-        nv = ring.nvars
-        for expo, coeff in terms.items():
-            c = coeff % field.p
-            if c:
-                if len(expo) != nv:
-                    raise ValueError("exponent tuple has wrong length")
-                clean[expo] = c
-        self.terms = clean
+        p = field.p
+        self.terms = {e: v for e, c in terms.items() if (v := c % p)}
         self._hash = None
         self._lead = _UNSET
 
@@ -162,37 +207,35 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring, field, value):
-        return cls(ring, field, {(0,) * ring.nvars: value})
+        return cls(ring, field, {0: value})
 
     @classmethod
-    def variable(cls, ring, field, name, power=1):
-        expo = [0] * ring.nvars
-        expo[ring.index[name]] = power
-        return cls(ring, field, {tuple(expo): 1})
+    def variable(cls, ring, field, name):
+        return cls(ring, field, {_unit(ring.index[name]): 1})
 
     @classmethod
     def monomial(cls, ring, field, expo, coeff=1):
-        return cls(ring, field, {tuple(expo): coeff})
+        """coeff * x^expo for an exponent tuple `expo`."""
+        return cls(ring, field, {ring.pack(expo): coeff})
 
     # --- predicates ---------------------------------------------------
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        return self.terms.get(0, 0)
 
     def total_degree(self):
         """Max total degree; None for the zero polynomial (never -1 or 0)."""
         if not self.terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> SHIFT
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return not self.terms or min(self.terms) >> SHIFT == max(self.terms) >> SHIFT
 
     # --- arithmetic ---------------------------------------------------
     def _check(self, other):
@@ -228,12 +271,8 @@ class Polynomial:
         return Polynomial(self.ring, self.field, {e: c * s for e, c in self.terms.items()})
 
     def term_mul(self, expo, coeff=1):
-        """Multiply by a single term coeff * x^expo."""
-        return Polynomial(
-            self.ring,
-            self.field,
-            {monomial_mul(e, expo): c * coeff for e, c in self.terms.items()},
-        )
+        """Multiply by a single term coeff * x^expo, expo packed."""
+        return Polynomial(self.ring, self.field, _add_product({}, self.terms, {expo: coeff}))
 
     # --- term access ---------------------------------------------------
     def sorted_terms(self):
@@ -241,9 +280,10 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading_monomial(self):
-        # cached: nothing mutates .terms after construction
+        # cached: nothing mutates .terms after construction; the largest
+        # grevlex key, flipped back
         if self._lead is _UNSET:
-            self._lead = max(self.terms, key=grevlex_key) if self.terms else None
+            self._lead = max(map(LOW.__xor__, self.terms)) ^ LOW if self.terms else None
         return self._lead
 
     def leading_coefficient(self):
@@ -272,7 +312,7 @@ class Polynomial:
     # --- printing -------------------------------------------------------
     def _monomial_str(self, expo):
         parts = []
-        for name, e in zip(self.ring.names, expo):
+        for name, e in zip(self.ring.names, self.ring.unpack(expo)):
             if e == 1:
                 parts.append(name)
             elif e > 1:
@@ -335,7 +375,8 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent over the grammar: sums of products of powers of atoms.
-    Values are term dicts {expo: coeff} until the one Polynomial at the end."""
+    Values are term dicts {packed monomial: coeff} until the one Polynomial at
+    the end; a power or product of degree above MAX_DEGREE is refused."""
 
     def __init__(self, text, ctx, field):
         self.ctx = ctx
@@ -399,21 +440,24 @@ class _Parser:
             if tok[0] == "-":
                 raise NegativeExponentError(tok[2])
             n = int(self.expect("int")[1])
+            d = (max(base) >> SHIFT) * n  # the largest key has the largest degree
+            if d > MAX_DEGREE:
+                raise _over_limit(d)
             if len(base) == 1:
                 ((e, c),) = base.items()
-                return [{tuple(k * n for k in e): pow(c, n, self.field.p)}]
-            return [base] * n or [{(0,) * self.ctx.nvars: 1}]
+                return [{e * n: pow(c, n, self.field.p)}]
+            return [base] * n or [{0: 1}]
         return [base]
 
     def atom(self):
         tok = self.advance()
         kind, value, offset = tok
         if kind == "int":
-            return {(0,) * self.ctx.nvars: int(value)}
+            return {0: int(value)}
         if kind == "name":
             if value not in self.ctx.index:
                 raise UnknownVariableError(value, offset)
-            return {tuple(int(name == value) for name in self.ctx.names): 1}
+            return {_unit(self.ctx.index[value]): 1}
         if kind == "(":
             inner = self.expression()
             self.expect(")")

@@ -50,6 +50,10 @@ class ContextMismatchError(TateSpliceError):
     """Operands live over different variable contexts or fields."""
 
 
+class DegreeLimitError(InvalidInstanceError):
+    """A monomial whose degree passes the packed exponent fields' limit."""
+
+
 class InhomogeneousInputError(InvalidInstanceError):
     """An operation that requires homogeneous input received a mixed-degree polynomial."""
 

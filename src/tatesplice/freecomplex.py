@@ -16,9 +16,16 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from itertools import accumulate, count
-from operator import add
 
-from .arith import Polynomial, PrimeField, VariableContext, _add_product, parse_polynomial
+from .arith import (
+    SHIFT,
+    WIDTH,
+    Polynomial,
+    PrimeField,
+    VariableContext,
+    _add_product,
+    parse_polynomial,
+)
 from .errors import (
     DegreeMismatchError,
     H0IsoError,
@@ -63,13 +70,14 @@ class BaseRing:
         if self._quotient is None:
             ctx, field = self.ctx, self.field
             gens = self.modulus.generators
-            leads = [g.leading_monomial() for g in gens]
+            leads = [ctx.unpack(g.leading_monomial()) for g in gens]
             keep = ctx.nvars
             while keep and not any(l[keep - 1] for l in leads):
                 keep -= 1
             ring = self
             if keep < ctx.nvars:
-                cut = [{e: c for e, c in g.terms.items() if not any(e[keep:])} for g in gens]
+                fields = _killed_fields(keep)
+                cut = [{e: c for e, c in g.terms.items() if not e & fields} for g in gens]
                 gens = [Polynomial(ctx, field, t) for t in cut]
                 gens += [Polynomial.variable(ctx, field, v) for v in ctx.names[keep:]]
                 numerator = times_complete_intersection(
@@ -96,9 +104,7 @@ class BaseRing:
         table = self._tables.get((mu, e))
         if table is None:
             row = self.modulus.nf_row
-            table = self._tables[(mu, e)] = [
-                row(tuple(map(add, mu, m))) for m in self.degree_basis(e)
-            ]
+            table = self._tables[(mu, e)] = [row(mu + m) for m in self.degree_basis(e)]
         return table
 
     def zero(self):
@@ -120,6 +126,12 @@ class BaseRing:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.modulus.generators)
         return f"F_{self.field.p}[{','.join(self.ctx.names)}]/({gens})"
+
+
+def _killed_fields(keep):
+    """The bits of every exponent field from variable `keep` on: a monomial
+    has one of those variables exactly when it meets them."""
+    return (1 << SHIFT) - (1 << (WIDTH * keep))
 
 
 class GradedFreeModule:
@@ -199,7 +211,8 @@ class DegreeLayout:
                 idx = self.index.get((k, mono))
                 if idx is None:
                     raise ValueError(
-                        f"term {mono} of generator {k} is not in degree {self.degree}"
+                        f"term {ring.ctx.unpack(mono)} of generator {k} "
+                        f"is not in degree {self.degree}"
                     )
                 vec[idx] = coeff
         return vec
@@ -247,7 +260,7 @@ class PolyMatrix:
                 if not 0 <= r < target.rank:
                     raise ValueError(f"row {r} outside target rank {target.rank}")
                 want = target.twists[r] - source.twists[c]
-                if any(sum(m) != want for m in e.terms):
+                if any(m >> SHIFT != want for m in e.terms):
                     raise DegreeMismatchError(
                         f"entry ({r},{c}) = {e} must be homogeneous of degree {want}"
                     )
@@ -441,13 +454,14 @@ class ChainComplex:
         if ring is self.ring:
             return self
         if self._reduced is None:
-            keep = ring.ctx.nvars - len(killed)  # the killed variables are the last
+            # the killed variables are the last
+            fields = _killed_fields(ring.ctx.nvars - len(killed))
             ctx, field = ring.ctx, ring.field
 
             def cut(col):
                 out = {}
                 for r, e in col.items():
-                    kept = {m: a for m, a in e.terms.items() if not any(m[keep:])}
+                    kept = {m: a for m, a in e.terms.items() if not m & fields}
                     if len(kept) == len(e.terms):
                         out[r] = e
                     elif kept:

@@ -12,13 +12,16 @@ from heapq import heapify, heappop, heappush
 from math import comb
 
 from .arith import (
+    LOW,
+    MAX_DEGREE,
+    SHIFT,
     Polynomial,
     _add_product,
+    _over_limit,
+    _unit,
     grevlex_key,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 from .errors import InhomogeneousInputError, InvalidInstanceError, NotInIdealError, SelfCheckError
 
@@ -39,11 +42,11 @@ def divide_tracking(f, divisors):
     the leading term of the running polynomial is always processed next, against
     the first divisor whose lead monomial divides it.
 
-    The running polynomial is one mutable term dict, and a heap of negated
-    grevlex keys yields its leading term (cf. Monagan-Pearce, CASC 2007). A
-    heap entry whose term has since cancelled is skipped when popped. With
-    monic divisors each step only adds terms below the one it removes, so no
-    monomial is processed twice.
+    The running polynomial is one mutable term dict, and a heap of its
+    monomials XOR _HEAP yields its leading term (cf. Monagan-Pearce, CASC
+    2007). A heap entry whose term has since cancelled is skipped when
+    popped. With monic divisors each step only adds terms below the one it
+    removes, of no larger degree, so no monomial is processed twice.
     """
     p = f.field.p
     leads = [d.leading_monomial() for d in divisors]
@@ -52,25 +55,25 @@ def divide_tracking(f, divisors):
         for d, lead in zip(divisors, leads)
     ]
     work = dict(f.terms)
-    heap = [_heap_key(e) for e in work]
+    heap = [e ^ _HEAP for e in work]
     heapify(heap)
     quotients = [{} for _ in divisors]
     remainder = {}
     while heap:
-        lm = heappop(heap)[1]
+        lm = heappop(heap) ^ _HEAP
         lc = work.pop(lm, None)
         if lc is None:
             continue
         for k, dlm in enumerate(leads):
             if monomial_divides(dlm, lm):
-                q = monomial_div(lm, dlm)
+                q = lm - dlm
                 quotients[k][q] = lc
                 for e, c in tails[k]:
-                    m = monomial_mul(e, q)
+                    m = e + q
                     v = work.get(m)
                     if v is None:
                         work[m] = -lc * c % p
-                        heappush(heap, _heap_key(m))
+                        heappush(heap, m ^ _HEAP)
                     else:
                         v = (v - lc * c) % p
                         if v:
@@ -87,39 +90,38 @@ def divide_tracking(f, divisors):
     )
 
 
-def _heap_key(expo):
-    """(negated grevlex key, expo): the heap minimum is the grevlex maximum."""
-    return (-sum(expo), expo[::-1]), expo
+# m ^ _HEAP is -1 - grevlex_key(m), so the heap minimum is the grevlex
+# maximum, and m comes back by the same XOR
+_HEAP = ~LOW
 
 
 @lru_cache(maxsize=None)
-def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d, in descending grevlex order."""
-    if not nvars:
-        return ((),) if d == 0 else ()
+def monomials_of_degree(nvars, d, free=None):
+    """All monomials of total degree d, packed, in descending grevlex order:
+    in the first nvars variables, or in those whose indices the ascending
+    tuple `free` names. The last variable's exponent rises slowest, since
+    the smaller one wins, and each of its values leads the listing of the
+    variables before it."""
+    free = tuple(range(nvars)) if free is None else free
+    if d > MAX_DEGREE:
+        raise _over_limit(d)
+    if not free or d < 0:
+        return (0,) if d == 0 else ()
     # nothing bounds the degrees a Gröbner basis reaches: check each listing
-    count = comb(d + nvars - 1, nvars - 1) if d > 0 else 1
+    count = comb(d + len(free) - 1, len(free) - 1) if d > 0 else 1
     if count > MAX_LISTING:
         raise InvalidInstanceError(f"degree {d} has {count} monomials (limit {MAX_LISTING})")
+    units = [_unit(v) for v in free]
 
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
+    def gen(k, remaining):  # in the first k variables of `free`
+        if k == 1:
+            yield units[0] * remaining
             return
         for e in range(remaining + 1):
-            yield from gen(prefix + (e,), remaining - e, slots - 1)
+            for rest in gen(k - 1, remaining - e):
+                yield rest + units[k - 1] * e
 
-    monos = list(gen((), d, nvars))
-    monos.sort(key=grevlex_key, reverse=True)
-    return tuple(monos)
-
-
-def _embed(mono, free, n):
-    """The exponent tuple in n variables with mono's exponents at `free`."""
-    out = [0] * n
-    for v, e in zip(free, mono):
-        out[v] = e
-    return tuple(out)
+    return tuple(gen(len(units), d))
 
 
 def hilbert_dim_from_leads(leads, nvars, d):
@@ -154,11 +156,12 @@ def _hilbert_numerator(leads, nvars):
     if not leads:
         return {0: 1}
     *rest, m = leads
-    colon = {monomial_div(monomial_lcm(l, m), m) for l in rest}
+    colon = {monomial_lcm(l, m) - m for l in rest}
     minimal = sorted(c for c in colon if not any(o != c and monomial_divides(o, c) for o in colon))
     counts = dict(_hilbert_numerator(tuple(rest), nvars))
+    d = m >> SHIFT
     for k, n in _hilbert_numerator(tuple(minimal), nvars).items():
-        counts[k + sum(m)] = counts.get(k + sum(m), 0) - n
+        counts[k + d] = counts.get(k + d, 0) - n
     return {k: n for k, n in counts.items() if n}
 
 
@@ -243,7 +246,7 @@ class GroebnerBasis:
         rows = self._rows
         if mono in rows:
             return rows[mono]
-        index = self.quotient_degree_basis(sum(mono)).index
+        index = self.quotient_degree_basis(mono >> SHIFT).index
         p, stack = self.field.p, [mono]
         while stack:
             m = stack[-1]
@@ -251,8 +254,8 @@ class GroebnerBasis:
                 rows[stack.pop()] = (index[m], 1)
                 continue
             lead, tail = next(lt for lt in self._leads if monomial_divides(lt[0], m))
-            q = monomial_div(m, lead)
-            parts = [(monomial_mul(q, t), c) for t, c in tail]
+            q = m - lead
+            parts = [(q + t, c) for t, c in tail]
             missing = [u for u, _ in parts if u not in rows]
             if missing:
                 stack += missing
@@ -268,8 +271,8 @@ class GroebnerBasis:
     def normal_form(self, poly):
         """Remainder modulo the basis: poly itself when every term is a
         standard monomial, else `reduce_terms` of its terms."""
-        bases = {d: self.quotient_degree_basis(d) for d in {sum(e) for e in poly.terms}}
-        if all(e in bases[sum(e)].index for e in poly.terms):
+        bases = {d: self.quotient_degree_basis(d) for d in {e >> SHIFT for e in poly.terms}}
+        if all(e in bases[e >> SHIFT].index for e in poly.terms):
             return poly
         return Polynomial(self.ring, self.field, self.reduce_terms(poly.terms))
 
@@ -281,7 +284,7 @@ class GroebnerBasis:
         for expo, coeff in terms.items():
             coeff %= p
             if coeff:
-                d = sum(expo)
+                d = expo >> SHIFT
                 if d not in sums:
                     monos = self.quotient_degree_basis(d).monomials
                     sums[d] = monos, [0] * len(monos)
@@ -304,11 +307,8 @@ class GroebnerBasis:
         leads, n = self.lead_monomials(), self.ring.nvars
         # a variable that is itself a lead is in no standard monomial; leaving
         # it out keeps grevlex order and the listing to the other variables
-        free = [v for v in range(n) if not any(l[v] == sum(l) == 1 for l in leads)]
-        if len(free) < n:
-            candidates = [_embed(m, free, n) for m in monomials_of_degree(len(free), d)]
-        else:
-            candidates = monomials_of_degree(n, d)
+        free = tuple(v for v in range(n) if _unit(v) not in leads)
+        candidates = monomials_of_degree(n, d, free)
         monos = [m for m in candidates if not any(monomial_divides(l, m) for l in leads)]
         expected = hilbert_dim_from_leads(leads, n, d)
         if len(monos) != expected:
@@ -333,7 +333,7 @@ def _criterion_pairs(leads):
     for j, lj in enumerate(leads):
         for i, li in enumerate(leads[:j]):
             m = monomial_lcm(li, lj)
-            if m != monomial_mul(li, lj) and not any(
+            if m != li + lj and not any(
                 monomial_divides(lk, m) and m not in (monomial_lcm(li, lk), monomial_lcm(lj, lk))
                 for lk in leads[:i] + leads[i + 1:j] + leads[j + 1:]
             ):
@@ -344,7 +344,7 @@ def _spoly(f, g):
     """The S-polynomial u_f * f - u_g * g of f and g, with u_f and u_g."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lf, lg)
-    uf, ug = monomial_div(lcm, lf), monomial_div(lcm, lg)
+    uf, ug = lcm - lf, lcm - lg
     return f.term_mul(uf) - g.term_mul(ug), uf, ug
 
 
@@ -403,7 +403,7 @@ def buchberger(gens, numerator=None):
             new.setdefault(monomial_lcm(l, t), []).append(i)
         for m, idx in new.items():
             if not any(o != m and monomial_divides(o, m) for o in new) and not any(
-                m == monomial_mul(leads[i], t) for i in idx
+                m == leads[i] + t for i in idx
             ):
                 pairs[idx[0], k] = m
         basis.append((poly.scale(inv), [r.scale(inv) for r in rep]))
@@ -415,11 +415,11 @@ def buchberger(gens, numerator=None):
             add_element(g, [one if j == i else zero for j in range(len(gens))])
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(pairs[ij]), ij))
+        i, j = min(pairs, key=lambda ij: (pairs[ij] >> SHIFT, ij))
         if numerator is not None:
-            d, n = sum(pairs[i, j]), ring.nvars
+            d, n = pairs[i, j] >> SHIFT, ring.nvars
             if hilbert_dim_from_leads(leads, n, d) == _series_coefficient(numerator, n, d):
-                for ij in [ij for ij, m in pairs.items() if sum(m) == d]:
+                for ij in [ij for ij, m in pairs.items() if m >> SHIFT == d]:
                     del pairs[ij]
                 continue
         del pairs[i, j]

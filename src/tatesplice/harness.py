@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
-from .arith import PrimeField, VariableContext, monomial_divides, parse_polynomial
+from .arith import MAX_DEGREE, PrimeField, VariableContext, parse_polynomial
 from .errors import (
     ContainmentError,
+    DegreeLimitError,
     DocumentError,
     InvalidInstanceError,
     NotInIdealError,
@@ -156,6 +158,10 @@ class ProblemInstance:
         if dmax < 0:
             # S/(f) is generated in degree 0, so a smaller bound never sees H_0
             raise ValueError(f"max_internal_degree must be at least 0, got {dmax}")
+        if dmax > MAX_DEGREE:
+            raise DegreeLimitError(
+                f"max_internal_degree {dmax} is above the limit of {MAX_DEGREE}"
+            )
         return cls(
             field_char=p,
             variables=list(doc["variables"]),
@@ -308,7 +314,8 @@ def run_verify(doc):
     bool; provenance and the H_0 table are not compared. Returns (ok, rows), one
     (check, passed, detail) per row. Raises DocumentError when `doc` is not an
     object of the known `format`, or `tate`, `meta`, `betti` or `instance` is
-    missing or malformed."""
+    missing or malformed, and DegreeLimitError, as a build would, when one of
+    them holds a degree above `arith.MAX_DEGREE`."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != FORMAT:
         raise DocumentError(f"unknown format {found!r}")
@@ -321,6 +328,8 @@ def run_verify(doc):
             raise TypeError("meta.dmax must be an integer and betti an object")
         instance = ProblemInstance.from_doc(doc["instance"])
         degrees = _instance_degrees(instance)
+    except DegreeLimitError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError, TateSpliceError) as exc:
         raise DocumentError(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
@@ -471,27 +480,29 @@ def _oracle_monomials(nvars, d):
 
 
 def _oracle_basis(ring, d):
-    """Degree-d monomial basis: the monomials divisible by no lead monomial
-    of the ring's modulus, every monomial over S."""
+    """Degree-d monomial basis as exponent tuples: the monomials divisible by
+    no lead monomial of the ring's modulus, every monomial over S."""
     if d < 0:
         return []
     monos = _oracle_monomials(ring.ctx.nvars, d)
-    leads = ring.modulus.lead_monomials()
-    return [m for m in monos if not any(monomial_divides(l, m) for l in leads)]
+    leads = [ring.ctx.unpack(l) for l in ring.modulus.lead_monomials()]
+    return [m for m in monos if not any(all(map(le, l, m)) for l in leads)]
 
 
 def _oracle_matrix(matrix, d):
-    """Dense integer grid of the degree-d piece, assembled naively."""
+    """Dense integer grid of the degree-d piece, assembled naively; its
+    monomials packed once, for the products and remainders to find."""
     ring = matrix.source.ring
+    pack = ring.ctx.pack
     col_labels = []
     for k, a in enumerate(matrix.source.twists):
         for mono in _oracle_basis(ring, d + a):
-            col_labels.append((k, mono))
+            col_labels.append((k, pack(mono)))
     row_labels = []
     row_index = {}
     for k, a in enumerate(matrix.target.twists):
         for mono in _oracle_basis(ring, d + a):
-            row_index[(k, mono)] = len(row_labels)
+            row_index[(k, pack(mono))] = len(row_labels)
             row_labels.append((k, mono))
     grid = [[0] * len(col_labels) for _ in row_labels]
     for c, (k, mono) in enumerate(col_labels):

@@ -165,9 +165,10 @@ def tate_splice(resolution, window, dmax):
     phi, target = expand_phi(resolution)
     # H_0(F) = S/(f) with f regular (`InstanceData` checks it), so its
     # Hilbert function is that of the monomial ideal (x_i^deg f_i)
-    nvars = F.ring.ctx.nvars
+    ctx = F.ring.ctx
+    nvars = ctx.nvars
     powers = [
-        tuple(e if v == i else 0 for v in range(nvars)) for i, e in enumerate(lift.f_degrees)
+        ctx.pack(e if v == i else 0 for v in range(nvars)) for i, e in enumerate(lift.f_degrees)
     ]
     h0 = partial(hilbert_dim_from_leads, powers, nvars)
     cone, layout, certificates = _splice(F, target, phi, h0, window, dmax)

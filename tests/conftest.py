@@ -37,7 +37,7 @@ def _monomials(variables, d):
     return out
 
 
-def generic_instance(seed):
+def _generic_instance(seed):
     """Four dense forms of degrees (2, 2, 2, 3) in x1..x5, every coefficient a
     nonzero residue mod P drawn from `seed`, with f = (x1..x5), window [-1, 2]
     and dmax 4: a 13-element Groebner basis, so the output depends on grevlex
@@ -52,6 +52,12 @@ def generic_instance(seed):
         field_char=P, variables=variables, f=list(variables), g=g,
         window=(-1, 2), max_internal_degree=4,
     )
+
+
+@pytest.fixture(scope="session")
+def generic_instance():
+    """The generic instance of a seed, as a function of the seed."""
+    return _generic_instance
 
 
 @pytest.fixture(scope="session")

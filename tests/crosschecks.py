@@ -6,13 +6,17 @@ a splice and its dual splice, the self-duality of the Koszul complex under
 the beta trivializations, Cramer orthogonality of the wedge maps, a
 from-scratch check of a divided-power resolution, and the chain-map
 condition square by square. `lead_ideal_dimension` is the Krull dimension
-oracle that regularity decisions are checked against.
+oracle that regularity decisions are checked against, and the tuple oracle
+at the end is what the packed monomial kernels are checked against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from operator import add, le
 
+from tatesplice.arith import Polynomial, VariableContext
 from tatesplice.errors import SelfCheckError
 from tatesplice.freecomplex import BaseRing, _h0_dim, certify
 from tatesplice.groebner import buchberger, divide_tracking
@@ -135,3 +139,44 @@ def lead_ideal_dimension(leads, nvars):
             if not any(s <= subset for s in supports):
                 return size
     return 0
+
+
+# --- the tuple oracle of the packed monomials --------------------------------
+
+
+@lru_cache(maxsize=None)
+def _context(nvars):
+    return VariableContext([f"x{i}" for i in range(1, nvars + 1)])
+
+
+def exponents(mono, nvars):
+    """The exponent tuple of a packed monomial in nvars variables."""
+    return _context(nvars).unpack(mono)
+
+
+def exponent_terms(poly):
+    """The terms of `poly` keyed by exponent tuples."""
+    return {poly.ring.unpack(e): c for e, c in poly.terms.items()}
+
+
+def from_exponents(ctx, field, terms):
+    """The polynomial of a term dict keyed by exponent tuples."""
+    return Polynomial(ctx, field, {ctx.pack(e): c for e, c in terms.items()})
+
+
+def tuple_product(a, b):
+    return tuple(map(add, a, b))
+
+
+def tuple_divides(a, b):
+    return all(map(le, a, b))
+
+
+def tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def tuple_grevlex_key(a):
+    """Larger key, larger monomial: the degree first, then, from the last
+    variable down, the smaller exponent."""
+    return (sum(a), tuple(-e for e in reversed(a)))

@@ -4,17 +4,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tatesplice.arith import (
+    MAX_DEGREE,
+    MAX_VARIABLES,
+    SHIFT,
     Polynomial,
     PrimeField,
     VariableContext,
     grevlex_key,
+    monomial_divides,
+    monomial_lcm,
     parse_polynomial,
 )
 from tatesplice.errors import (
     ContextMismatchError,
+    DegreeLimitError,
     NegativeExponentError,
     PolynomialSyntaxError,
     UnknownVariableError,
+)
+
+from crosschecks import (
+    exponent_terms,
+    from_exponents,
+    tuple_divides,
+    tuple_grevlex_key,
+    tuple_lcm,
+    tuple_product,
 )
 
 F101 = PrimeField(101)
@@ -37,7 +52,7 @@ def test_prime_field_rejects_composites():
 
 def test_parse_basic_terms():
     p = poly("x^2*y - 3*z")
-    assert p.terms == {(2, 1, 0): 1, (0, 0, 1): 98}
+    assert exponent_terms(p) == {(2, 1, 0): 1, (0, 0, 1): 98}
 
 
 def test_parse_zero():
@@ -46,7 +61,7 @@ def test_parse_zero():
 
 def test_parse_expand_cancel():
     p = parse_polynomial("(x+y)*(x-y)", XY, F101)
-    assert p.terms == {(2, 0): 1, (0, 2): 100}
+    assert exponent_terms(p) == {(2, 0): 1, (0, 2): 100}
 
 
 def test_parse_errors_carry_offsets():
@@ -86,8 +101,9 @@ def test_total_degree():
 
 def test_grevlex_order():
     # x > y > z in equal degree; x*y^2 beats x^2*z in grevlex
-    assert grevlex_key((1, 0, 0)) > grevlex_key((0, 1, 0)) > grevlex_key((0, 0, 1))
-    assert grevlex_key((1, 2, 0)) > grevlex_key((2, 0, 1))
+    key = lambda expo: grevlex_key(XYZ.pack(expo))  # noqa: E731
+    assert key((1, 0, 0)) > key((0, 1, 0)) > key((0, 0, 1))
+    assert key((1, 2, 0)) > key((2, 0, 1))
 
 
 def test_printing_descending_order():
@@ -101,7 +117,7 @@ def _random_poly(draw, ctx, field, max_deg=3, max_terms=4):
     for _ in range(draw(st.integers(0, max_terms))):
         expo = tuple(draw(st.integers(0, max_deg)) for _ in range(n))
         terms[expo] = draw(st.integers(0, field.p - 1))
-    return Polynomial(ctx, field, terms)
+    return from_exponents(ctx, field, terms)
 
 
 @st.composite
@@ -196,3 +212,81 @@ def expressions(draw, depth=3):
 def test_parse_matches_arithmetic(expr):
     text, value, _, _ = expr
     assert parse_polynomial(text, XYZ, F101) == value
+
+
+# --- packed monomials against the tuple oracle --------------------------------
+
+
+@st.composite
+def exponent_pairs(draw):
+    """(nvars, a, b): two exponent tuples in 1 to 16 variables, each of degree
+    at most MAX_DEGREE, often with one field at MAX_DEGREE itself, where its
+    guard bit is next, and half the time with b dividing a."""
+    n = draw(st.integers(1, MAX_VARIABLES))
+
+    def expo():
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.integers(0, n - 1))
+            return tuple(MAX_DEGREE if v == i else 0 for v in range(n))
+        cap = draw(st.sampled_from((3, MAX_DEGREE // n)))
+        return tuple(draw(st.integers(0, cap)) for _ in range(n))
+
+    a, b = expo(), expo()
+    if draw(st.booleans()):  # b then divides a
+        b = tuple(map(min, a, b))
+    return n, a, b
+
+
+@given(exponent_pairs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_packed_monomials_match_the_tuple_oracle(case):
+    n, a, b = case
+    ctx = VariableContext([f"x{i}" for i in range(1, n + 1)])
+    pa, pb = ctx.pack(a), ctx.pack(b)
+    assert ctx.unpack(pa) == a and pa >> SHIFT == sum(a)
+    assert monomial_divides(pa, pb) == tuple_divides(a, b)
+    assert monomial_divides(pb, pa) == tuple_divides(b, a)
+    assert ctx.unpack(monomial_lcm(pa, pb)) == tuple_lcm(a, b)
+    assert monomial_lcm(pa, pb) >> SHIFT == sum(tuple_lcm(a, b))
+    assert (grevlex_key(pa) > grevlex_key(pb)) == (tuple_grevlex_key(a) > tuple_grevlex_key(b))
+    if sum(a) + sum(b) <= MAX_DEGREE:
+        assert ctx.unpack(pa + pb) == tuple_product(a, b) and (pa + pb) >> SHIFT == sum(a) + sum(b)
+        if tuple_divides(a, b):
+            assert ctx.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+    else:
+        with pytest.raises(DegreeLimitError):
+            Polynomial.monomial(ctx, F101, a) * Polynomial.monomial(ctx, F101, b)
+
+
+def test_every_field_at_its_largest_exponent():
+    # x_i^MAX_DEGREE in each of 16 variables: it divides itself and no other,
+    # its lcm with x_j^MAX_DEGREE holds both, and grevlex puts x_16 lowest
+    ctx = VariableContext([f"x{i}" for i in range(1, MAX_VARIABLES + 1)])
+    tops = [
+        ctx.pack(MAX_DEGREE if v == i else 0 for v in range(MAX_VARIABLES))
+        for i in range(MAX_VARIABLES)
+    ]
+    for i, a in enumerate(tops):
+        assert ctx.unpack(a)[i] == MAX_DEGREE
+        for j, b in enumerate(tops):
+            assert monomial_divides(a, b) == (i == j)
+            assert ctx.unpack(monomial_lcm(a, b)) == tuple(
+                MAX_DEGREE if v in (i, j) else 0 for v in range(MAX_VARIABLES)
+            )
+            assert (grevlex_key(a) > grevlex_key(b)) == (i < j)
+
+
+def test_degree_limit_is_refused():
+    x = Polynomial.variable(XY, F101, "x")
+    top = poly(f"x^{MAX_DEGREE}", XY)
+    assert top.total_degree() == MAX_DEGREE
+    for over in (lambda: top * x, lambda: top.term_mul(XY.pack((0, 1)))):
+        with pytest.raises(DegreeLimitError, match=f"degree {MAX_DEGREE + 1} is above the limit"):
+            over()
+    for text in (f"x^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE}*y", f"(x + y)^{MAX_DEGREE + 1}"):
+        with pytest.raises(DegreeLimitError):
+            poly(text, XY)
+    with pytest.raises(DegreeLimitError):
+        XY.pack((MAX_DEGREE, 1))
+    with pytest.raises(ValueError, match="wrong length"):
+        XY.pack((1, 2, 3))

@@ -432,9 +432,14 @@ def _oracle_entries(m, d):
     """The same from the dense oracle, whose bases are in its own order."""
     ring = m.source.ring
     grid, nrows, ncols = _oracle_matrix(m, d)
-    # the oracle's order: generator by generator, its own basis within each
+    # the oracle's order: generator by generator, its own basis within each,
+    # its exponent tuples packed as the layout's labels are
     rows, cols = (
-        [(k, mono) for k, a in enumerate(mod.twists) for mono in _oracle_basis(ring, d + a)]
+        [
+            (k, ring.ctx.pack(mono))
+            for k, a in enumerate(mod.twists)
+            for mono in _oracle_basis(ring, d + a)
+        ]
         for mod in (m.target, m.source)
     )
     assert (len(rows), len(cols)) == (nrows, ncols)

@@ -19,7 +19,7 @@ from tatesplice import cli as cli_module
 from tatesplice import freecomplex, groebner
 from tatesplice import harness as harness_module
 from tatesplice import tate as tate_module
-from tatesplice.arith import PrimeField, VariableContext, parse_polynomial
+from tatesplice.arith import MAX_DEGREE, PrimeField, VariableContext, parse_polynomial
 from tatesplice.errors import (
     EXIT_MEMORY,
     ContainmentError,
@@ -41,7 +41,6 @@ from tatesplice.harness import (
 )
 from tatesplice.koszul import koszul_complex
 
-from conftest import generic_instance
 from crosschecks import square_witness
 
 F = PrimeField(32003)
@@ -192,7 +191,7 @@ GENERIC_SHA256 = {
 
 
 @pytest.mark.parametrize("seed", sorted(GENERIC_SHA256))
-def test_generic_output_bytes_pinned(seed):
+def test_generic_output_bytes_pinned(seed, generic_instance):
     digest = hashlib.sha256(dump_output(run_build(generic_instance(seed))).encode()).hexdigest()
     assert digest == GENERIC_SHA256[seed]
 
@@ -1351,6 +1350,22 @@ def test_reach_tool_runs_its_pipelines():
     assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
 
 
+def test_mutation_tool_kills_one_mutant():
+    # tools/mutate.py applies its edit to a copy of src/ and runs the
+    # mutant's tests there: the packed divisibility test without its guard
+    # bits must fail them, and the checked-in src/ stays as it was
+    source = (ROOT / "src" / "tatesplice" / "arith.py").read_text()
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutate.py"), "guard_bit_dropped"],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.split()[:2] == ["guard_bit_dropped", "killed"]
+    assert (ROOT / "src" / "tatesplice" / "arith.py").read_text() == source
+
+
 def test_cli_verify_compares_windows_with_the_emitted_one(tmp_path, capsys, build_c):
     # the instance and meta windows agree with each other, not with tate's
     doc = json.loads(dump_output(build_c))
@@ -1407,6 +1422,49 @@ def test_cli_build_refuses_a_listing_above_the_bound(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
     assert f"degree 18 has 4686825 monomials (limit {groebner.MAX_LISTING})" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("g", [f"x^{MAX_DEGREE + 1}", "y^2"]),
+        ("f", ["x", f"x^{MAX_DEGREE}*y"]),
+        ("max_internal_degree", MAX_DEGREE + 1),
+    ],
+)
+def test_cli_build_refuses_a_degree_above_the_limit(tmp_path, capsys, inst_t, field, value):
+    # the packed exponent fields hold degrees up to MAX_DEGREE: more is
+    # refused when the instance is read
+    doc = {**inst_t.instance.to_doc(), field: value}
+    assert _build_exit_code(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
+    assert f"{MAX_DEGREE + 1} is above the limit of {MAX_DEGREE}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("instance", "max_internal_degree"), MAX_DEGREE + 1),
+        (("instance", "g"), [f"x^{MAX_DEGREE + 1}", "y^2"]),
+        (("tate", "ring", "modulus"), [f"y^{MAX_DEGREE + 1}", "x^2"]),
+    ],
+)
+def test_cli_verify_refuses_a_degree_above_the_limit(tmp_path, capsys, build_t, path, value):
+    # a document past the limit is refused as its instance would be, not
+    # reported as malformed
+    doc = json.loads(dump_output(build_t))
+    *keys, last = path
+    section = doc
+    for key in keys:
+        section = section[key]
+    section[last] = value
+    assert _verify_exit_code(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
+    assert f"{MAX_DEGREE + 1} is above the limit of {MAX_DEGREE}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1572,6 +1630,7 @@ EXIT_CONTRACT = {
     "UnknownVariableError": _PARSE,
     "NegativeExponentError": _PARSE,
     "ContextMismatchError": _CERTIFICATE,
+    "DegreeLimitError": _INVALID,
     "InhomogeneousInputError": _INVALID,
     "NotInIdealError": _INVALID,
     "DegreeMismatchError": _CERTIFICATE,
